@@ -6,9 +6,7 @@ __version__ = "0.1.0"
 
 from .cohomology import (
     LeftScanResult,
-    LineBundle,
     RightScanResult,
-    cohomology_table,
     h,
     left_vanishing_scan,
     right_vanishing_scan,
@@ -38,7 +36,6 @@ from .intlinalg import (
     RationalInterval,
     SingularMatrixError,
     char_poly,
-    count_real_roots,
     count_real_roots_above,
     cyclotomic,
     det,
@@ -50,7 +47,6 @@ from .ring import (
     BudgetExceededError,
     DecompositionWitness,
     GradeError,
-    GradedPieceIndex,
     GrowthClass,
     Monomial,
     PowerRingSpec,
@@ -59,7 +55,6 @@ from .ring import (
     grade_dimension,
     grade_of_degree,
     growth_class,
-    is_decomposable,
     monomials,
     random_monomial,
     twist_degree,

@@ -24,7 +24,7 @@ from .dynamics import (
     classify_ampleness,
     degree_consistency,
 )
-from .intlinalg import RationalInterval
+from .intlinalg import RationalInterval, exact_int
 from .ring import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -92,12 +92,16 @@ def resolve_budget(flag_value: Optional[int]) -> int:
     env = os.environ.get("TWISTED_BUDGET")
     if env is not None:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise click.UsageError(f"TWISTED_BUDGET is not an integer: {env!r}")
-    if flag_value is not None:
-        return flag_value
-    return DEFAULT_BUDGET
+    elif flag_value is not None:
+        budget = flag_value
+    else:
+        budget = DEFAULT_BUDGET
+    if budget < 1:
+        raise click.UsageError(f"budget must be >= 1, got {budget}")
+    return budget
 
 
 def _interval_json(interval: Optional[RationalInterval]) -> Optional[dict]:
@@ -250,7 +254,7 @@ def _run_ampleness(config: RunConfig) -> Report:
         raise click.UsageError("--divisor is required")
     try:
         spec = NumericalActionSpec.from_json_dict(doc)
-        divisor = DivisorClass(tuple(int(x) for x in config.divisor))
+        divisor = DivisorClass(tuple(map(exact_int, config.divisor)))
         report = classify_ampleness(spec, divisor)
     except (ValueError, TypeError) as exc:
         raise click.UsageError(str(exc))

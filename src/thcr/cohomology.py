@@ -27,39 +27,6 @@ def h(space_dim: int, degree: int, q: int) -> int:
 
 
 @dataclasses.dataclass(frozen=True)
-class LineBundle:
-    """O(degree) on projective space of dimension ``space_dim``."""
-
-    space_dim: int
-    degree: int
-
-    def cohomology(self, q: int) -> int:
-        return h(self.space_dim, self.degree, q)
-
-
-@dataclasses.dataclass(frozen=True)
-class TableRow:
-    q: int
-    degree: int
-    value: int
-
-
-@dataclasses.dataclass(frozen=True)
-class CohomologyTable:
-    space_dim: int
-    rows: tuple[TableRow, ...]
-
-
-def cohomology_table(space_dim: int, degrees) -> CohomologyTable:
-    rows = tuple(
-        TableRow(q, d, h(space_dim, d, q))
-        for d in degrees
-        for q in range(space_dim + 1)
-    )
-    return CohomologyTable(space_dim, rows)
-
-
-@dataclasses.dataclass(frozen=True)
 class ScanRow:
     n: int
     degree: int

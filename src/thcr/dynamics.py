@@ -37,6 +37,7 @@ from .intlinalg import (
     char_poly,
     count_real_roots_above,
     det,
+    exact_int,
     is_quasi_unipotent,
     spectral_radius_interval,
 )
@@ -93,7 +94,8 @@ class NumericalActionSpec:
         if not isinstance(matrix, IntMatrix):
             matrix = IntMatrix(matrix)
         curves = tuple(
-            c if isinstance(c, CurveFunctional) else CurveFunctional(tuple(c))
+            c if isinstance(c, CurveFunctional)
+            else CurveFunctional(tuple(map(exact_int, c)))
             for c in curves
         )
         if not curves:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,6 +27,13 @@ class NotAnEigenvalueError(ValueError):
     """The requested value is not a root of the characteristic polynomial."""
 
 
+def exact_int(value) -> int:
+    """``value`` as an int; floats, strings and bools raise TypeError, never truncate."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclasses.dataclass(init=False, eq=True, frozen=True)
 class IntPolynomial:
     """Dense integer polynomial; ``coeffs[i]`` is the coefficient of x**i.
@@ -39,10 +47,10 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, *coeffs: int):
-        end = len(coeffs)
-        while end > 0 and coeffs[end - 1] == 0:
-            end -= 1
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs[:end]))
+        coeffs = [exact_int(c) for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def degree(self) -> int:
         """Degree of the leading term; the zero polynomial has degree -1."""
@@ -87,25 +95,41 @@ class IntPolynomial:
                     out[i + j] += c * d
         return IntPolynomial(*out)
 
-    def divmod_monic(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Quotient and remainder by a monic divisor, over Z.
+    def pseudo_divmod(
+        self, divisor: "IntPolynomial"
+    ) -> tuple["IntPolynomial", "IntPolynomial", int]:
+        """Pseudo-division over Z: ``(q, r, k)`` with lc**k * self == q * divisor + r.
 
-        >>> IntPolynomial(-1, 0, 1).divmod_monic(IntPolynomial(1, 1))
-        (IntPolynomial(-1, 1), IntPolynomial())
+        ``lc`` is the divisor's leading coefficient and deg r < deg divisor.
+        The dividend is scaled by ``lc`` only when a step would not divide
+        exactly, so a monic divisor gives ordinary division with k == 0.
+
+        >>> IntPolynomial(-1, 0, 1).pseudo_divmod(IntPolynomial(1, 1))
+        (IntPolynomial(-1, 1), IntPolynomial(), 0)
+        >>> IntPolynomial(1, 0, 1).pseudo_divmod(IntPolynomial(1, 2))
+        (IntPolynomial(-1, 2), IntPolynomial(5), 2)
         """
-        if divisor.is_zero() or divisor.leading() != 1:
-            raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
+        if divisor.is_zero():
+            raise ZeroDivisionError("pseudo-division by the zero polynomial")
+        lead = divisor.leading()
         d = divisor.degree()
+        rem = list(self.coeffs)
         quot = [0] * max(len(rem) - d, 0)
+        k = 0
         for i in range(len(rem) - d - 1, -1, -1):
-            q = rem[i + d]
-            if q == 0:
+            c = rem[i + d]
+            if c == 0:
                 continue
-            quot[i] = q
-            for j, c in enumerate(divisor.coeffs):
-                rem[i + j] -= q * c
-        return IntPolynomial(*quot), IntPolynomial(*rem[:d])
+            if c % lead:
+                rem = [lead * x for x in rem]
+                quot = [lead * x for x in quot]
+                k += 1
+                c = rem[i + d]
+            c //= lead
+            quot[i] = c
+            for j, b in enumerate(divisor.coeffs):
+                rem[i + j] -= c * b
+        return IntPolynomial(*quot), IntPolynomial(*rem[:d]), k
 
     def __repr__(self):
         return f"IntPolynomial({', '.join(str(c) for c in self.coeffs)})"
@@ -118,7 +142,7 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(exact_int(x) for x in row) for row in rows)
         if not data:
             raise ValueError("matrix must be nonempty")
         if any(len(row) != len(data) for row in data):
@@ -290,7 +314,7 @@ def cyclotomic(n: int) -> IntPolynomial:
     poly = IntPolynomial(*([-1] + [0] * (n - 1) + [1]))
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = poly.divmod_monic(cyclotomic(d))
+            poly, rem, _ = poly.pseudo_divmod(cyclotomic(d))
             assert rem.is_zero()
     return poly
 
@@ -315,7 +339,7 @@ def is_quasi_unipotent(matrix: IntMatrix) -> bool:
             continue
         phi_d = cyclotomic(d)
         while f.degree() >= phi_d.degree():
-            quot, rem = f.divmod_monic(phi_d)
+            quot, rem, _ = f.pseudo_divmod(phi_d)
             if not rem.is_zero():
                 break
             f = quot
@@ -344,82 +368,56 @@ def jordan_growth_exponent(matrix: IntMatrix, eigenvalue: int) -> int:
             return len(ranks) - 3
 
 
-# --- Sturm machinery over Q -------------------------------------------------
+# --- Sturm machinery over Z -------------------------------------------------
 #
-# Sturm chains are held as lists of Fraction coefficient lists (low to high).
+# Chains are IntPolynomials scaled by positive constants, which leaves every
+# sign unchanged; signs at a rational p/q come from q**d * f(p/q) in Z.
 
 
-def _fp_trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _primitive(poly: IntPolynomial) -> IntPolynomial:
+    """Divide out the content, signed so the leading coefficient is positive."""
+    content = math.gcd(*poly.coeffs)
+    if poly.leading() < 0:
+        content = -content
+    return IntPolynomial(*(c // content for c in poly.coeffs))
 
 
-def _fp_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _fp_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    rem = list(a)
-    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(rem) >= len(b) and _fp_trim(rem):
-        shift = len(rem) - len(b)
-        q = rem[-1] / lead
-        quot[shift] = q
-        for i, c in enumerate(b):
-            rem[shift + i] -= q * c
-        rem.pop()
-        _fp_trim(rem)
-    return _fp_trim(quot), _fp_trim(rem)
-
-
-def _fp_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while _fp_trim(b):
-        _, r = _fp_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _fp_from_int(poly: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in poly.coeffs]
+def _primitive_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    while not b.is_zero():
+        _, rem, _ = a.pseudo_divmod(b)
+        a, b = b, rem if rem.is_zero() else _primitive(rem)
+    return _primitive(a)
 
 
 def squarefree_part(poly: IntPolynomial) -> IntPolynomial:
-    """The radical of an integer polynomial: same roots, all simple."""
+    """The radical of an integer polynomial: same roots, all simple.
+
+    Returned primitive with positive leading coefficient.
+    """
     if poly.degree() < 1:
         return poly
-    f = _fp_from_int(poly)
-    g = _fp_gcd(f, _fp_from_int(poly.derivative()))
-    if len(g) <= 1:
-        return poly
-    quot, rem = _fp_divmod(f, g)
-    assert not rem
-    scale = math.lcm(*(c.denominator for c in quot))
-    ints = [int(c * scale) for c in quot]
-    content = math.gcd(*(abs(c) for c in ints))
-    if ints[-1] < 0:
-        content = -content
-    return IntPolynomial(*(c // content for c in ints))
+    g = _primitive_gcd(poly, poly.derivative())
+    quot, rem, _ = poly.pseudo_divmod(g)
+    assert rem.is_zero()
+    return _primitive(quot)
 
 
-def _sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
-    chain = [list(coeffs)]
-    deriv = _fp_trim([i * c for i, c in enumerate(coeffs)][1:])
-    if deriv:
+def _sturm_chain(poly: IntPolynomial) -> list[IntPolynomial]:
+    chain = [poly]
+    deriv = poly.derivative()
+    if not deriv.is_zero():
         chain.append(deriv)
-        while chain[-1] and len(chain[-1]) > 1:
-            _, rem = _fp_divmod(chain[-2], chain[-1])
-            if not rem:
+        while chain[-1].degree() > 0:
+            divisor = chain[-1]
+            _, rem, k = chain[-2].pseudo_divmod(divisor)
+            if rem.is_zero():
                 break
-            chain.append([-c for c in rem])
+            # lc**k * a = q * b + r: the remainder over Q is r / lc**k, and
+            # -r * sign(lc)**k is a positive multiple of its negation
+            if divisor.leading() > 0 or k % 2 == 0:
+                rem = -rem
+            content = math.gcd(*rem.coeffs)
+            chain.append(IntPolynomial(*(c // content for c in rem.coeffs)))
     return chain
 
 
@@ -428,18 +426,26 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def _variations_at(chain: list[list[Fraction]], x: Fraction) -> int:
-    return _variations([_sign(_fp_eval(p, x)) for p in chain])
+def _homogeneous_value(poly: IntPolynomial, p: int, q: int) -> int:
+    """q**degree * poly(p/q), by integer Horner; its sign is poly's for q > 0."""
+    acc = 0
+    scale = 1
+    for c in reversed(poly.coeffs):
+        acc = acc * p + c * scale
+        scale *= q
+    return acc
 
 
-def _variations_at_infinity(chain: list[list[Fraction]], positive: bool) -> int:
+def _variations_at(chain: list[IntPolynomial], x) -> int:
+    p, q = x.numerator, x.denominator
+    return _variations([_sign(_homogeneous_value(f, p, q)) for f in chain])
+
+
+def _variations_at_infinity(chain: list[IntPolynomial], positive: bool) -> int:
     signs = []
-    for p in chain:
-        if not p:
-            signs.append(0)
-            continue
-        s = _sign(p[-1])
-        if not positive and (len(p) - 1) % 2 == 1:
+    for f in chain:
+        s = _sign(f.leading())
+        if not positive and f.degree() % 2 == 1:
             s = -s
         signs.append(s)
     return _variations(signs)
@@ -449,52 +455,18 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # synthetic division by (x - root); remainder must be zero
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    carry = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + carry * root
-        out[i - 1] = carry
-    assert coeffs[0] + carry * root == 0
-    return out
-
-
 def count_real_roots_above(poly: IntPolynomial, bound) -> int:
-    """Number of distinct real roots strictly greater than ``bound``."""
-    sf = _fp_from_int(squarefree_part(poly))
-    bound = Fraction(bound)
-    while _fp_eval(sf, bound) == 0:
-        sf = _deflate(sf, bound)
-    if len(sf) <= 1:
-        return 0
-    chain = _sturm_chain(sf)
-    return _variations_at(chain, bound) - _variations_at_infinity(chain, positive=True)
+    """Number of distinct real roots strictly greater than ``bound``.
 
-
-def count_real_roots(poly: IntPolynomial, lo=None, hi=None) -> int:
-    """Distinct real roots in (lo, hi); ``None`` endpoints mean infinity.
-
-    Finite endpoints must not themselves be roots.
+    ``bound`` may itself be a root: on a squarefree chain the variation
+    count at a root equals the count just to its right.
     """
-    sf = _fp_from_int(squarefree_part(poly))
-    if len(sf) <= 1:
+    sf = squarefree_part(poly)
+    if sf.degree() < 1:
         return 0
     chain = _sturm_chain(sf)
-    for endpoint in (lo, hi):
-        if endpoint is not None and _fp_eval(sf, Fraction(endpoint)) == 0:
-            raise ValueError("endpoint is a root; nudge it or use count_real_roots_above")
-    at_lo = (
-        _variations_at_infinity(chain, positive=False)
-        if lo is None
-        else _variations_at(chain, Fraction(lo))
-    )
-    at_hi = (
-        _variations_at_infinity(chain, positive=True)
-        if hi is None
-        else _variations_at(chain, Fraction(hi))
-    )
-    return at_lo - at_hi
+    above = _variations_at(chain, Fraction(bound))
+    return above - _variations_at_infinity(chain, positive=True)
 
 
 def spectral_radius_interval(matrix: IntMatrix, width=DEFAULT_RADIUS_WIDTH) -> RationalInterval:
@@ -516,28 +488,25 @@ def spectral_radius_interval(matrix: IntMatrix, width=DEFAULT_RADIUS_WIDTH) -> R
     if chi.evaluate(0) == 0:
         raise SingularMatrixError("matrix is singular")
     sf = squarefree_part(chi)
-    fsf = _fp_from_int(sf)
-    chain = _sturm_chain(fsf)
-    total = _variations_at_infinity(chain, positive=False) - _variations_at_infinity(
-        chain, positive=True
-    )
-    if total == 0:
+    chain = _sturm_chain(sf)
+    at_infinity = _variations_at_infinity(chain, positive=True)
+    if _variations_at_infinity(chain, positive=False) == at_infinity:
         raise NoRealEigenvalueError("no real eigenvalue; matrix cannot preserve a cone")
 
-    def roots_above(x: Fraction) -> int:
-        return _variations_at(chain, x) - _variations_at_infinity(chain, positive=True)
+    def roots_above(x) -> int:
+        return _variations_at(chain, x) - at_infinity
 
     bound = 1 + max(abs(Fraction(c, sf.leading())) for c in sf.coeffs[:-1])
     lo, hi = -bound, Fraction(bound)
     # invariant: the largest real root lies in (lo, hi]
     while hi - lo > width:
         if hi - lo < 1:
-            candidate = Fraction(math.floor(hi))
-            if lo < candidate <= hi and _fp_eval(fsf, candidate) == 0:
+            candidate = math.floor(hi)
+            if lo < candidate <= hi and sf.evaluate(candidate) == 0:
                 if roots_above(candidate) == 0:
                     return RationalInterval(candidate, candidate)
         mid = (lo + hi) / 2
-        if _fp_eval(fsf, mid) == 0:
+        if _homogeneous_value(sf, mid.numerator, mid.denominator) == 0:
             if roots_above(mid) == 0:
                 return RationalInterval(mid, mid)
             lo = mid

@@ -85,18 +85,6 @@ class Monomial:
 
 
 @dataclasses.dataclass(frozen=True)
-class GradedPieceIndex:
-    """Grade n together with its twist degree e_n."""
-
-    n: int
-    degree: int
-
-    @classmethod
-    def for_grade(cls, spec: PowerRingSpec, n: int) -> "GradedPieceIndex":
-        return cls(n, twist_degree(spec, n))
-
-
-@dataclasses.dataclass(frozen=True)
 class DecompositionWitness:
     """A factorization z = u * v with u in grade a, v in grade b."""
 
@@ -175,37 +163,31 @@ def decompose_fast(
     Splitting z = u * v with u in grade a forces u's exponents to agree
     with z's modulo r**a.  Writing u_i = (z_i mod r**a) + r**a * k_i, the
     k_i must be nonnegative, at most z_i // r**a, and sum to
-    (e_a - sum of residues) / r**a.  A split exists iff that target is a
-    nonnegative integer within total capacity; any greedy fill produces a
-    witness.
+    (e_a - sum of residues) / r**a.  Since sum z_i = e_a + r**a * e_b,
+    that target is always an integer and the capacities always cover it,
+    so a split at grade a exists iff sum(z_i mod r**a) <= e_a; any greedy
+    fill then produces a witness.  The smallest such a is returned.
     """
     _require_grade(spec, z, n)
-    if n < 2:
-        return None
     r = spec.power
     for a in range(1, n):
-        b = n - a
         q = r**a
-        ea = twist_degree(spec, a)
         residues = [e % q for e in z.exps]
-        need = ea - sum(residues)
-        if need < 0 or need % q:
+        need = twist_degree(spec, a) - sum(residues)
+        if need < 0:
             continue
         k = need // q
-        caps = [e // q for e in z.exps]
-        if sum(caps) < k:
-            continue
-        alpha = list(residues)
-        for i, cap in enumerate(caps):
-            take = min(cap, k)
+        alpha = residues
+        for i, e in enumerate(z.exps):
+            take = min(e // q, k)
             alpha[i] += take * q
             k -= take
             if k == 0:
                 break
         u = Monomial(tuple(alpha))
-        v = Monomial(tuple((z.exps[i] - alpha[i]) // q for i in range(len(alpha))))
-        assert v.degree == twist_degree(spec, b)
-        return DecompositionWitness(a, b, u, v)
+        v = Monomial(tuple((x - y) // q for x, y in zip(z.exps, alpha)))
+        assert v.degree == twist_degree(spec, n - a)
+        return DecompositionWitness(a, n - a, u, v)
     return None
 
 
@@ -229,17 +211,6 @@ def decompose_brute(
             if all(x >= 0 for x in alpha):
                 return DecompositionWitness(a, b, Monomial(alpha), Monomial(beta))
     return None
-
-
-def is_decomposable(
-    spec: PowerRingSpec, z: Monomial, n: int, method: str = "fast"
-) -> Optional[DecompositionWitness]:
-    """Witness that z factors as a product of lower, positive grades, or None."""
-    if method == "fast":
-        return decompose_fast(spec, z, n)
-    if method == "brute":
-        return decompose_brute(spec, z, n)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def generator_degrees(

@@ -193,3 +193,24 @@ def test_cohomology_rejects_power_one(runner):
 def test_bad_windows_exit_two(runner):
     assert runner.invoke(main, ["gens", "--p", "2", "--m", "1", "--max-n", "0"]).exit_code == 2
     assert runner.invoke(main, ["growth", "--p", "2", "--m", "1", "--max-n", "2"]).exit_code == 2
+
+
+def test_non_integer_json_exits_two(runner):
+    good = {"--matrix": "[[2]]", "--divisor": "[1]", "--curves": "[[1]]"}
+    for flag, bad in (("--matrix", "[[2.7]]"), ("--divisor", "[1.9]"),
+                      ("--curves", "[[true]]"), ("--matrix", '[["2"]]')):
+        args = ["ampleness"]
+        for key, value in {**good, flag: bad}.items():
+            args += [key, value]
+        assert runner.invoke(main, args).exit_code == 2, (flag, bad)
+    result = runner.invoke(main, ["ampleness", "--matrix", "[[2.7]]", "--divisor", "[1.9]",
+                                  "--curves", "[[true]]"])
+    assert result.exit_code == 2
+
+
+def test_nonpositive_budget_exits_two(runner):
+    args = ["gens", "--p", "2", "--m", "1", "--max-n", "2"]
+    assert runner.invoke(main, args, env={"TWISTED_BUDGET": "-5"}).exit_code == 2
+    assert runner.invoke(main, args, env={"TWISTED_BUDGET": "0"}).exit_code == 2
+    assert runner.invoke(main, [*args, "--budget", "0"]).exit_code == 2
+    assert runner.invoke(main, [*args, "--budget", "1"]).exit_code == 3

@@ -3,8 +3,6 @@ from fractions import Fraction
 import pytest
 
 from thcr.cohomology import (
-    LineBundle,
-    cohomology_table,
     h,
     left_vanishing_scan,
     right_vanishing_scan,
@@ -77,10 +75,7 @@ def test_h_validation():
 
 
 def test_line_bundle_and_table():
-    bundle = LineBundle(2, -4)
-    assert bundle.cohomology(2) == 3
-    table = cohomology_table(2, range(-2, 2))
-    assert {(r.q, r.degree): r.value for r in table.rows}[(0, 1)] == 3
+    assert h(2, -4, 2) == 3
 
 
 # --- vanishing scans -----------------------------------------------------------

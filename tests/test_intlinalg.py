@@ -3,18 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import thcr.intlinalg as intlinalg
 from thcr.intlinalg import (
+    DEFAULT_RADIUS_WIDTH,
     IntMatrix,
     IntPolynomial,
     NoRealEigenvalueError,
     NotAnEigenvalueError,
     SingularMatrixError,
     char_poly,
-    count_real_roots,
     count_real_roots_above,
     cyclotomic,
     det,
@@ -23,6 +23,7 @@ from thcr.intlinalg import (
     is_quasi_unipotent,
     jordan_growth_exponent,
     spectral_radius_interval,
+    squarefree_part,
 )
 
 
@@ -262,16 +263,83 @@ def test_jordan_invariant_under_similarity():
 
 def test_count_real_roots_full_line():
     chi = char_poly(IntMatrix([[2, 0], [0, 3]]))
-    assert count_real_roots(chi) == 2
-    assert count_real_roots(chi, 1, None) == 2
     assert count_real_roots_above(chi, 2) == 1
     assert count_real_roots_above(chi, 3) == 0
 
 
-def test_count_real_roots_rejects_root_endpoint():
-    chi = char_poly(IntMatrix([[2]]))
-    with pytest.raises(ValueError):
-        count_real_roots(chi, 2, None)
+# --- integer Sturm layer against sympy ---------------------------------------------
+
+def factor_lists(monic=False):
+    """Factor lists [(coeffs, multiplicity)] of linear and quadratic factors.
+
+    Monic lists have nonzero constant terms, so their product is the
+    characteristic polynomial of an invertible companion matrix.
+    """
+    lead = st.just(1) if monic else st.sampled_from([-3, -2, -1, 1, 2, 3])
+    const = st.integers(-4, 4).filter(bool) if monic else st.integers(-4, 4)
+    linear = st.tuples(const, lead)
+    quadratic = st.tuples(const, st.integers(-4, 4), lead)
+    factor = st.tuples(st.one_of(linear, quadratic), st.integers(1, 3))
+    return st.lists(factor, min_size=1, max_size=3)
+
+
+def expand(factors):
+    poly = IntPolynomial(1)
+    for coeffs, multiplicity in factors:
+        for _ in range(multiplicity):
+            poly = poly * IntPolynomial(*coeffs)
+    return poly
+
+
+def sympy_poly(poly):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly(list(reversed(poly.coeffs)), sympy.Symbol("x"))
+
+
+@settings(deadline=None)
+@given(factor_lists())
+def test_squarefree_part_matches_sympy(factors):
+    poly = expand(factors)
+    expected = tuple(int(c) for c in reversed(sympy_poly(poly).sqf_part().all_coeffs()))
+    assert squarefree_part(poly).coeffs in (expected, tuple(-c for c in expected))
+
+
+@settings(deadline=None)
+@example([((1, 1, -3), 1), ((4, -1, 3), 2)])
+@example([((-1, 1), 1), ((1, -2, 2), 3)])
+@given(factor_lists())
+def test_count_real_roots_above_matches_sympy(factors):
+    sympy = pytest.importorskip("sympy")
+    poly = expand(factors)
+    roots = set(sympy_poly(poly).real_roots())
+    # every rational root is a bound, and so is a grid of rationals off the
+    # dyadic points that bisection visits
+    bounds = {Fraction(-c[0], c[1]) for c, _ in factors if len(c) == 2}
+    bounds.update(Fraction(n, 3) for n in range(-18, 19))
+    for bound in sorted(bounds):
+        rational = sympy.Rational(bound.numerator, bound.denominator)
+        expected = sum(1 for r in roots if r > rational)
+        assert count_real_roots_above(poly, bound) == expected, bound
+
+
+@settings(deadline=None)
+@given(factor_lists(monic=True))
+def test_spectral_radius_encloses_sympy_largest_root(factors):
+    sympy = pytest.importorskip("sympy")
+    poly = expand(factors)
+    roots = sympy_poly(poly).real_roots()
+    assume(roots)
+    n = poly.degree()
+    companion = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        companion[i][n - 1] = -poly.coeffs[i]
+    matrix = IntMatrix(companion)
+    assert char_poly(matrix) == poly
+    interval = spectral_radius_interval(matrix)
+    assert interval.width <= DEFAULT_RADIUS_WIDTH
+    lo = sympy.Rational(interval.lo.numerator, interval.lo.denominator)
+    hi = sympy.Rational(interval.hi.numerator, interval.hi.denominator)
+    assert lo <= max(roots) <= hi
 
 
 def test_integer_rank():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from thcr.ring import (
     BudgetExceededError,
     GradeError,
-    GradedPieceIndex,
     GrowthClass,
     Monomial,
     PowerRingSpec,
@@ -19,7 +18,6 @@ from thcr.ring import (
     grade_dimension,
     grade_of_degree,
     growth_class,
-    is_decomposable,
     monomials,
     random_monomial,
     twist_degree,
@@ -62,11 +60,6 @@ def test_grade_of_degree_roundtrip():
         assert grade_of_degree(spec, twist_degree(spec, n)) == n
     with pytest.raises(GradeError):
         grade_of_degree(spec, 2)
-
-
-def test_graded_piece_index():
-    idx = GradedPieceIndex.for_grade(PowerRingSpec(dim=1, power=2), 3)
-    assert (idx.n, idx.degree) == (3, 7)
 
 
 # --- graded dimensions ------------------------------------------------------------
@@ -216,12 +209,10 @@ def test_degree_one_marker_family_is_irreducible():
 def test_is_decomposable_dispatch():
     spec = PowerRingSpec(dim=1, power=2)
     z = Monomial((2, 1))
-    assert is_decomposable(spec, z, 2) is not None
-    assert is_decomposable(spec, z, 2, method="brute") is not None
-    with pytest.raises(ValueError):
-        is_decomposable(spec, z, 2, method="magic")
+    assert decompose_fast(spec, z, 2) is not None
+    assert decompose_brute(spec, z, 2) is not None
     with pytest.raises(GradeError):
-        is_decomposable(spec, Monomial((1, 1)), 2)
+        decompose_fast(spec, Monomial((1, 1)), 2)
 
 
 # --- generator counting ---------------------------------------------------------------
