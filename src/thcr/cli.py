@@ -131,6 +131,8 @@ def _ring_spec(config: RunConfig) -> PowerRingSpec:
 def _run_dims(config: RunConfig) -> Report:
     spec = _ring_spec(config)
     max_n = config.max_n if config.max_n is not None else 8
+    if max_n < 0:
+        raise click.UsageError("--max-n must be >= 0")
     rows = [
         {"n": n, "twistDegree": twist_degree(spec, n), "dim": grade_dimension(spec, n)}
         for n in range(max_n + 1)

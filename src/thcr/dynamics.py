@@ -102,6 +102,13 @@ class NumericalActionSpec:
             raise ValueError("at least one curve functional is required")
         if any(len(c.coords) != matrix.dim for c in curves):
             raise ValueError("curve length does not match the action rank")
+        try:
+            dim_x = exact_int(dim_x)
+            deg_sigma = None if deg_sigma is None else exact_int(deg_sigma)
+        except TypeError:
+            raise TypeError(
+                f"dim_x and deg_sigma must be integers, got {dim_x!r} and {deg_sigma!r}"
+            ) from None
         if dim_x < 1:
             raise ValueError("dim_x must be >= 1")
         if deg_sigma is not None and deg_sigma < 1:

@@ -4,6 +4,13 @@ Characteristic polynomials, Sturm-certified isolation of the dominant real
 eigenvalue, quasi-unipotence via cyclotomic factorization, and Jordan block
 sizes for integer eigenvalues.  Everything runs over Z or Q, so every answer
 is a certificate rather than a floating-point estimate.
+
+The characteristic polynomial is computed once per matrix and kept on the
+immutable ``IntMatrix``, so the cyclotomic test, the radius bisection and the
+witness search share it.  The bisection decides midpoints above a
+power-of-two Fujiwara root bound without a Sturm count, and once a count
+isolates the largest root it decides each midpoint by the sign of the
+squarefree part alone.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import dataclasses
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class SingularMatrixError(ValueError):
@@ -153,6 +160,10 @@ class IntMatrix:
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def _char_poly(self) -> "IntPolynomial":
+        return _faddeev_leverrier(self.rows)
+
     @classmethod
     def scalar(cls, dim: int, value: int) -> "IntMatrix":
         return cls([[value if i == j else 0 for j in range(dim)] for i in range(dim)])
@@ -160,13 +171,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, dim: int) -> "IntMatrix":
         return cls.scalar(dim, 1)
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.dim))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_dim(other)
-        return IntMatrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)
@@ -263,24 +267,31 @@ def integer_rank(matrix: IntMatrix) -> int:
 def char_poly(matrix: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - P), monic with integer coefficients.
 
-    Uses the Faddeev-LeVerrier recurrence; every division is exact.
+    Uses the Faddeev-LeVerrier recurrence; every division is exact.  The
+    result is computed once per matrix and kept on it.
 
     >>> char_poly(IntMatrix([[0, -1], [1, 0]]))
     IntPolynomial(1, 0, 1)
     """
-    n = matrix.dim
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    work = IntMatrix.scalar(n, 0)
-    product = None
+    return matrix._char_poly
+
+
+def _faddeev_leverrier(rows) -> IntPolynomial:
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    # product holds P @ M_k, where M_1 = I and M_{k+1} = P @ M_k + c_{n-k} I
+    product = [list(row) for row in rows]
     for k in range(1, n + 1):
-        base = product if product is not None else IntMatrix.scalar(n, 0)
-        work = base + IntMatrix.scalar(n, coeffs[n - k + 1])
-        product = matrix @ work
-        t = product.trace()
+        t = sum(product[i][i] for i in range(n))
         if t % k:
             raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
-        coeffs[n - k] = -(t // k)
+        c = coeffs[n - k] = -(t // k)
+        if k == n:
+            break
+        for i in range(n):
+            product[i][i] += c
+        cols = list(zip(*product))
+        product = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
     return IntPolynomial(*coeffs)
 
 
@@ -490,28 +501,52 @@ def spectral_radius_interval(matrix: IntMatrix, width=DEFAULT_RADIUS_WIDTH) -> R
     sf = squarefree_part(chi)
     chain = _sturm_chain(sf)
     at_infinity = _variations_at_infinity(chain, positive=True)
-    if _variations_at_infinity(chain, positive=False) == at_infinity:
+    above_lo = _variations_at_infinity(chain, positive=False) - at_infinity
+    if above_lo == 0:
         raise NoRealEigenvalueError("no real eigenvalue; matrix cannot preserve a cone")
 
     def roots_above(x) -> int:
         return _variations_at(chain, x) - at_infinity
 
     bound = 1 + max(abs(Fraction(c, sf.leading())) for c in sf.coeffs[:-1])
+    cap = _root_cap(sf)
     lo, hi = -bound, Fraction(bound)
-    # invariant: the largest real root lies in (lo, hi]
+    # invariant: the largest real root lies in (lo, hi] and above_lo distinct
+    # roots lie above lo; once above_lo == 1 that root is the only one in
+    # (lo, hi], and sf (positive leading coefficient) is negative left of it
     while hi - lo > width:
         if hi - lo < 1:
             candidate = math.floor(hi)
             if lo < candidate <= hi and sf.evaluate(candidate) == 0:
-                if roots_above(candidate) == 0:
+                if above_lo == 1 or roots_above(candidate) == 0:
                     return RationalInterval(candidate, candidate)
         mid = (lo + hi) / 2
-        if _homogeneous_value(sf, mid.numerator, mid.denominator) == 0:
-            if roots_above(mid) == 0:
-                return RationalInterval(mid, mid)
-            lo = mid
-        elif roots_above(mid) >= 1:
-            lo = mid
+        if mid >= cap:
+            hi = mid
+            continue
+        value = _homogeneous_value(sf, mid.numerator, mid.denominator)
+        if above_lo == 1:
+            above = 1 if value < 0 else 0
+        else:
+            above = roots_above(mid)
+        if above:
+            lo, above_lo = mid, above
+        elif value == 0:
+            return RationalInterval(mid, mid)
         else:
             hi = mid
     return RationalInterval(lo, hi)
+
+
+def _root_cap(poly: IntPolynomial) -> int:
+    """A power of two above the modulus of every root (Fujiwara's bound).
+
+    |a_{n-k} / a_n| < 2**(bitlen(a_{n-k}) - bitlen(a_n) + 1), so each term
+    |a_{n-k} / a_n|**(1/k) of the bound lies below 2**ceil(that / k).
+    """
+    lead_bits = abs(poly.leading()).bit_length()
+    exponent = max(
+        -((lead_bits - 1 - abs(c).bit_length()) // k)
+        for k, c in enumerate(reversed(poly.coeffs[:-1]), 1)
+    )
+    return 2 ** (1 + max(exponent, 0))

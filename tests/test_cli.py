@@ -214,3 +214,19 @@ def test_nonpositive_budget_exits_two(runner):
     assert runner.invoke(main, args, env={"TWISTED_BUDGET": "0"}).exit_code == 2
     assert runner.invoke(main, [*args, "--budget", "0"]).exit_code == 2
     assert runner.invoke(main, [*args, "--budget", "1"]).exit_code == 3
+
+
+def test_non_integer_spec_fields_exit_two(runner, tmp_path):
+    for extra in ({"dimX": "a"}, {"dimX": 2.5, "degSigma": True}, {"degSigma": 2.0}):
+        spec_path = tmp_path / "action.json"
+        spec_path.write_text(json.dumps({"P": [[2]], "curves": [[1]], **extra}))
+        result = runner.invoke(main, ["ampleness", "--matrix", str(spec_path), "--divisor", "[1]"])
+        assert result.exit_code == 2, extra
+        assert "dim_x and deg_sigma must be integers" in result.output, extra
+
+
+def test_dims_negative_window_exits_two(runner):
+    result = runner.invoke(main, ["dims", "--p", "2", "--m", "1", "--max-n", "-3"])
+    assert result.exit_code == 2
+    assert "--max-n must be >= 0" in result.output
+    assert invoke(runner, "dims", "--p", "2", "--m", "1", "--max-n", "0").exit_code == 0

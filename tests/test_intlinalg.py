@@ -1,4 +1,5 @@
 import doctest
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import thcr.intlinalg as intlinalg
+from thcr.dynamics import (
+    DivisorClass,
+    NumericalActionSpec,
+    classify_ampleness,
+    non_left_ample_witness,
+)
 from thcr.intlinalg import (
     DEFAULT_RADIUS_WIDTH,
     IntMatrix,
@@ -72,6 +79,45 @@ def charpoly_by_interpolation(rows):
     return tuple(int(c) for c in coeffs)
 
 
+def reference_radius_interval(matrix, width=DEFAULT_RADIUS_WIDTH):
+    """The radius bisection with a full Sturm count at every midpoint.
+
+    Same schedule as ``spectral_radius_interval``: Cauchy start, midpoints,
+    the floor-candidate check and the same endpoints; every side is decided
+    by ``count_real_roots_above`` and exact Fraction evaluation.
+    """
+    sf = squarefree_part(char_poly(matrix))
+    bound = 1 + max(abs(Fraction(c, sf.leading())) for c in sf.coeffs[:-1])
+    if count_real_roots_above(sf, -bound) == 0:
+        raise NoRealEigenvalueError("no real eigenvalue")
+    lo, hi = -bound, Fraction(bound)
+    while hi - lo > width:
+        if hi - lo < 1:
+            candidate = math.floor(hi)
+            if lo < candidate <= hi and sf.evaluate(candidate) == 0:
+                if count_real_roots_above(sf, candidate) == 0:
+                    return candidate, candidate
+        mid = (lo + hi) / 2
+        if sf.evaluate(mid) == 0:
+            if count_real_roots_above(sf, mid) == 0:
+                return mid, mid
+            lo = mid
+        elif count_real_roots_above(sf, mid) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def companion(poly):
+    """Integer companion matrix of a monic polynomial; its char_poly is poly."""
+    n = poly.degree()
+    rows = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][n - 1] = -poly.coeffs[i]
+    return IntMatrix(rows)
+
+
 def square_lists(dim, lo=-5, hi=5):
     return st.lists(
         st.lists(st.integers(lo, hi), min_size=dim, max_size=dim),
@@ -98,6 +144,36 @@ def test_char_poly_rotation():
 @given(st.integers(1, 4).flatmap(square_lists))
 def test_char_poly_matches_interpolation_oracle(rows):
     assert char_poly(IntMatrix(rows)).coeffs == charpoly_by_interpolation(rows)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10).flatmap(lambda d: square_lists(d, -(2**16), 2**16)))
+def test_char_poly_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    expected = sympy.Matrix(rows).charpoly().all_coeffs()
+    assert char_poly(IntMatrix(rows)).coeffs == tuple(int(c) for c in reversed(expected))
+
+
+def test_char_poly_computed_once_per_matrix(monkeypatch):
+    runs = []
+    faddeev_leverrier = intlinalg._faddeev_leverrier
+
+    def counted(rows):
+        runs.append(rows)
+        return faddeev_leverrier(rows)
+
+    monkeypatch.setattr(intlinalg, "_faddeev_leverrier", counted)
+    matrix = IntMatrix([[2, 1], [1, 1]])
+    assert char_poly(matrix) is char_poly(matrix)
+    assert len(runs) == 1
+    # the cyclotomic test, the radius bisection and the witness guard share one
+    spec = NumericalActionSpec([[3, 1, 0], [1, 2, 1], [0, 1, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    divisor = DivisorClass((1, 2, 1))
+    runs.clear()
+    report = classify_ampleness(spec, divisor)
+    assert not report.quasi_unipotent
+    non_left_ample_witness(spec, divisor, DivisorClass((1, 1, 1)))
+    assert len(runs) == 1
 
 
 @given(st.integers(1, 4).flatmap(square_lists))
@@ -150,6 +226,71 @@ def test_spectral_radius_certificate_on_cone_preserving(rows):
     assert chi.evaluate(interval.lo) == 0 or count_real_roots_above(chi, interval.lo) >= 1
 
 
+def shifted(poly, t):
+    """poly(x - t): every root moves right by t, multiplicities kept."""
+    out = IntPolynomial()
+    power = IntPolynomial(1)
+    for c in poly.coeffs:
+        out = out + IntPolynomial(c) * power
+        power = power * IntPolynomial(-t, 1)
+    return out
+
+
+def radius_factor():
+    """Monic factors with a multiplicity: rational roots of either sign,
+    quadratics with complex or irrational roots, and close pairs
+    k, sqrt(k**2 + 1), about 1 / (2k) apart."""
+    linear = st.integers(-6, 6).map(lambda r: IntPolynomial(-r, 1))
+    quadratic = st.tuples(st.integers(-6, 6), st.integers(-9, 9)).map(
+        lambda bc: IntPolynomial(bc[1], bc[0], 1)
+    )
+    close_pair = st.integers(1, 1000).map(
+        lambda k: IntPolynomial(-k, 1) * IntPolynomial(-(k * k + 1), 0, 1)
+    )
+    return st.tuples(st.one_of(linear, quadratic, close_pair), st.integers(1, 3))
+
+
+@st.composite
+def radius_matrices(draw):
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, 5).flatmap(lambda d: square_lists(d, -8, 8)))
+        return IntMatrix(rows)
+    poly = IntPolynomial(1)
+    for factor, multiplicity in draw(st.lists(radius_factor(), min_size=1, max_size=3)):
+        for _ in range(multiplicity):
+            poly = poly * factor
+    assume(poly.degree() <= 9)
+    # a shift to the left makes the largest root negative
+    return companion(shifted(poly, draw(st.integers(-40, 6))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(radius_matrices())
+def test_spectral_radius_matches_full_sturm_bisection(matrix):
+    assume(det(matrix) != 0)
+    try:
+        expected = reference_radius_interval(matrix)
+    except NoRealEigenvalueError:
+        with pytest.raises(NoRealEigenvalueError):
+            spectral_radius_interval(matrix)
+        return
+    interval = spectral_radius_interval(matrix)
+    assert (interval.lo, interval.hi) == expected
+
+
+@pytest.mark.parametrize(
+    "diagonal, root",
+    [((1, 3, 5), 5), ((-5, -3, -1), -1), ((-2, -1), -1)],
+)
+def test_spectral_radius_midpoint_on_smaller_root(diagonal, root):
+    # a bisection midpoint lands exactly on a smaller root of the
+    # squarefree part before the largest root is isolated
+    n = len(diagonal)
+    matrix = IntMatrix([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    assert reference_radius_interval(matrix) == (root, root)
+    assert spectral_radius_interval(matrix) == intlinalg.RationalInterval(root, root)
+
+
 # --- quasi-unipotence -----------------------------------------------------------
 
 def test_quasi_unipotent_identity():
@@ -188,6 +329,44 @@ def test_quasi_unipotent_float_oracle_sample():
         eigvals = numpy.linalg.eigvals(numpy.array(rows, dtype=float))
         oracle = bool(max(abs(abs(v) - 1.0) for v in eigvals) <= 1e-6)
         assert is_quasi_unipotent(matrix) == oracle
+
+
+@st.composite
+def near_cyclotomic_matrices(draw):
+    """Block-triangular cyclotomic companions conjugated by a unimodular
+    matrix, with one entry sometimes nudged off the root-of-unity locus."""
+    indices = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]),
+                            min_size=1, max_size=4))
+    blocks = [companion(cyclotomic(d)).rows for d in indices]
+    n = sum(len(b) for b in blocks)
+    assume(n <= 8)
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    start = 0
+    for block in blocks:
+        # the block on the diagonal, zeros below it
+        k = len(block)
+        for i in range(start, n):
+            for j in range(start, start + k):
+                rows[i][j] = block[i - start][j - start] if i < start + k else 0
+        start += k
+    if draw(st.booleans()):
+        # on or below the diagonal, where it can change the polynomial
+        i = draw(st.integers(0, n - 1))
+        rows[i][draw(st.integers(0, i))] += draw(st.sampled_from([-1, 1]))
+    matrix = IntMatrix(rows)
+    if n > 1:
+        q, q_inv = _random_unimodular(random.Random(draw(st.integers(0, 2**32))), n)
+        matrix = q @ matrix @ q_inv
+    return matrix
+
+
+@settings(deadline=None)
+@given(near_cyclotomic_matrices())
+def test_quasi_unipotent_matches_sympy_factorisation(matrix):
+    sympy = pytest.importorskip("sympy")
+    factors = sympy.Matrix(matrix.rows).charpoly().factor_list()[1]
+    expected = all(f.is_cyclotomic for f, _ in factors)
+    assert is_quasi_unipotent(matrix) == expected
 
 
 def test_quasi_unipotent_with_fixed_vector_has_radius_one():
@@ -329,11 +508,7 @@ def test_spectral_radius_encloses_sympy_largest_root(factors):
     poly = expand(factors)
     roots = sympy_poly(poly).real_roots()
     assume(roots)
-    n = poly.degree()
-    companion = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        companion[i][n - 1] = -poly.coeffs[i]
-    matrix = IntMatrix(companion)
+    matrix = companion(poly)
     assert char_poly(matrix) == poly
     interval = spectral_radius_interval(matrix)
     assert interval.width <= DEFAULT_RADIUS_WIDTH
