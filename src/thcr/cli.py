@@ -340,6 +340,8 @@ def _execute(config: RunConfig) -> None:
         report = run(config)
     except BudgetExceededError as exc:
         click.echo(f"budget exhausted: {exc}", err=True)
+        partial = {str(n): exc.partial[n] for n in sorted(exc.partial)}
+        click.echo(f"partial counts: {json.dumps(partial)}", err=True)
         sys.exit(3)
     except ValueError as exc:
         raise click.UsageError(str(exc))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import operator
 from fractions import Fraction
 from typing import Optional
 
@@ -180,15 +181,26 @@ def orbit_pairings(
     curve: CurveFunctional,
     max_m: int,
 ) -> list[int]:
-    """[(P**m D . C) for m = 0..max_m], by iterated exact matrix-vector products."""
+    """[(P**m D . C) for m = 0..max_m], exactly.
+
+    The terms below the rank n come from matrix-vector products.  Past them
+    Cayley-Hamilton (chi(P) = 0, chi = x**n + sum_{j<n} a_j x**j) gives
+    s_i = -sum_{j<n} a_j s_{i-n+j}, so each later term costs n products
+    instead of n**2.
+    """
     _check_lengths(spec, divisor)
     if len(curve.coords) != spec.rank:
         raise ValueError("curve length does not match the action rank")
+    n = spec.rank
     vec = divisor.coords
     out = [pairing(DivisorClass(vec), curve)]
-    for _ in range(max_m):
+    for _ in range(min(max_m, n - 1)):
         vec = spec.matrix.apply(vec)
         out.append(pairing(DivisorClass(vec), curve))
+    if max_m >= n:
+        negated = [-a for a in char_poly(spec.matrix).coeffs[:-1]]
+        for i in range(n, max_m + 1):
+            out.append(sum(map(operator.mul, negated, out[i - n : i])))
     return out
 
 

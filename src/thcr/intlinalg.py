@@ -6,8 +6,14 @@ sizes for integer eigenvalues.  Everything runs over Z or Q, so every answer
 is a certificate rather than a floating-point estimate.
 
 The characteristic polynomial is computed once per matrix and kept on the
-immutable ``IntMatrix``, so the cyclotomic test, the radius bisection and the
-witness search share it.  The bisection decides midpoints above a
+immutable ``IntMatrix``, so the cyclotomic test, the radius bisection, the
+witness search and the orbit recurrence share it.  Each ``IntPolynomial``
+likewise keeps its squarefree part and Sturm chain, so the bisection and
+``count_real_roots_above`` build one chain per polynomial.  The bisection
+runs on integers: every endpoint is a dyadic ``j / 2**k`` (the squarefree
+part of a monic polynomial is monic, so the Cauchy bound is an integer), and
+widths, floors and signs are read from the pair ``(j, 2**k)``; Fractions are
+built only for the returned interval.  It decides midpoints above a
 power-of-two Fujiwara root bound without a Sturm count, and once a count
 isolates the largest root it decides each midpoint by the sign of the
 squarefree part alone.
@@ -137,6 +143,12 @@ class IntPolynomial:
             for j, b in enumerate(divisor.coeffs):
                 rem[i + j] -= c * b
         return IntPolynomial(*quot), IntPolynomial(*rem[:d]), k
+
+    @cached_property
+    def _sturm(self) -> tuple["IntPolynomial", tuple["IntPolynomial", ...]]:
+        """The squarefree part and its Sturm chain (empty below degree one)."""
+        sf = squarefree_part(self)
+        return sf, tuple(_sturm_chain(sf)) if sf.degree() >= 1 else ()
 
     def __repr__(self):
         return f"IntPolynomial({', '.join(str(c) for c in self.coeffs)})"
@@ -447,12 +459,12 @@ def _homogeneous_value(poly: IntPolynomial, p: int, q: int) -> int:
     return acc
 
 
-def _variations_at(chain: list[IntPolynomial], x) -> int:
-    p, q = x.numerator, x.denominator
+def _variations_at(chain: tuple[IntPolynomial, ...], p: int, q: int) -> int:
+    """Sign variations of the chain at p/q, for any q > 0 (not only reduced)."""
     return _variations([_sign(_homogeneous_value(f, p, q)) for f in chain])
 
 
-def _variations_at_infinity(chain: list[IntPolynomial], positive: bool) -> int:
+def _variations_at_infinity(chain: tuple[IntPolynomial, ...], positive: bool) -> int:
     signs = []
     for f in chain:
         s = _sign(f.leading())
@@ -472,11 +484,11 @@ def count_real_roots_above(poly: IntPolynomial, bound) -> int:
     ``bound`` may itself be a root: on a squarefree chain the variation
     count at a root equals the count just to its right.
     """
-    sf = squarefree_part(poly)
-    if sf.degree() < 1:
+    _, chain = poly._sturm
+    if not chain:
         return 0
-    chain = _sturm_chain(sf)
-    above = _variations_at(chain, Fraction(bound))
+    bound = Fraction(bound)
+    above = _variations_at(chain, bound.numerator, bound.denominator)
     return above - _variations_at_infinity(chain, positive=True)
 
 
@@ -498,44 +510,47 @@ def spectral_radius_interval(matrix: IntMatrix, width=DEFAULT_RADIUS_WIDTH) -> R
     chi = char_poly(matrix)
     if chi.evaluate(0) == 0:
         raise SingularMatrixError("matrix is singular")
-    sf = squarefree_part(chi)
-    chain = _sturm_chain(sf)
+    sf, chain = chi._sturm
     at_infinity = _variations_at_infinity(chain, positive=True)
     above_lo = _variations_at_infinity(chain, positive=False) - at_infinity
     if above_lo == 0:
         raise NoRealEigenvalueError("no real eigenvalue; matrix cannot preserve a cone")
 
-    def roots_above(x) -> int:
-        return _variations_at(chain, x) - at_infinity
-
-    bound = 1 + max(abs(Fraction(c, sf.leading())) for c in sf.coeffs[:-1])
+    # sf is a primitive factor of the monic chi with a positive leading
+    # coefficient, hence monic (Gauss's lemma): the Cauchy bound is an
+    # integer and the endpoints are lo = jl / scale and hi = jh / scale with
+    # scale a power of two.  Signs at an unreduced pair equal those at the
+    # reduced fraction, so Fractions are built only for the result.
+    assert sf.leading() == 1
+    bound = 1 + max(abs(c) for c in sf.coeffs[:-1])
     cap = _root_cap(sf)
-    lo, hi = -bound, Fraction(bound)
+    jl, jh, scale = -bound, bound, 1
     # invariant: the largest real root lies in (lo, hi] and above_lo distinct
     # roots lie above lo; once above_lo == 1 that root is the only one in
     # (lo, hi], and sf (positive leading coefficient) is negative left of it
-    while hi - lo > width:
-        if hi - lo < 1:
-            candidate = math.floor(hi)
-            if lo < candidate <= hi and sf.evaluate(candidate) == 0:
-                if above_lo == 1 or roots_above(candidate) == 0:
+    while (jh - jl) * width.denominator > width.numerator * scale:
+        if jh - jl < scale:
+            candidate = jh // scale
+            if jl < candidate * scale <= jh and sf.evaluate(candidate) == 0:
+                if above_lo == 1 or _variations_at(chain, candidate, 1) == at_infinity:
                     return RationalInterval(candidate, candidate)
-        mid = (lo + hi) / 2
-        if mid >= cap:
-            hi = mid
+        mid = jl + jh
+        jl, jh, scale = 2 * jl, 2 * jh, 2 * scale
+        if mid >= cap * scale:
+            jh = mid
             continue
-        value = _homogeneous_value(sf, mid.numerator, mid.denominator)
+        value = _homogeneous_value(sf, mid, scale)
         if above_lo == 1:
             above = 1 if value < 0 else 0
         else:
-            above = roots_above(mid)
+            above = _variations_at(chain, mid, scale) - at_infinity
         if above:
-            lo, above_lo = mid, above
+            jl, above_lo = mid, above
         elif value == 0:
-            return RationalInterval(mid, mid)
+            return RationalInterval.point(Fraction(mid, scale))
         else:
-            hi = mid
-    return RationalInterval(lo, hi)
+            jh = mid
+    return RationalInterval(Fraction(jl, scale), Fraction(jh, scale))
 
 
 def _root_cap(poly: IntPolynomial) -> int:

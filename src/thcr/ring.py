@@ -239,15 +239,19 @@ def generator_degrees(
 
 
 def random_monomial(spec: PowerRingSpec, n: int, rng: random.Random) -> Monomial:
-    """Uniform random monomial of grade n, by a stars-and-bars draw."""
+    """Uniform random monomial of grade n, by a stars-and-bars draw.
+
+    The bars are distinct positions drawn with ``rng.randrange``, repeats
+    rejected, so grades with e_n past sys.maxsize draw like any other.
+    """
     total = twist_degree(spec, n)
     parts = spec.nvars
-    if parts == 1:
-        return Monomial((total,))
-    bars = sorted(rng.sample(range(total + parts - 1), parts - 1))
+    bars: set[int] = set()
+    while len(bars) < parts - 1:
+        bars.add(rng.randrange(total + parts - 1))
     exps = []
     prev = -1
-    for bar in bars:
+    for bar in sorted(bars):
         exps.append(bar - prev - 1)
         prev = bar
     exps.append(total + parts - 2 - prev)

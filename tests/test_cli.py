@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from thcr.cli import main
 
@@ -175,6 +177,21 @@ def test_budget_exhaustion_exits_three(runner):
     assert "budget" in result.output
 
 
+def test_budget_stop_reports_partial_counts(runner):
+    result = runner.invoke(
+        main, ["gens", "--p", "2", "--m", "2", "--max-n", "12", "--budget", "1000"]
+    )
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    prefix = "partial counts: "
+    lines = [line for line in result.stderr.splitlines() if line.startswith(prefix)]
+    assert len(lines) == 1
+    partial = json.loads(lines[0][len(prefix):])
+    # grade 6 is the first over the budget; grades 1..5 match a full run
+    full = invoke(runner, "gens", "--p", "2", "--m", "2", "--max-n", "5")
+    assert partial == json.loads(full.stdout)["results"]["counts"]
+
+
 def test_env_budget_overrides_flag(runner):
     # the generous flag would let the run finish; the environment wins
     result = runner.invoke(
@@ -230,3 +247,93 @@ def test_dims_negative_window_exits_two(runner):
     assert result.exit_code == 2
     assert "--max-n must be >= 0" in result.output
     assert invoke(runner, "dims", "--p", "2", "--m", "1", "--max-n", "0").exit_code == 0
+
+
+# --- argument fuzzing -------------------------------------------------------------
+
+JUNK = ("", "x", "1.5", "-", "1e3", "[1]", "--p", "{", "not-a-file", "0", "-1", "xml")
+ODD_JSON = ("[]", "[[]]", "[1]", "[[1, 2]]", "[[2.5]]", '[["a"]]', "[[true]]", "[[null]]",
+            '{"P": 5}', '{"P": [[2]], "curves": 5}', '{"a": 1}', "[[1e400]]")
+
+
+def int_text(lo, hi):
+    return st.sampled_from([str(i) for i in range(lo, hi + 1)])
+
+
+def signed_rows(n):
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+def ampleness_options(n):
+    rows = signed_rows(n).map(json.dumps)
+    return {
+        "--matrix": st.one_of(rows, st.fixed_dictionaries(
+            {"P": signed_rows(n), "curves": signed_rows(n)}).map(json.dumps)),
+        "--divisor": st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(json.dumps),
+        "--curves": rows,
+        "--dimX": int_text(1, 4),
+        "--deg-sigma": int_text(1, 4),
+        "--ample-flag": st.sampled_from(["true", "false"]),
+    }
+
+
+RING_OPTIONS = {
+    "--p": int_text(1, 3),
+    "--m": int_text(1, 3),
+    "--max-n": int_text(0, 4),
+    "--t": int_text(-5, 5),
+    "--budget": int_text(1, 3000),
+}
+COMMAND_FLAGS = {
+    "dims": ("--p", "--m", "--max-n"),
+    "gens": ("--p", "--m", "--max-n", "--budget"),
+    "growth": ("--p", "--m", "--max-n"),
+    "cohomology": ("--p", "--m", "--t", "--max-n"),
+    "ampleness": ("--matrix", "--divisor", "--curves", "--dimX", "--deg-sigma", "--ample-flag"),
+}
+
+
+@st.composite
+def cli_arguments(draw):
+    """Argument lists for every subcommand, mostly well-formed and in ranges
+    that finish quickly, with some junk values, odd JSON, missing flags and
+    flags that the subcommand does not take."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    options = {
+        **RING_OPTIONS,
+        **ampleness_options(draw(st.integers(1, 3))),
+        "--format": st.sampled_from(["json", "csv"]),
+        "--seed": int_text(-2, 2),
+    }
+    # sampled_from draws near-uniformly; integers() would favour its edges
+    mostly = st.sampled_from([True] * 9 + [False])
+    flags = [f for f in COMMAND_FLAGS[command] if draw(mostly)]
+    flags += [f for f in ("--format", "--seed") if draw(st.booleans())]
+    if not draw(mostly):
+        flags.append(draw(st.sampled_from(sorted(options))))
+    args = [command]
+    for flag in flags:
+        kind = draw(st.sampled_from(["valid"] * 16 + ["junk", "odd"] * 2))
+        if kind == "junk":
+            value = draw(st.sampled_from(JUNK))
+        elif kind == "odd" and flag in ("--matrix", "--divisor", "--curves"):
+            value = draw(st.sampled_from(ODD_JSON))
+        else:
+            value = draw(options[flag])
+        args += [flag, value]
+    return args
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cli_arguments())
+def test_cli_fuzz_exits_cleanly_and_reproducibly(args):
+    runner = CliRunner()
+    first = runner.invoke(main, args)
+    assert first.exit_code in (0, 2, 3), (args, first.output, first.exception)
+    assert "Traceback" not in first.output, args
+    second = runner.invoke(main, args)
+    assert (second.exit_code, second.stdout, second.stderr) == (
+        first.exit_code, first.stdout, first.stderr
+    ), args

@@ -19,7 +19,7 @@ from thcr.dynamics import (
     orbit_pairings,
     pairing,
 )
-from thcr.intlinalg import IntMatrix, RationalInterval, det
+from thcr.intlinalg import IntMatrix, IntPolynomial, RationalInterval, cyclotomic, det, euler_phi
 
 
 def scalar_spec(p, **kw):
@@ -135,6 +135,52 @@ def test_delta_differences_are_orbit_values(data):
     assert deltas[0] == orbit[0]
     for m in range(1, 7):
         assert deltas[m] - deltas[m - 1] == orbit[m]
+
+
+def reference_orbit_pairings(spec, divisor, curve, max_m):
+    """The orbit by one exact matrix-vector product per term."""
+    vec = divisor.coords
+    out = [pairing(DivisorClass(vec), curve)]
+    for _ in range(max_m):
+        vec = spec.matrix.apply(vec)
+        out.append(pairing(DivisorClass(vec), curve))
+    return out
+
+
+@st.composite
+def orbit_cases(draw):
+    """Signed actions of rank 1..8, or companions of cyclotomic products
+    (every eigenvalue a root of unity, repeated factors allowed), with
+    max_m from 0 to 3n and the recurrence's edges n - 1 and n drawn often."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        rows = draw(
+            st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+    else:
+        poly = IntPolynomial(1)
+        while poly.degree() < n:
+            room = n - poly.degree()
+            poly = poly * cyclotomic(draw(st.sampled_from(
+                [d for d in range(1, 31) if euler_phi(d) <= room]
+            )))
+        rows = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][n - 1] = -poly.coeffs[i]
+    max_m = draw(st.one_of(st.sampled_from([n - 1, n]), st.integers(0, 3 * n)))
+    return rows, draw(small_vectors(n)), draw(small_vectors(n)), max_m
+
+
+@settings(deadline=None, max_examples=200)
+@given(orbit_cases())
+def test_orbit_recurrence_matches_matrix_vector_products(case):
+    rows, dvec, cvec, max_m = case
+    matrix = IntMatrix(rows)
+    assume(det(matrix) != 0)
+    spec = NumericalActionSpec(matrix, [cvec])
+    divisor, curve = DivisorClass(dvec), CurveFunctional(cvec)
+    expected = reference_orbit_pairings(spec, divisor, curve, max_m)
+    assert orbit_pairings(spec, divisor, curve, max_m) == expected
 
 
 # --- growth bound fitting ----------------------------------------------------------

@@ -176,6 +176,24 @@ def test_char_poly_computed_once_per_matrix(monkeypatch):
     assert len(runs) == 1
 
 
+def test_sturm_chain_built_once_per_action(monkeypatch):
+    builds = []
+    sturm_chain = intlinalg._sturm_chain
+
+    def counted(poly):
+        builds.append(poly)
+        return sturm_chain(poly)
+
+    monkeypatch.setattr(intlinalg, "_sturm_chain", counted)
+    # the radius bisection and the witness guard read one cached chain
+    spec = NumericalActionSpec([[3, 1, 0], [1, 2, 1], [0, 1, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    divisor = DivisorClass((1, 2, 1))
+    report = classify_ampleness(spec, divisor)
+    assert report.spectral_radius is not None and not report.quasi_unipotent
+    non_left_ample_witness(spec, divisor, DivisorClass((1, 1, 1)))
+    assert len(builds) == 1
+
+
 @given(st.integers(1, 4).flatmap(square_lists))
 def test_det_matches_cofactor_oracle(rows):
     assert det(IntMatrix(rows)) == minor_det(rows)
@@ -278,6 +296,24 @@ def test_spectral_radius_matches_full_sturm_bisection(matrix):
     assert (interval.lo, interval.hi) == expected
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    radius_matrices(),
+    st.sampled_from([Fraction(1, 3), Fraction(5, 7), 1, 3, 100, Fraction(1, 10**30)]),
+)
+def test_spectral_radius_matches_full_sturm_bisection_at_other_widths(matrix, width):
+    # widths that are not powers of two, wider than the Cauchy interval, or
+    # far below the default: the integer width test must stop where the
+    # Fraction one did
+    assume(det(matrix) != 0)
+    try:
+        expected = reference_radius_interval(matrix, width)
+    except NoRealEigenvalueError:
+        return
+    interval = spectral_radius_interval(matrix, width)
+    assert (interval.lo, interval.hi) == expected
+
+
 @pytest.mark.parametrize(
     "diagonal, root",
     [((1, 3, 5), 5), ((-5, -3, -1), -1), ((-2, -1), -1)],
@@ -289,6 +325,16 @@ def test_spectral_radius_midpoint_on_smaller_root(diagonal, root):
     matrix = IntMatrix([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)])
     assert reference_radius_interval(matrix) == (root, root)
     assert spectral_radius_interval(matrix) == intlinalg.RationalInterval(root, root)
+
+
+def test_spectral_radius_lower_end_on_smaller_root():
+    # (x - 1)(x**2 + 2x - 5): a midpoint lands on the root 1, which becomes the
+    # lower end while the largest root -1 + sqrt(6) lies less than 1 above it,
+    # so the floor candidate 1 is a root of sf at lo and must not be returned
+    matrix = companion(IntPolynomial(-1, 1) * IntPolynomial(-5, 2, 1))
+    interval = spectral_radius_interval(matrix)
+    assert (interval.lo, interval.hi) == reference_radius_interval(matrix)
+    assert (interval.lo + 1) ** 2 < 6 < (interval.hi + 1) ** 2
 
 
 # --- quasi-unipotence -----------------------------------------------------------

@@ -270,6 +270,29 @@ def test_random_monomial_reproducible():
     assert draws1 == draws2
 
 
+@pytest.mark.parametrize("n", [63, 64])
+def test_random_monomial_past_machine_word(n):
+    # e_n + m exceeds sys.maxsize, where a draw over range(e_n + m) overflows
+    spec = PowerRingSpec(dim=3, power=2)
+    mono = random_monomial(spec, n, random.Random(11))
+    assert len(mono.exps) == 4
+    assert mono.degree == twist_degree(spec, n) == 2**n - 1
+    assert random_monomial(spec, n, random.Random(11)) == mono
+
+
+def test_random_monomial_is_uniform_on_a_small_grade():
+    spec = PowerRingSpec(dim=2, power=2)
+    rng = random.Random(3)
+    draws = 6000
+    counts = {}
+    for _ in range(draws):
+        mono = random_monomial(spec, 2, rng)
+        counts[mono.exps] = counts.get(mono.exps, 0) + 1
+    size = grade_dimension(spec, 2)
+    assert len(counts) == size == 10
+    assert all(abs(c - draws / size) < 0.15 * draws / size for c in counts.values())
+
+
 def test_associativity_spot_check():
     spec = PowerRingSpec(dim=1, power=2)
     x, y = Monomial((1, 0)), Monomial((0, 1))
