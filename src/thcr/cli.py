@@ -11,20 +11,11 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
 
 from . import __version__, citations
-from .cohomology import left_vanishing_scan, right_vanishing_scan
-from .dynamics import (
-    DivisorClass,
-    NumericalActionSpec,
-    UnsupportedActionError,
-    classify_ampleness,
-    degree_consistency,
-)
-from .intlinalg import RationalInterval, exact_int
 from .ring import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -35,6 +26,13 @@ from .ring import (
     growth_class,
     twist_degree,
 )
+
+if TYPE_CHECKING:
+    from .intlinalg import RationalInterval
+
+# Each subcommand imports the modules it runs inside its runner, so a cold
+# `thcr dims` never loads intlinalg, dynamics or cohomology.  ring stays
+# here because DEFAULT_BUDGET is part of the --budget help text.
 
 _CITATION_IDS = frozenset(
     value for name, value in vars(citations).items() if name.isupper()
@@ -183,6 +181,8 @@ def _run_growth(config: RunConfig) -> Report:
 
 
 def _run_cohomology(config: RunConfig) -> Report:
+    from .cohomology import left_vanishing_scan, right_vanishing_scan
+
     spec = _ring_spec(config)
     if config.t is None:
         raise click.UsageError("--t is required for cohomology scans")
@@ -237,6 +237,15 @@ def _parse_json_argument(text: str, what: str):
 
 
 def _run_ampleness(config: RunConfig) -> Report:
+    from .dynamics import (
+        DivisorClass,
+        NumericalActionSpec,
+        UnsupportedActionError,
+        classify_ampleness,
+        degree_consistency,
+    )
+    from .intlinalg import exact_int
+
     if config.matrix is None:
         raise click.UsageError("--matrix is required (inline JSON or a file path)")
     doc = config.matrix if isinstance(config.matrix, dict) else {"P": config.matrix}
@@ -329,8 +338,11 @@ def _emit(report: Report, config: RunConfig) -> None:
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write the report to {config.out!r}: {exc}")
     else:
         click.echo(text, nl=False)
 

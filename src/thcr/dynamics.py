@@ -37,7 +37,6 @@ from .intlinalg import (
     RationalInterval,
     char_poly,
     count_real_roots_above,
-    det,
     exact_int,
     is_quasi_unipotent,
     spectral_radius_interval,
@@ -114,7 +113,8 @@ class NumericalActionSpec:
             raise ValueError("dim_x must be >= 1")
         if deg_sigma is not None and deg_sigma < 1:
             raise ValueError("deg_sigma must be >= 1")
-        if det(matrix) == 0:
+        # chi(0) = (-1)**n det(P); chi is cached on the matrix for later use
+        if char_poly(matrix).evaluate(0) == 0:
             raise ValueError("action matrix must be invertible over Q")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "curves", curves)

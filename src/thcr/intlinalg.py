@@ -60,7 +60,9 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, *coeffs: int):
-        coeffs = [exact_int(c) for c in coeffs]
+        coeffs = list(coeffs)
+        if not all(type(c) is int for c in coeffs):
+            coeffs = [exact_int(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -161,7 +163,9 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows):
-        data = tuple(tuple(exact_int(x) for x in row) for row in rows)
+        data = tuple(map(tuple, rows))
+        if not all(type(x) is int for row in data for x in row):
+            data = tuple(tuple(exact_int(x) for x in row) for row in data)
         if not data:
             raise ValueError("matrix must be nonempty")
         if any(len(row) != len(data) for row in data):

@@ -154,6 +154,18 @@ def test_out_file(runner, tmp_path):
     assert json.loads(target.read_text())["command"] == "dims"
 
 
+def test_out_into_missing_directory_exits_two(runner, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    result = runner.invoke(
+        main, ["dims", "--p", "2", "--m", "1", "--max-n", "3", "--out", str(target)]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "cannot write the report to" in result.stderr
+    assert "Traceback" not in result.output
+    assert not target.parent.exists()
+
+
 def test_invalid_config_exits_two(runner):
     result = runner.invoke(main, ["gens", "--p", "0", "--m", "1"])
     assert result.exit_code == 2

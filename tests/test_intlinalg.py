@@ -166,10 +166,11 @@ def test_char_poly_computed_once_per_matrix(monkeypatch):
     matrix = IntMatrix([[2, 1], [1, 1]])
     assert char_poly(matrix) is char_poly(matrix)
     assert len(runs) == 1
-    # the cyclotomic test, the radius bisection and the witness guard share one
+    # the invertibility check, the cyclotomic test, the radius bisection and
+    # the witness guard share one
+    runs.clear()
     spec = NumericalActionSpec([[3, 1, 0], [1, 2, 1], [0, 1, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     divisor = DivisorClass((1, 2, 1))
-    runs.clear()
     report = classify_ampleness(spec, divisor)
     assert not report.quasi_unipotent
     non_left_ample_witness(spec, divisor, DivisorClass((1, 1, 1)))
@@ -574,6 +575,13 @@ def test_matrix_validation():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         IntMatrix([])
+    # entries that are not plain ints go through exact_int: bools, floats
+    # and strings are rejected, never truncated
+    for bad in (lambda: IntPolynomial(True), lambda: IntPolynomial(2.0),
+                lambda: IntPolynomial(1, "2"), lambda: IntMatrix([[1.5]]),
+                lambda: IntMatrix([[1, 2], [3, True]])):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_doctests():

@@ -1,0 +1,144 @@
+"""The package surface and its import graph: ``import thcr`` loads no
+submodule, each CLI subcommand loads only the modules it runs, and the lazy
+exports behave like the eager ones.  Import effects are checked in fresh
+interpreters, since this test process has long since loaded everything."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+import thcr
+from thcr.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC_NAMES = [
+    "AmplenessReport", "BudgetExceededError", "CurveFunctional", "DecompositionWitness",
+    "DivisorClass", "GradeError", "GrowthClass", "GrowthFit", "IntMatrix", "IntPolynomial",
+    "LeftScanResult", "Monomial", "NoRealEigenvalueError", "NonLeftAmpleWitness",
+    "NotAnEigenvalueError", "NumericalActionSpec", "PowerRingSpec", "RationalInterval",
+    "RightScanResult", "SingularMatrixError", "Verdict", "WitnessSearchExhausted",
+    "associativity_check", "char_poly", "citations", "classify_ampleness", "cohomology",
+    "count_real_roots_above", "cyclotomic", "degree_consistency", "delta_sequence", "det",
+    "dynamics", "generator_degrees", "grade_dimension", "grade_of_degree",
+    "growth_bound_check", "growth_class", "h", "intlinalg", "is_quasi_unipotent",
+    "jordan_growth_exponent", "left_vanishing_scan", "monomials", "non_left_ample_witness",
+    "orbit_pairings", "pairing", "random_monomial", "right_vanishing_scan", "ring",
+    "spectral_radius_interval", "twist_degree", "twisted_product",
+]
+
+COMPUTE_MODULES = {"thcr.cohomology", "thcr.dynamics", "thcr.intlinalg"}
+
+AMPLENESS = ["ampleness", "--matrix", "[[2, 1], [1, 1]]", "--divisor", "[1, 2]",
+             "--curves", "[[1, 0], [0, 1]]"]
+
+# Runs the CLI as `python -m thcr.cli ARGS` does, then prints the thcr
+# submodules it loaded as the last line of stderr.
+RUN_CLI = """
+import json, runpy, sys
+sys.argv = ["thcr", *sys.argv[1:]]
+try:
+    runpy.run_module("thcr.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps(sorted(k for k in sys.modules if k.startswith("thcr."))), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def fresh_python(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def run_cli(*args):
+    proc = fresh_python("-c", RUN_CLI, *args)
+    *_, loaded = proc.stderr.splitlines()
+    return proc, set(json.loads(loaded))
+
+
+def test_import_thcr_loads_no_submodule():
+    proc = fresh_python("-c", "import sys, thcr; print([k for k in sys.modules if 'thcr.' in k])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args", [
+    ["dims", "--p", "2", "--m", "2", "--max-n", "4"],
+    ["gens", "--p", "2", "--m", "1", "--max-n", "4"],
+    ["growth", "--p", "3", "--m", "1", "--max-n", "6", "--format", "csv"],
+], ids=lambda args: args[0])
+def test_ring_subcommands_load_no_compute_module(args):
+    proc, loaded = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert loaded == {"thcr.citations", "thcr.ring"}
+
+
+def test_cohomology_subcommand_loads_neither_dynamics_nor_intlinalg():
+    proc, loaded = run_cli("cohomology", "--p", "2", "--m", "1", "--t", "-2", "--max-n", "6")
+    assert proc.returncode == 0, proc.stderr
+    assert loaded == {"thcr.citations", "thcr.cohomology", "thcr.ring"}
+
+
+def test_ampleness_report_from_a_cold_start_is_unchanged():
+    proc, loaded = run_cli(*AMPLENESS)
+    assert proc.returncode == 0, proc.stderr
+    assert loaded == {"thcr.citations", "thcr.dynamics", "thcr.intlinalg", "thcr.ring"}
+    warm = CliRunner().invoke(main, AMPLENESS, catch_exceptions=False)
+    assert proc.stdout == warm.stdout
+    assert json.loads(proc.stdout)["results"]["left"] == "No"
+
+
+def test_import_trace_of_dims_lists_no_compute_module():
+    proc = fresh_python("-X", "importtime", "-m", "thcr.cli",
+                        "dims", "--p", "2", "--m", "2", "--max-n", "4")
+    assert proc.returncode == 0, proc.stderr
+    traced = set(re.findall(r"\|\s*(thcr\.\w+)$", proc.stderr, re.MULTILINE))
+    assert "thcr.ring" in traced
+    assert not traced & COMPUTE_MODULES
+
+
+def test_public_names_are_unchanged():
+    assert sorted(thcr.__all__) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(thcr))
+
+
+def test_star_import_binds_every_public_name():
+    script = ("import thcr; ns = {}; exec('from thcr import *', ns); "
+              "print(sorted(n for n in thcr.__all__ if ns.get(n) is not getattr(thcr, n)))")
+    proc = fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_exports_are_the_owning_modules_objects():
+    from thcr import char_poly, classify_ampleness, h, ring, twist_degree
+
+    assert ring is sys.modules["thcr.ring"] is thcr.ring
+    assert twist_degree is ring.twist_degree
+    assert char_poly is thcr.intlinalg.char_poly
+    assert classify_ampleness is thcr.dynamics.classify_ampleness
+    assert h is thcr.cohomology.h
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        thcr.nope
+    with pytest.raises(ImportError):
+        from thcr import nope  # noqa: F401
+
+
+def test_readme_library_example():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["{1: 3, 2: 1, 3: 3, 4: 9}", "No Yes"]
