@@ -71,7 +71,7 @@ class CurveFunctional:
 def pairing(divisor: DivisorClass, curve: CurveFunctional) -> int:
     if len(divisor.coords) != len(curve.coords):
         raise ValueError("divisor and curve live in different ranks")
-    return sum(d * c for d, c in zip(divisor.coords, curve.coords))
+    return sum(map(operator.mul, divisor.coords, curve.coords))
 
 
 @dataclasses.dataclass(init=False, frozen=True)
@@ -193,10 +193,10 @@ def orbit_pairings(
         raise ValueError("curve length does not match the action rank")
     n = spec.rank
     vec = divisor.coords
-    out = [pairing(DivisorClass(vec), curve)]
+    out = [sum(map(operator.mul, vec, curve.coords))]
     for _ in range(min(max_m, n - 1)):
         vec = spec.matrix.apply(vec)
-        out.append(pairing(DivisorClass(vec), curve))
+        out.append(sum(map(operator.mul, vec, curve.coords)))
     if max_m >= n:
         negated = [-a for a in char_poly(spec.matrix).coeffs[:-1]]
         for i in range(n, max_m + 1):

@@ -5,11 +5,15 @@ eigenvalue, quasi-unipotence via cyclotomic factorization, and Jordan block
 sizes for integer eigenvalues.  Everything runs over Z or Q, so every answer
 is a certificate rather than a floating-point estimate.
 
-The characteristic polynomial is computed once per matrix and kept on the
-immutable ``IntMatrix``, so the cyclotomic test, the radius bisection, the
-witness search and the orbit recurrence share it.  Each ``IntPolynomial``
-likewise keeps its squarefree part and Sturm chain, so the bisection and
-``count_real_roots_above`` build one chain per polynomial.  The bisection
+The characteristic polynomial comes from Newton's identities on the power
+sums tr(P**k), which need only P**1..P**ceil(n/2): the later traces are dot
+products of P**ceil(n/2) with transposed lower powers.  It is computed once
+per matrix and kept on the immutable ``IntMatrix``, so the cyclotomic test,
+the radius bisection, the witness search and the orbit recurrence share it.
+Each ``IntPolynomial`` likewise keeps its squarefree part and Sturm chain,
+so the bisection and ``count_real_roots_above`` build one chain per
+polynomial; that chain's remainder sequence also decides squarefreeness, so
+a squarefree polynomial runs no separate gcd.  The bisection
 runs on integers: every endpoint is a dyadic ``j / 2**k`` (the squarefree
 part of a monic polynomial is monic, so the Cauchy bound is an integer), and
 widths, floors and signs are read from the pair ``(j, 2**k)``; Fractions are
@@ -148,9 +152,20 @@ class IntPolynomial:
 
     @cached_property
     def _sturm(self) -> tuple["IntPolynomial", tuple["IntPolynomial", ...]]:
-        """The squarefree part and its Sturm chain (empty below degree one)."""
-        sf = squarefree_part(self)
-        return sf, tuple(_sturm_chain(sf)) if sf.degree() >= 1 else ()
+        """The squarefree part and its Sturm chain (empty below degree one).
+
+        The chain's remainder sequence is the one that computes gcd(f, f'),
+        so a chain ending in a constant shows f squarefree and is the
+        answer; only a repeated root costs a gcd and a second chain.
+        """
+        if self.degree() < 1:
+            return self, ()
+        sf = _primitive(self)
+        chain = _sturm_chain(sf)
+        if chain[-1].degree() > 0:
+            sf = squarefree_part(self)
+            chain = _sturm_chain(sf)
+        return sf, tuple(chain)
 
     def __repr__(self):
         return f"IntPolynomial({', '.join(str(c) for c in self.coeffs)})"
@@ -178,7 +193,7 @@ class IntMatrix:
 
     @cached_property
     def _char_poly(self) -> "IntPolynomial":
-        return _faddeev_leverrier(self.rows)
+        return _newton_char_poly(self.rows)
 
     @classmethod
     def scalar(cls, dim: int, value: int) -> "IntMatrix":
@@ -194,16 +209,15 @@ class IntMatrix:
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)
-        n = self.dim
         cols = list(zip(*other.rows))
         return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
+            [[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows]
         )
 
     def apply(self, vector: tuple[int, ...]) -> tuple[int, ...]:
         if len(vector) != self.dim:
             raise ValueError("vector length does not match matrix dimension")
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.rows)
+        return tuple([sum(map(operator.mul, row, vector)) for row in self.rows])
 
     def _check_dim(self, other: "IntMatrix") -> None:
         if self.dim != other.dim:
@@ -283,8 +297,9 @@ def integer_rank(matrix: IntMatrix) -> int:
 def char_poly(matrix: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - P), monic with integer coefficients.
 
-    Uses the Faddeev-LeVerrier recurrence; every division is exact.  The
-    result is computed once per matrix and kept on it.
+    Uses Newton's identities on the power sums tr(P**k), which need only the
+    powers up to P**ceil(n/2); every division is exact.  The result is
+    computed once per matrix and kept on it.
 
     >>> char_poly(IntMatrix([[0, -1], [1, 0]]))
     IntPolynomial(1, 0, 1)
@@ -292,22 +307,27 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
     return matrix._char_poly
 
 
-def _faddeev_leverrier(rows) -> IntPolynomial:
+def _newton_char_poly(rows) -> IntPolynomial:
     n = len(rows)
+    half = (n + 1) // 2
+    # powers[k] = P**(k+1) for k < half
+    powers = [rows]
+    cols = list(zip(*rows))
+    for _ in range(half - 1):
+        powers.append([[sum(map(operator.mul, row, col)) for col in cols] for row in powers[-1]])
+    # p_k = tr(P**k): a diagonal for k <= half, else tr(P**half @ P**(k-half)),
+    # the flattened P**half against the flattened transpose of P**(k-half)
+    sums = [0] + [sum(power[i][i] for i in range(n)) for power in powers]
+    top = [x for row in powers[-1] for x in row]
+    for power in powers[: n - half]:
+        sums.append(sum(map(operator.mul, top, [x for col in zip(*power) for x in col])))
+    # k * a_{n-k} = -(p_k + sum_{i<k} a_{n-i} p_{k-i})
     coeffs = [0] * n + [1]
-    # product holds P @ M_k, where M_1 = I and M_{k+1} = P @ M_k + c_{n-k} I
-    product = [list(row) for row in rows]
     for k in range(1, n + 1):
-        t = sum(product[i][i] for i in range(n))
+        t = sums[k] + sum(map(operator.mul, coeffs[n - k + 1 : n], sums[1:k]))
         if t % k:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
-        c = coeffs[n - k] = -(t // k)
-        if k == n:
-            break
-        for i in range(n):
-            product[i][i] += c
-        cols = list(zip(*product))
-        product = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
+            raise ArithmeticError("Newton identity sum not divisible")
+        coeffs[n - k] = -(t // k)
     return IntPolynomial(*coeffs)
 
 

@@ -109,6 +109,27 @@ def reference_radius_interval(matrix, width=DEFAULT_RADIUS_WIDTH):
     return lo, hi
 
 
+def reference_char_poly(rows):
+    """det(xI - P) by the Faddeev-LeVerrier recurrence, n - 1 matrix products.
+
+    M_1 = I, M_{k+1} = P @ M_k + c_{n-k} I and c_{n-k} = -tr(P @ M_k) / k.
+    """
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    product = [list(row) for row in rows]
+    for k in range(1, n + 1):
+        t = sum(product[i][i] for i in range(n))
+        assert t % k == 0
+        c = coeffs[n - k] = -(t // k)
+        if k == n:
+            break
+        for i in range(n):
+            product[i][i] += c
+        cols = list(zip(*product))
+        product = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in rows]
+    return IntPolynomial(*coeffs)
+
+
 def companion(poly):
     """Integer companion matrix of a monic polynomial; its char_poly is poly."""
     n = poly.degree()
@@ -154,15 +175,30 @@ def test_char_poly_matches_sympy(rows):
     assert char_poly(IntMatrix(rows)).coeffs == tuple(int(c) for c in reversed(expected))
 
 
+@settings(deadline=None)
+@example([[0] * 4 for _ in range(4)])
+@example([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+@example([[int(i == j) for j in range(5)] for i in range(5)])
+@example([[-7]])
+@example([[1, 2], [3, 4]])
+@example([[2, 0, 1], [1, 3, 0], [0, 1, 4]])
+@example([[-(2**64), 2**64], [2**64, -(2**64)]])
+@given(st.integers(1, 12).flatmap(lambda d: square_lists(d, -(2**64), 2**64)))
+def test_char_poly_matches_faddeev_leverrier(rows):
+    # pinned: the zero matrix, a nilpotent Jordan block, the identity, and
+    # ranks 1-3 on both sides of the odd/even split of the powers
+    assert char_poly(IntMatrix(rows)) == reference_char_poly(rows)
+
+
 def test_char_poly_computed_once_per_matrix(monkeypatch):
     runs = []
-    faddeev_leverrier = intlinalg._faddeev_leverrier
+    newton_char_poly = intlinalg._newton_char_poly
 
     def counted(rows):
         runs.append(rows)
-        return faddeev_leverrier(rows)
+        return newton_char_poly(rows)
 
-    monkeypatch.setattr(intlinalg, "_faddeev_leverrier", counted)
+    monkeypatch.setattr(intlinalg, "_newton_char_poly", counted)
     matrix = IntMatrix([[2, 1], [1, 1]])
     assert char_poly(matrix) is char_poly(matrix)
     assert len(runs) == 1
@@ -193,6 +229,54 @@ def test_sturm_chain_built_once_per_action(monkeypatch):
     assert report.spectral_radius is not None and not report.quasi_unipotent
     non_left_ample_witness(spec, divisor, DivisorClass((1, 1, 1)))
     assert len(builds) == 1
+
+
+def test_squarefree_chi_runs_no_gcd(monkeypatch):
+    calls = []
+    primitive_gcd = intlinalg._primitive_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return primitive_gcd(a, b)
+
+    monkeypatch.setattr(intlinalg, "_primitive_gcd", counted)
+    # the Sturm chain's own remainder sequence shows chi squarefree
+    spec = NumericalActionSpec([[3, 1, 0], [1, 2, 1], [0, 1, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    divisor = DivisorClass((1, 2, 1))
+    classify_ampleness(spec, divisor)
+    non_left_ample_witness(spec, divisor, DivisorClass((1, 1, 1)))
+    assert calls == []
+
+
+def test_repeated_root_falls_back_to_squarefree_part():
+    matrix = IntMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
+    chi = char_poly(matrix)
+    assert chi == IntPolynomial(-2, 1) * IntPolynomial(-2, 1) * IntPolynomial(-5, 1)
+    assert chi._sturm[0] == IntPolynomial(10, -7, 1)
+    assert [count_real_roots_above(chi, b) for b in (0, 2, 5)] == [2, 1, 0]
+    interval = spectral_radius_interval(matrix)
+    assert (interval.lo, interval.hi) == reference_radius_interval(matrix) == (5, 5)
+
+
+def sturm_factor_lists():
+    """Linear and quadratic factors with multiplicities 1-3, possibly none."""
+    linear = st.tuples(st.integers(-4, 4), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    quadratic = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([-2, -1, 1, 2]))
+    factor = st.tuples(st.one_of(linear, quadratic), st.integers(1, 3))
+    return st.lists(factor, max_size=3)
+
+
+@settings(deadline=None)
+@example([], 0)
+@example([], 7)
+@example([((3, -2), 1)], 1)
+@example([((-2, 1), 2), ((-5, 1), 1)], -1)
+@given(sturm_factor_lists(), st.sampled_from([0, -6, -2, -1, 1, 2, 6]))
+def test_sturm_matches_two_sequence_construction(factors, content):
+    poly = expand(factors) * IntPolynomial(content)
+    sf = squarefree_part(poly)
+    expected = (sf, tuple(intlinalg._sturm_chain(sf)) if sf.degree() >= 1 else ())
+    assert poly._sturm == expected
 
 
 @given(st.integers(1, 4).flatmap(square_lists))
