@@ -1,19 +1,22 @@
 """Command-line lab: dimension tables, generator counts, ampleness verdicts,
 vanishing scans, and growth classification, as reproducible JSON/CSV reports.
 
-Exit codes: 0 success, 2 invalid configuration, 3 enumeration budget
-exhausted.  The environment variable TWISTED_BUDGET overrides --budget.
+The front end is the standard library's ``argparse``, so a call imports
+nothing outside Python and thcr.  ``main(argv)`` parses one subcommand,
+runs it and returns the exit code: 0 success, 2 invalid configuration,
+3 enumeration budget exhausted.  An invalid configuration prints the
+subcommand's usage line and ``thcr <cmd>: error: <message>`` on stderr.
+The environment variable TWISTED_BUDGET overrides --budget.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
 import sys
 from typing import TYPE_CHECKING, Optional
-
-import click
 
 from . import __version__, citations
 from .ring import (
@@ -37,6 +40,10 @@ if TYPE_CHECKING:
 _CITATION_IDS = frozenset(
     value for name, value in vars(citations).items() if name.isupper()
 )
+
+
+class UsageError(Exception):
+    """An invalid configuration; ``main`` reports it as a usage error and exits 2."""
 
 
 @dataclasses.dataclass
@@ -92,13 +99,13 @@ def resolve_budget(flag_value: Optional[int]) -> int:
         try:
             budget = int(env)
         except ValueError:
-            raise click.UsageError(f"TWISTED_BUDGET is not an integer: {env!r}")
+            raise UsageError(f"TWISTED_BUDGET is not an integer: {env!r}")
     elif flag_value is not None:
         budget = flag_value
     else:
         budget = DEFAULT_BUDGET
     if budget < 1:
-        raise click.UsageError(f"budget must be >= 1, got {budget}")
+        raise UsageError(f"budget must be >= 1, got {budget}")
     return budget
 
 
@@ -119,18 +126,18 @@ def _collect_citations(reasons) -> list[str]:
 
 def _ring_spec(config: RunConfig) -> PowerRingSpec:
     if config.power is None or config.m is None:
-        raise click.UsageError("--p/--r and --m are required")
+        raise UsageError("--p/--r and --m are required")
     try:
         return PowerRingSpec(dim=config.m, power=config.power)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
 def _run_dims(config: RunConfig) -> Report:
     spec = _ring_spec(config)
     max_n = config.max_n if config.max_n is not None else 8
     if max_n < 0:
-        raise click.UsageError("--max-n must be >= 0")
+        raise UsageError("--max-n must be >= 0")
     rows = [
         {"n": n, "twistDegree": twist_degree(spec, n), "dim": grade_dimension(spec, n)}
         for n in range(max_n + 1)
@@ -185,13 +192,13 @@ def _run_cohomology(config: RunConfig) -> Report:
 
     spec = _ring_spec(config)
     if config.t is None:
-        raise click.UsageError("--t is required for cohomology scans")
+        raise UsageError("--t is required for cohomology scans")
     max_n = config.max_n if config.max_n is not None else 12
     try:
         right = right_vanishing_scan(spec, config.t, max_n)
         left = left_vanishing_scan(spec, config.t, max_n)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     cites = []
     if right.stabilized_at is not None:
         cites.append(citations.EVENTUAL_VANISHING)
@@ -226,14 +233,19 @@ def _parse_json_argument(text: str, what: str):
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise click.UsageError(f"invalid JSON for {what}: {exc}")
+            raise UsageError(f"invalid JSON for {what}: {exc}")
     try:
         with open(raw, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise click.UsageError(f"cannot read {what} from {raw!r}: {exc}")
+        raise UsageError(f"cannot read {what} from {raw!r}: {exc}")
     except json.JSONDecodeError as exc:
-        raise click.UsageError(f"invalid JSON in {raw!r}: {exc}")
+        raise UsageError(f"invalid JSON in {raw!r}: {exc}")
+
+
+def _require_rows(value, what: str) -> None:
+    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
+        raise UsageError(f"{what} must be a JSON list of lists of integers")
 
 
 def _run_ampleness(config: RunConfig) -> Report:
@@ -247,9 +259,9 @@ def _run_ampleness(config: RunConfig) -> Report:
     from .intlinalg import exact_int
 
     if config.matrix is None:
-        raise click.UsageError("--matrix is required (inline JSON or a file path)")
-    doc = config.matrix if isinstance(config.matrix, dict) else {"P": config.matrix}
-    doc = dict(doc)
+        raise UsageError("--matrix is required (inline JSON or a file path)")
+    in_doc = isinstance(config.matrix, dict)
+    doc = dict(config.matrix) if in_doc else {"P": config.matrix}
     if config.curves is not None:
         doc["curves"] = config.curves
     if config.dim_x is not None:
@@ -260,15 +272,21 @@ def _run_ampleness(config: RunConfig) -> Report:
         doc["ampleFlag"] = config.ample_flag
     doc.setdefault("curves", None)
     if doc["curves"] is None:
-        raise click.UsageError("--curves is required (or supply them in the spec file)")
+        raise UsageError("--curves is required (or supply them in the spec file)")
     if config.divisor is None:
-        raise click.UsageError("--divisor is required")
+        raise UsageError("--divisor is required")
+    if "P" in doc:
+        _require_rows(doc["P"], '"P" in the --matrix document' if in_doc else "--matrix")
+    _require_rows(doc["curves"], "--curves" if config.curves is not None
+                  else '"curves" in the --matrix document')
+    if not isinstance(config.divisor, list):
+        raise UsageError("--divisor must be a JSON list of integers")
     try:
         spec = NumericalActionSpec.from_json_dict(doc)
         divisor = DivisorClass(tuple(map(exact_int, config.divisor)))
         report = classify_ampleness(spec, divisor)
     except (ValueError, TypeError) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     degree_ok = None
     if spec.deg_sigma is not None and spec.rank == 1:
         try:
@@ -309,7 +327,7 @@ def run(config: RunConfig) -> Report:
     try:
         runner = _RUNNERS[config.command]
     except KeyError:
-        raise click.UsageError(f"unknown command {config.command!r}")
+        raise UsageError(f"unknown command {config.command!r}")
     return runner(config)
 
 
@@ -336,117 +354,122 @@ def _emit(report: Report, config: RunConfig) -> None:
     try:
         text = report.to_json() if config.fmt == "json" else report.to_csv()
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     if config.out:
         try:
             with open(config.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise click.UsageError(f"cannot write the report to {config.out!r}: {exc}")
+            raise UsageError(f"cannot write the report to {config.out!r}: {exc}")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-def _execute(config: RunConfig) -> None:
+def _execute(config: RunConfig) -> int:
     try:
         report = run(config)
     except BudgetExceededError as exc:
-        click.echo(f"budget exhausted: {exc}", err=True)
+        print(f"budget exhausted: {exc}", file=sys.stderr)
         partial = {str(n): exc.partial[n] for n in sorted(exc.partial)}
-        click.echo(f"partial counts: {json.dumps(partial)}", err=True)
-        sys.exit(3)
+        print(f"partial counts: {json.dumps(partial)}", file=sys.stderr)
+        return 3
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     _emit(report, config)
+    return 0
 
 
-def _output_options(fn):
-    fn = click.option(
-        "--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
-        help="Report format; JSON is canonical, CSV covers tables.",
-    )(fn)
-    fn = click.option("--out", type=str, default=None, help="Write the report here.")(fn)
-    fn = click.option("--seed", type=int, default=0, help="Sampling seed (echoed).")(fn)
-    return fn
+# the boolean spellings --ample-flag accepted when this CLI was built on click
+_BOOLEANS = {
+    **dict.fromkeys(("1", "true", "t", "yes", "y", "on"), True),
+    **dict.fromkeys(("0", "false", "f", "no", "n", "off", ""), False),
+}
 
 
-def _ring_options(fn):
-    fn = click.option("--p", "--r", "power", type=int, required=True,
-                      help="Power of the coordinate endomorphism x_i -> x_i**r.")(fn)
-    fn = click.option("--m", "space_dim", type=int, required=True,
-                      help="Dimension of the ambient projective space.")(fn)
-    return fn
+def _boolean(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.strip().lower()]
+    except KeyError:
+        spellings = ", ".join(repr(k) for k in _BOOLEANS)
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a valid boolean; use one of {spellings}"
+        ) from None
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="thcr")
-def main():
-    """Exact computations with twisted coordinate rings of power endomorphisms."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    parser = argparse.ArgumentParser(
+        prog="thcr", allow_abbrev=False,
+        description="Exact computations with twisted coordinate rings of power endomorphisms.",
+    )
+    parser.add_argument("--version", action="version",
+                        version=f"thcr, version {__version__}")
+    subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    commands = {}
+
+    def command(name, summary, ring=True):
+        sub = subparsers.add_parser(name, help=summary, description=summary,
+                                    allow_abbrev=False)
+        if ring:
+            sub.add_argument("--p", "--r", dest="power", type=int, required=True,
+                             help="Power of the coordinate endomorphism x_i -> x_i**r.")
+            sub.add_argument("--m", type=int, required=True,
+                             help="Dimension of the ambient projective space.")
+        commands[name] = sub
+        return sub
+
+    sub = command("dims", "Tabulate twist degrees and graded dimensions.")
+    sub.add_argument("--max-n", type=int, default=8, help="Largest grade to tabulate.")
+    sub = command("gens", "Count monomials in each grade that lower grades cannot generate.")
+    sub.add_argument("--max-n", type=int, default=4, help="Largest grade to inspect.")
+    sub.add_argument("--budget", type=int, default=None,
+                     help=f"Monomials allowed per grade (default {DEFAULT_BUDGET}).")
+    sub = command("ampleness",
+                  "Classify left/right ampleness of the twist sequence for an action.",
+                  ring=False)
+    sub.add_argument("--matrix", required=True,
+                     help="Action matrix as inline JSON rows, or a path to a spec file.")
+    sub.add_argument("--divisor", required=True, help="Divisor coordinates, JSON.")
+    sub.add_argument("--curves", default=None, help="Curve functionals, JSON list of lists.")
+    sub.add_argument("--dimX", dest="dim_x", type=int, default=None,
+                     help="Dimension of the space.")
+    sub.add_argument("--deg-sigma", type=int, default=None,
+                     help="Degree of the endomorphism.")
+    sub.add_argument(
+        "--ample-flag", type=_boolean, default=None, metavar="BOOLEAN",
+        help="Assert the twist sequence is eventually ample (root-of-unity case).",
+    )
+    sub = command("cohomology", "Run the right/left vanishing scans for a twist degree.")
+    sub.add_argument("--t", type=int, required=True, help="Twisting degree to scan.")
+    sub.add_argument("--max-n", type=int, default=12, help="Scan window end.")
+    sub = command("growth", "Classify the growth of the graded dimensions.")
+    sub.add_argument("--max-n", type=int, default=10, help="Largest grade in the window.")
+
+    for sub in commands.values():
+        sub.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json",
+                         help="Report format; JSON is canonical, CSV covers tables.")
+        sub.add_argument("--out", default=None, help="Write the report here.")
+        sub.add_argument("--seed", type=int, default=0, help="Sampling seed (echoed).")
+    return parser, commands
 
 
-@main.command()
-@_ring_options
-@click.option("--max-n", type=int, default=8, help="Largest grade to tabulate.")
-@_output_options
-def dims(power, space_dim, max_n, fmt, out, seed):
-    """Tabulate twist degrees and graded dimensions."""
-    _execute(RunConfig("dims", power=power, m=space_dim, max_n=max_n,
-                       fmt=fmt, out=out, seed=seed))
-
-
-@main.command()
-@_ring_options
-@click.option("--max-n", type=int, default=4, help="Largest grade to inspect.")
-@click.option("--budget", type=int, default=None,
-              help=f"Monomials allowed per grade (default {DEFAULT_BUDGET}).")
-@_output_options
-def gens(power, space_dim, max_n, budget, fmt, out, seed):
-    """Count monomials in each grade that lower grades cannot generate."""
-    _execute(RunConfig("gens", power=power, m=space_dim, max_n=max_n,
-                       budget=budget, fmt=fmt, out=out, seed=seed))
-
-
-@main.command()
-@click.option("--matrix", type=str, required=True,
-              help="Action matrix as inline JSON rows, or a path to a spec file.")
-@click.option("--divisor", type=str, required=True, help="Divisor coordinates, JSON.")
-@click.option("--curves", type=str, default=None,
-              help="Curve functionals, JSON list of lists.")
-@click.option("--dimX", "dim_x", type=int, default=None, help="Dimension of the space.")
-@click.option("--deg-sigma", type=int, default=None, help="Degree of the endomorphism.")
-@click.option("--ample-flag", type=bool, default=None,
-              help="Assert the twist sequence is eventually ample (root-of-unity case).")
-@_output_options
-def ampleness(matrix, divisor, curves, dim_x, deg_sigma, ample_flag, fmt, out, seed):
-    """Classify left/right ampleness of the twist sequence for an action."""
-    matrix_doc = _parse_json_argument(matrix, "--matrix")
-    divisor_doc = _parse_json_argument(divisor, "--divisor")
-    curves_doc = _parse_json_argument(curves, "--curves") if curves else None
-    _execute(RunConfig("ampleness", matrix=matrix_doc, divisor=divisor_doc,
-                       curves=curves_doc, dim_x=dim_x, deg_sigma=deg_sigma,
-                       ample_flag=ample_flag, fmt=fmt, out=out, seed=seed))
-
-
-@main.command()
-@_ring_options
-@click.option("--t", type=int, required=True, help="Twisting degree to scan.")
-@click.option("--max-n", type=int, default=12, help="Scan window end.")
-@_output_options
-def cohomology(power, space_dim, t, max_n, fmt, out, seed):
-    """Run the right/left vanishing scans for a twist degree."""
-    _execute(RunConfig("cohomology", power=power, m=space_dim, t=t, max_n=max_n,
-                       fmt=fmt, out=out, seed=seed))
-
-
-@main.command()
-@_ring_options
-@click.option("--max-n", type=int, default=10, help="Largest grade in the window.")
-@_output_options
-def growth(power, space_dim, max_n, fmt, out, seed):
-    """Classify the growth of the graded dimensions."""
-    _execute(RunConfig("growth", power=power, m=space_dim, max_n=max_n,
-                       fmt=fmt, out=out, seed=seed))
+def main(argv=None) -> int:
+    """Run one subcommand and return its exit code; usage errors exit 2."""
+    parser, commands = _parser()
+    args, extra = parser.parse_known_args(argv)
+    usage = commands[args.command]
+    if extra:
+        usage.error(f"unrecognized arguments: {' '.join(extra)}")
+    config = RunConfig(**vars(args))
+    try:
+        if config.command == "ampleness":
+            config.matrix = _parse_json_argument(config.matrix, "--matrix")
+            config.divisor = _parse_json_argument(config.divisor, "--divisor")
+            config.curves = (_parse_json_argument(config.curves, "--curves")
+                             if config.curves else None)
+        return _execute(config)
+    except UsageError as exc:
+        usage.error(str(exc))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

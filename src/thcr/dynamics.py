@@ -109,6 +109,8 @@ class NumericalActionSpec:
             raise TypeError(
                 f"dim_x and deg_sigma must be integers, got {dim_x!r} and {deg_sigma!r}"
             ) from None
+        if ample_flag is not None and type(ample_flag) is not bool:
+            raise TypeError(f"ample_flag must be True, False or None, got {ample_flag!r}")
         if dim_x < 1:
             raise ValueError("dim_x must be >= 1")
         if deg_sigma is not None and deg_sigma < 1:

@@ -1,24 +1,13 @@
 import json
 
 import pytest
-from click.testing import CliRunner
+from cli_helper import invoke
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from thcr.cli import main
 
-
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args, env=None):
-    return runner.invoke(main, list(args), env=env, catch_exceptions=False)
-
-
-def test_gens_binary_line(runner):
-    result = invoke(runner, "gens", "--p", "2", "--m", "1", "--max-n", "6")
+def test_gens_binary_line():
+    result = invoke("gens", "--p", "2", "--m", "1", "--max-n", "6")
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["results"]["generatedInDegreeOne"] is True
@@ -26,23 +15,22 @@ def test_gens_binary_line(runner):
     assert doc["citations"]
 
 
-def test_gens_ternary_line(runner):
-    result = invoke(runner, "gens", "--p", "3", "--m", "1", "--max-n", "4")
+def test_gens_ternary_line():
+    result = invoke("gens", "--p", "3", "--m", "1", "--max-n", "4")
     doc = json.loads(result.output)
     assert doc["results"]["generatedInDegreeOne"] is False
     assert all(doc["results"]["counts"][str(n)] >= 1 for n in range(2, 5))
     assert "power-ring-needs-new-generators-in-every-degree" in doc["citations"]
 
 
-def test_gens_accepts_r_alias(runner):
-    by_p = invoke(runner, "gens", "--p", "4", "--m", "1", "--max-n", "3")
-    by_r = invoke(runner, "gens", "--r", "4", "--m", "1", "--max-n", "3")
+def test_gens_accepts_r_alias():
+    by_p = invoke("gens", "--p", "4", "--m", "1", "--max-n", "3")
+    by_r = invoke("gens", "--r", "4", "--m", "1", "--max-n", "3")
     assert json.loads(by_p.output)["results"] == json.loads(by_r.output)["results"]
 
 
-def test_ampleness_scalar(runner):
+def test_ampleness_scalar():
     result = invoke(
-        runner,
         "ampleness",
         "--matrix", "[[2]]",
         "--divisor", "[1]",
@@ -55,9 +43,8 @@ def test_ampleness_scalar(runner):
     assert doc["citations"]
 
 
-def test_ampleness_identity_with_flag(runner):
+def test_ampleness_identity_with_flag():
     result = invoke(
-        runner,
         "ampleness",
         "--matrix", "[[1, 0], [0, 1]]",
         "--divisor", "[1, 1]",
@@ -70,7 +57,7 @@ def test_ampleness_identity_with_flag(runner):
     assert doc["results"]["quasiUnipotent"] is True
 
 
-def test_ampleness_spec_file(runner, tmp_path):
+def test_ampleness_spec_file(tmp_path):
     spec_path = tmp_path / "action.json"
     spec_path.write_text(
         json.dumps(
@@ -82,24 +69,21 @@ def test_ampleness_spec_file(runner, tmp_path):
             }
         )
     )
-    result = invoke(runner, "ampleness", "--matrix", str(spec_path), "--divisor", "[1]")
+    result = invoke("ampleness", "--matrix", str(spec_path), "--divisor", "[1]")
     doc = json.loads(result.output)
     assert doc["results"]["left"] == "No"
     assert doc["results"]["degreeConsistent"] is True
 
 
-def test_ampleness_rejects_singular(runner):
-    result = runner.invoke(
-        main,
-        ["ampleness", "--matrix", "[[1, 1], [1, 1]]", "--divisor", "[1, 0]",
-         "--curves", "[[1, 0]]"],
-    )
+def test_ampleness_rejects_singular():
+    result = invoke("ampleness", "--matrix", "[[1, 1], [1, 1]]", "--divisor", "[1, 0]",
+                    "--curves", "[[1, 0]]")
     assert result.exit_code == 2
 
 
-def test_cohomology_scans(runner):
+def test_cohomology_scans():
     result = invoke(
-        runner, "cohomology", "--p", "2", "--m", "1", "--t", "-2", "--max-n", "6"
+        "cohomology", "--p", "2", "--m", "1", "--t", "-2", "--max-n", "6"
     )
     doc = json.loads(result.output)
     assert doc["results"]["leftScan"]["nonVanishing"] is True
@@ -110,9 +94,8 @@ def test_cohomology_scans(runner):
     assert rows[("left", 4)] == 16
 
 
-def test_cohomology_csv_columns(runner):
+def test_cohomology_csv_columns():
     result = invoke(
-        runner,
         "cohomology", "--p", "2", "--m", "1", "--t", "-2", "--max-n", "2",
         "--format", "csv",
     )
@@ -121,44 +104,42 @@ def test_cohomology_csv_columns(runner):
     assert len(lines) == 1 + 2 * 3  # right and left scans, n = 0..2
 
 
-def test_dims_csv(runner):
+def test_dims_csv():
     result = invoke(
-        runner, "dims", "--p", "2", "--m", "1", "--max-n", "4", "--format", "csv"
+        "dims", "--p", "2", "--m", "1", "--max-n", "4", "--format", "csv"
     )
     assert result.output.splitlines()[0] == "n,twist_degree,dim"
     assert result.output.splitlines()[-1] == "4,15,16"
 
 
-def test_growth_flags_non_noetherian(runner):
-    result = invoke(runner, "growth", "--p", "2", "--m", "1", "--max-n", "8")
+def test_growth_flags_non_noetherian():
+    result = invoke("growth", "--p", "2", "--m", "1", "--max-n", "8")
     doc = json.loads(result.output)
     assert doc["results"]["growthClass"] == "Exponential"
     assert doc["results"]["noetherian"] is False
     assert "exponential-section-growth-rules-out-noetherian" in doc["citations"]
 
 
-def test_reports_are_byte_identical(runner):
+def test_reports_are_byte_identical():
     args = ["gens", "--p", "3", "--m", "1", "--max-n", "4", "--seed", "0"]
-    first = invoke(runner, *args)
-    second = invoke(runner, *args)
+    first = invoke(*args)
+    second = invoke(*args)
     assert first.output == second.output
     assert first.output.encode() == second.output.encode()
 
 
-def test_out_file(runner, tmp_path):
+def test_out_file(tmp_path):
     target = tmp_path / "report.json"
     result = invoke(
-        runner, "dims", "--p", "2", "--m", "1", "--max-n", "3", "--out", str(target)
+        "dims", "--p", "2", "--m", "1", "--max-n", "3", "--out", str(target)
     )
     assert result.exit_code == 0
     assert json.loads(target.read_text())["command"] == "dims"
 
 
-def test_out_into_missing_directory_exits_two(runner, tmp_path):
+def test_out_into_missing_directory_exits_two(tmp_path):
     target = tmp_path / "missing" / "report.json"
-    result = runner.invoke(
-        main, ["dims", "--p", "2", "--m", "1", "--max-n", "3", "--out", str(target)]
-    )
+    result = invoke("dims", "--p", "2", "--m", "1", "--max-n", "3", "--out", str(target))
     assert result.exit_code == 2
     assert result.stdout == ""
     assert "cannot write the report to" in result.stderr
@@ -166,33 +147,27 @@ def test_out_into_missing_directory_exits_two(runner, tmp_path):
     assert not target.parent.exists()
 
 
-def test_invalid_config_exits_two(runner):
-    result = runner.invoke(main, ["gens", "--p", "0", "--m", "1"])
+def test_invalid_config_exits_two():
+    result = invoke("gens", "--p", "0", "--m", "1")
     assert result.exit_code == 2
-    result = runner.invoke(main, ["gens", "--m", "1"])
+    result = invoke("gens", "--m", "1")
     assert result.exit_code == 2
-    result = runner.invoke(main, ["ampleness", "--matrix", "not-json-or-a-file",
-                                  "--divisor", "[1]", "--curves", "[[1]]"])
+    result = invoke("ampleness", "--matrix", "not-json-or-a-file",
+                    "--divisor", "[1]", "--curves", "[[1]]")
     assert result.exit_code == 2
-    result = runner.invoke(
-        main, ["ampleness", "--matrix", "[[2]]", "--divisor", "[1]", "--curves", "[[1]]",
-               "--format", "csv"]
-    )
+    result = invoke("ampleness", "--matrix", "[[2]]", "--divisor", "[1]", "--curves", "[[1]]",
+                    "--format", "csv")
     assert result.exit_code == 2
 
 
-def test_budget_exhaustion_exits_three(runner):
-    result = runner.invoke(
-        main, ["gens", "--p", "2", "--m", "2", "--max-n", "9", "--budget", "100"]
-    )
+def test_budget_exhaustion_exits_three():
+    result = invoke("gens", "--p", "2", "--m", "2", "--max-n", "9", "--budget", "100")
     assert result.exit_code == 3
     assert "budget" in result.output
 
 
-def test_budget_stop_reports_partial_counts(runner):
-    result = runner.invoke(
-        main, ["gens", "--p", "2", "--m", "2", "--max-n", "12", "--budget", "1000"]
-    )
+def test_budget_stop_reports_partial_counts():
+    result = invoke("gens", "--p", "2", "--m", "2", "--max-n", "12", "--budget", "1000")
     assert result.exit_code == 3
     assert result.stdout == ""
     prefix = "partial counts: "
@@ -200,65 +175,87 @@ def test_budget_stop_reports_partial_counts(runner):
     assert len(lines) == 1
     partial = json.loads(lines[0][len(prefix):])
     # grade 6 is the first over the budget; grades 1..5 match a full run
-    full = invoke(runner, "gens", "--p", "2", "--m", "2", "--max-n", "5")
+    full = invoke("gens", "--p", "2", "--m", "2", "--max-n", "5")
     assert partial == json.loads(full.stdout)["results"]["counts"]
 
 
-def test_env_budget_overrides_flag(runner):
+def test_env_budget_overrides_flag():
     # the generous flag would let the run finish; the environment wins
-    result = runner.invoke(
-        main,
-        ["gens", "--p", "2", "--m", "2", "--max-n", "9", "--budget", "1000000000"],
+    result = invoke(
+        "gens", "--p", "2", "--m", "2", "--max-n", "9", "--budget", "1000000000",
         env={"TWISTED_BUDGET": "100"},
     )
     assert result.exit_code == 3
 
 
-def test_cohomology_rejects_power_one(runner):
-    result = runner.invoke(main, ["cohomology", "--p", "1", "--m", "1", "--t", "0"])
+def test_cohomology_rejects_power_one():
+    result = invoke("cohomology", "--p", "1", "--m", "1", "--t", "0")
     assert result.exit_code == 2
 
 
-def test_bad_windows_exit_two(runner):
-    assert runner.invoke(main, ["gens", "--p", "2", "--m", "1", "--max-n", "0"]).exit_code == 2
-    assert runner.invoke(main, ["growth", "--p", "2", "--m", "1", "--max-n", "2"]).exit_code == 2
+def test_bad_windows_exit_two():
+    assert invoke("gens", "--p", "2", "--m", "1", "--max-n", "0").exit_code == 2
+    assert invoke("growth", "--p", "2", "--m", "1", "--max-n", "2").exit_code == 2
 
 
-def test_non_integer_json_exits_two(runner):
+def test_non_integer_json_exits_two():
     good = {"--matrix": "[[2]]", "--divisor": "[1]", "--curves": "[[1]]"}
     for flag, bad in (("--matrix", "[[2.7]]"), ("--divisor", "[1.9]"),
                       ("--curves", "[[true]]"), ("--matrix", '[["2"]]')):
         args = ["ampleness"]
         for key, value in {**good, flag: bad}.items():
             args += [key, value]
-        assert runner.invoke(main, args).exit_code == 2, (flag, bad)
-    result = runner.invoke(main, ["ampleness", "--matrix", "[[2.7]]", "--divisor", "[1.9]",
-                                  "--curves", "[[true]]"])
+        assert invoke(*args).exit_code == 2, (flag, bad)
+    result = invoke("ampleness", "--matrix", "[[2.7]]", "--divisor", "[1.9]",
+                    "--curves", "[[true]]")
     assert result.exit_code == 2
 
 
-def test_nonpositive_budget_exits_two(runner):
+def test_nonpositive_budget_exits_two():
     args = ["gens", "--p", "2", "--m", "1", "--max-n", "2"]
-    assert runner.invoke(main, args, env={"TWISTED_BUDGET": "-5"}).exit_code == 2
-    assert runner.invoke(main, args, env={"TWISTED_BUDGET": "0"}).exit_code == 2
-    assert runner.invoke(main, [*args, "--budget", "0"]).exit_code == 2
-    assert runner.invoke(main, [*args, "--budget", "1"]).exit_code == 3
+    assert invoke(*args, env={"TWISTED_BUDGET": "-5"}).exit_code == 2
+    assert invoke(*args, env={"TWISTED_BUDGET": "0"}).exit_code == 2
+    assert invoke(*args, "--budget", "0").exit_code == 2
+    assert invoke(*args, "--budget", "1").exit_code == 3
 
 
-def test_non_integer_spec_fields_exit_two(runner, tmp_path):
+def test_non_integer_spec_fields_exit_two(tmp_path):
     for extra in ({"dimX": "a"}, {"dimX": 2.5, "degSigma": True}, {"degSigma": 2.0}):
         spec_path = tmp_path / "action.json"
         spec_path.write_text(json.dumps({"P": [[2]], "curves": [[1]], **extra}))
-        result = runner.invoke(main, ["ampleness", "--matrix", str(spec_path), "--divisor", "[1]"])
+        result = invoke("ampleness", "--matrix", str(spec_path), "--divisor", "[1]")
         assert result.exit_code == 2, extra
         assert "dim_x and deg_sigma must be integers" in result.output, extra
 
 
-def test_dims_negative_window_exits_two(runner):
-    result = runner.invoke(main, ["dims", "--p", "2", "--m", "1", "--max-n", "-3"])
+def test_dims_negative_window_exits_two():
+    result = invoke("dims", "--p", "2", "--m", "1", "--max-n", "-3")
     assert result.exit_code == 2
     assert "--max-n must be >= 0" in result.output
-    assert invoke(runner, "dims", "--p", "2", "--m", "1", "--max-n", "0").exit_code == 0
+    assert invoke("dims", "--p", "2", "--m", "1", "--max-n", "0").exit_code == 0
+
+
+@pytest.mark.parametrize("flag", ["yes", 1])
+def test_spec_document_ample_flag_must_be_boolean(tmp_path, flag):
+    spec_path = tmp_path / "action.json"
+    spec_path.write_text(json.dumps({"P": [[1]], "curves": [[1]], "ampleFlag": flag}))
+    result = invoke("ampleness", "--matrix", str(spec_path), "--divisor", "[1]")
+    assert result.exit_code == 2, flag
+    assert "ample_flag must be True, False or None" in result.stderr
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--matrix", "[1,2]", "--matrix must be a JSON list of lists of integers"),
+    ("--divisor", '{"a":1}', "--divisor must be a JSON list of integers"),
+    ("--curves", "[1]", "--curves must be a JSON list of lists of integers"),
+    ("--matrix", '{"P": null}',
+     '"P" in the --matrix document must be a JSON list of lists of integers'),
+])
+def test_malformed_json_shapes_name_the_input(flag, value, message):
+    args = {"--matrix": "[[2]]", "--divisor": "[1]", "--curves": "[[1]]", flag: value}
+    result = invoke("ampleness", *(part for item in args.items() for part in item))
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == f"thcr ampleness: error: {message}"
 
 
 # --- argument fuzzing -------------------------------------------------------------
@@ -341,11 +338,10 @@ def cli_arguments(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(cli_arguments())
 def test_cli_fuzz_exits_cleanly_and_reproducibly(args):
-    runner = CliRunner()
-    first = runner.invoke(main, args)
-    assert first.exit_code in (0, 2, 3), (args, first.output, first.exception)
+    first = invoke(*args)
+    assert first.exit_code in (0, 2, 3), (args, first.output)
     assert "Traceback" not in first.output, args
-    second = runner.invoke(main, args)
+    second = invoke(*args)
     assert (second.exit_code, second.stdout, second.stderr) == (
         first.exit_code, first.stdout, first.stderr
     ), args

@@ -384,6 +384,14 @@ def test_spec_rejects_mismatched_lengths():
         orbit_pairings(scalar_spec(2), DivisorClass((1, 2)), C1, 3)
 
 
+@pytest.mark.parametrize("flag", ["yes", "true", 1, 0, 1.0])
+def test_spec_rejects_non_boolean_ample_flag(flag):
+    with pytest.raises(TypeError, match="ample_flag"):
+        NumericalActionSpec([[1]], [[1]], ample_flag=flag)
+    with pytest.raises(TypeError, match="ample_flag"):
+        NumericalActionSpec.from_json_dict({"P": [[1]], "curves": [[1]], "ampleFlag": flag})
+
+
 def test_spec_json_roundtrip():
     doc = {
         "P": [[2, 1], [0, 3]],

@@ -1,7 +1,9 @@
 """The package surface and its import graph: ``import thcr`` loads no
-submodule, each CLI subcommand loads only the modules it runs, and the lazy
-exports behave like the eager ones.  Import effects are checked in fresh
-interpreters, since this test process has long since loaded everything."""
+submodule, each CLI subcommand loads only the modules it runs and nothing
+outside the standard library, the command line keeps its options and
+spellings, and the lazy exports behave like the eager ones.  Import effects
+are checked in fresh interpreters, since this test process has long since
+loaded everything."""
 
 import json
 import os
@@ -11,10 +13,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_helper import invoke
 
 import thcr
-from thcr.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +38,15 @@ COMPUTE_MODULES = {"thcr.cohomology", "thcr.dynamics", "thcr.intlinalg"}
 
 AMPLENESS = ["ampleness", "--matrix", "[[2, 1], [1, 1]]", "--divisor", "[1, 2]",
              "--curves", "[[1, 0], [0, 1]]"]
+SUBCOMMANDS = [
+    ["dims", "--p", "2", "--m", "2", "--max-n", "4"],
+    ["gens", "--p", "2", "--m", "1", "--max-n", "4"],
+    ["growth", "--p", "3", "--m", "1", "--max-n", "6", "--format", "csv"],
+    ["cohomology", "--p", "2", "--m", "1", "--t", "-2", "--max-n", "6"],
+    AMPLENESS,
+]
+IDENTITY = ["ampleness", "--matrix", "[[1, 0], [0, 1]]", "--divisor", "[1, 1]",
+            "--curves", "[[1, 0], [0, 1]]"]
 
 # Runs the CLI as `python -m thcr.cli ARGS` does, then prints the thcr
 # submodules it loaded as the last line of stderr.
@@ -52,10 +62,10 @@ sys.exit(code)
 """
 
 
-def fresh_python(*args):
+def fresh_python(*args, text=True):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=text, timeout=60)
 
 
 def run_cli(*args):
@@ -91,7 +101,7 @@ def test_ampleness_report_from_a_cold_start_is_unchanged():
     proc, loaded = run_cli(*AMPLENESS)
     assert proc.returncode == 0, proc.stderr
     assert loaded == {"thcr.citations", "thcr.dynamics", "thcr.intlinalg", "thcr.ring"}
-    warm = CliRunner().invoke(main, AMPLENESS, catch_exceptions=False)
+    warm = invoke(*AMPLENESS)
     assert proc.stdout == warm.stdout
     assert json.loads(proc.stdout)["results"]["left"] == "No"
 
@@ -103,6 +113,51 @@ def test_import_trace_of_dims_lists_no_compute_module():
     traced = set(re.findall(r"\|\s*(thcr\.\w+)$", proc.stderr, re.MULTILINE))
     assert "thcr.ring" in traced
     assert not traced & COMPUTE_MODULES
+    assert not re.search(r"\|\s*click\b", proc.stderr)
+
+
+def test_cold_dims_loads_no_click():
+    script = ("import sys\nfrom thcr.cli import main\n"
+              "code = main(['dims', '--p', '2', '--m', '2', '--max-n', '4'])\n"
+              "print(code, [m for m in sys.modules if m.partition('.')[0] == 'click'], "
+              "file=sys.stderr)")
+    proc = fresh_python("-c", script)
+    assert proc.stderr.strip() == "0 []"
+
+
+@pytest.mark.parametrize("args", SUBCOMMANDS, ids=lambda args: args[0])
+def test_subcommands_run_without_site_packages(args):
+    # -S skips site-packages: no click, numpy or sympy to fall back on
+    proc = fresh_python("-S", "-m", "thcr.cli", *args, text=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == invoke(*args).stdout.encode()
+
+
+def test_version():
+    result = invoke("--version")
+    assert (result.exit_code, result.stdout) == (0, "thcr, version 0.1.0\n")
+
+
+@pytest.mark.parametrize("spelling, value", [
+    *((spelling, True) for spelling in ("1", "true", "T", "Yes", "y", " ON ")),
+    *((spelling, False) for spelling in ("0", "False", "f", "NO", "n", "off", "")),
+])
+def test_ample_flag_accepts_the_click_spellings(spelling, value):
+    canonical = invoke(*IDENTITY, "--ample-flag", "true" if value else "false")
+    doc = json.loads(canonical.stdout)
+    assert doc["inputs"]["ampleFlag"] is value
+    assert doc["results"]["left"] == ("Yes" if value else "Undetermined")
+    assert invoke(*IDENTITY, "--ample-flag", spelling).stdout == canonical.stdout
+
+
+def test_ample_flag_rejects_other_words():
+    result = invoke(*IDENTITY, "--ample-flag", "maybe")
+    assert result.exit_code == 2
+    assert "argument --ample-flag: 'maybe' is not a valid boolean" in result.stderr
+
+
+def test_option_prefixes_are_not_abbreviations():
+    assert invoke("gens", "--p", "2", "--m", "1", "--max", "3").exit_code == 2
 
 
 def test_public_names_are_unchanged():

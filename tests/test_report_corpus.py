@@ -11,9 +11,7 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from thcr.cli import main
+from cli_helper import invoke
 
 REPORTS = Path(__file__).parent / "data" / "reports"
 
@@ -59,9 +57,9 @@ CASES = _cases()
 
 
 def _render(args) -> bytes:
-    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    result = invoke(*args)
     assert result.exit_code == 0, result.output
-    return result.stdout_bytes
+    return result.stdout.encode()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
