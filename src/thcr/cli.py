@@ -243,8 +243,13 @@ def _parse_json_argument(text: str, what: str):
         raise UsageError(f"invalid JSON in {raw!r}: {exc}")
 
 
+def _is_int_list(value) -> bool:
+    """A list of plain ints; JSON floats, strings, null, nested lists and bools fail."""
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
 def _require_rows(value, what: str) -> None:
-    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
+    if not (isinstance(value, list) and all(_is_int_list(row) for row in value)):
         raise UsageError(f"{what} must be a JSON list of lists of integers")
 
 
@@ -256,7 +261,6 @@ def _run_ampleness(config: RunConfig) -> Report:
         classify_ampleness,
         degree_consistency,
     )
-    from .intlinalg import exact_int
 
     if config.matrix is None:
         raise UsageError("--matrix is required (inline JSON or a file path)")
@@ -279,11 +283,11 @@ def _run_ampleness(config: RunConfig) -> Report:
         _require_rows(doc["P"], '"P" in the --matrix document' if in_doc else "--matrix")
     _require_rows(doc["curves"], "--curves" if config.curves is not None
                   else '"curves" in the --matrix document')
-    if not isinstance(config.divisor, list):
+    if not _is_int_list(config.divisor):
         raise UsageError("--divisor must be a JSON list of integers")
     try:
         spec = NumericalActionSpec.from_json_dict(doc)
-        divisor = DivisorClass(tuple(map(exact_int, config.divisor)))
+        divisor = DivisorClass(tuple(config.divisor))
         report = classify_ampleness(spec, divisor)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc))

@@ -33,6 +33,7 @@ from . import citations
 from .intlinalg import (
     DEFAULT_RADIUS_WIDTH,
     IntMatrix,
+    IntPolynomial,
     NoRealEigenvalueError,
     RationalInterval,
     char_poly,
@@ -283,14 +284,15 @@ def non_left_ample_witness(
 ) -> NonLeftAmpleWitness:
     """Search for the obstruction pair behind left-ampleness failure.
 
-    Requires a real eigenvalue strictly above one (certified by Sturm
-    counts).  Tries each curve with multipliers k = 1, 2, 4, ... of the
+    Requires a real eigenvalue strictly above one, read from the cached
+    radius enclosure; Sturm counts decide only when one lies strictly inside
+    it.  Tries each curve with multipliers k = 1, 2, 4, ... of the
     supplied ample class until the partial-sum pairing stays strictly
     below the orbit pairing of k * ample over the whole horizon.
     """
     _check_lengths(spec, divisor)
     _check_lengths(spec, ample)
-    if count_real_roots_above(char_poly(spec.matrix), 1) < 1:
+    if not _real_root_above_one(char_poly(spec.matrix)):
         raise UnsupportedActionError(
             "no real eigenvalue above one; witness search needs spectral radius > 1"
         )
@@ -305,6 +307,20 @@ def non_left_ample_witness(
     raise WitnessSearchExhausted(
         f"no witness with multiplier <= {max_multiplier} over horizon {horizon}"
     )
+
+
+def _real_root_above_one(chi: IntPolynomial) -> bool:
+    """Whether chi has a real root above one, read from its cached radius cell."""
+    interval = chi._largest_root
+    if interval is None:
+        return False
+    if interval.lo == interval.hi:
+        return interval.lo > 1
+    if interval.lo >= 1:
+        return True
+    if interval.hi <= 1:
+        return False
+    return count_real_roots_above(chi, 1) >= 1
 
 
 def _integer_eigenvalue(matrix: IntMatrix, coords: tuple[int, ...]) -> Optional[int]:

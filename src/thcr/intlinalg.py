@@ -1,6 +1,6 @@
 """Exact integer and rational linear algebra for endomorphism actions.
 
-Characteristic polynomials, Sturm-certified isolation of the dominant real
+Characteristic polynomials, certified isolation of the dominant real
 eigenvalue, quasi-unipotence via cyclotomic factorization, and Jordan block
 sizes for integer eigenvalues.  Everything runs over Z or Q, so every answer
 is a certificate rather than a floating-point estimate.
@@ -9,18 +9,32 @@ The characteristic polynomial comes from Newton's identities on the power
 sums tr(P**k), which need only P**1..P**ceil(n/2): the later traces are dot
 products of P**ceil(n/2) with transposed lower powers.  It is computed once
 per matrix and kept on the immutable ``IntMatrix``, so the cyclotomic test,
-the radius bisection, the witness search and the orbit recurrence share it.
-Each ``IntPolynomial`` likewise keeps its squarefree part and Sturm chain,
-so the bisection and ``count_real_roots_above`` build one chain per
-polynomial; that chain's remainder sequence also decides squarefreeness, so
-a squarefree polynomial runs no separate gcd.  The bisection
-runs on integers: every endpoint is a dyadic ``j / 2**k`` (the squarefree
-part of a monic polynomial is monic, so the Cauchy bound is an integer), and
-widths, floors and signs are read from the pair ``(j, 2**k)``; Fractions are
-built only for the returned interval.  It decides midpoints above a
-power-of-two Fujiwara root bound without a Sturm count, and once a count
-isolates the largest root it decides each midpoint by the sign of the
-squarefree part alone.
+the radius, the witness search and the orbit recurrence share it.
+
+The largest real root is guessed and certified.  A gcd mod the prime
+2**61 - 1 shows the characteristic polynomial squarefree, a float Laguerre
+iteration from a Fujiwara root bound guesses the root, integer signs at the
+ends of the dyadic cell around the guess show a root inside, and one Taylor
+shift to the upper end with no sign variation shows, by Descartes' rule of
+signs, no root above it.  Perron-Frobenius puts every other eigenvalue of a
+cone-preserving action at real part below the largest, so for such an
+action with a squarefree characteristic polynomial the certificate holds
+and no Sturm chain is built.  The cell is the one the Sturm bisection would
+return, so both paths give the same interval.  Each ``IntPolynomial`` keeps
+its default-width enclosure, which the radius and the witness guard share.
+
+When the certificate fails the bisection runs.  Each ``IntPolynomial``
+keeps its squarefree part and Sturm chain, so the bisection and
+``count_real_roots_above`` build one chain per polynomial; the gcd mod p
+also shows a squarefree polynomial to be its own squarefree part, so it
+runs no gcd over Z.  The bisection runs on integers: every
+endpoint is a dyadic ``j / 2**k`` (the squarefree part of a monic
+polynomial is monic, so the Cauchy bound is an integer), and widths, floors
+and signs are read from the pair ``(j, 2**k)``; Fractions are built only
+for the returned interval.  It decides midpoints above a power-of-two
+Fujiwara root bound without a Sturm count, and once a count isolates the
+largest root it decides each midpoint by the sign of the squarefree part
+alone.
 """
 
 from __future__ import annotations
@@ -151,21 +165,55 @@ class IntPolynomial:
         return IntPolynomial(*quot), IntPolynomial(*rem[:d]), k
 
     @cached_property
+    def _squarefree_mod_p(self) -> bool:
+        """True when a gcd mod the prime ``_SQUAREFREE_MODULUS`` proves f squarefree.
+
+        A repeated factor of f divides f' and, when p does not divide f's
+        leading coefficient, stays a repeated factor mod p; so a constant
+        gcd(f, f') mod p proves f squarefree.  False almost always means a
+        repeated root: a squarefree f fails only when p divides its
+        discriminant or leading coefficient.
+        """
+        p = _SQUAREFREE_MODULUS
+        if self.leading() % p == 0:
+            return False
+        a = [c % p for c in self.coeffs]
+        b = [i * c % p for i, c in enumerate(self.coeffs)][1:]
+        while b and not b[-1]:
+            b.pop()
+        # Euclid over GF(p) on remainders scaled by the divisor's leading
+        # coefficient, which needs no modular inverse
+        while b:
+            lead, d = b[-1], len(b) - 1
+            while len(a) > d:
+                q = a.pop()
+                if q:
+                    k = len(a) - d
+                    a = [x * lead % p for x in a[:k]] + [
+                        (x * lead - q * c) % p for x, c in zip(a[k:], b)
+                    ]
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, a
+        return len(a) == 1
+
+    @cached_property
     def _sturm(self) -> tuple["IntPolynomial", tuple["IntPolynomial", ...]]:
         """The squarefree part and its Sturm chain (empty below degree one).
 
-        The chain's remainder sequence is the one that computes gcd(f, f'),
-        so a chain ending in a constant shows f squarefree and is the
-        answer; only a repeated root costs a gcd and a second chain.
+        The gcd mod p shows a squarefree polynomial to be its own
+        squarefree part, so only a repeated root costs a gcd over Z.
         """
         if self.degree() < 1:
             return self, ()
-        sf = _primitive(self)
-        chain = _sturm_chain(sf)
-        if chain[-1].degree() > 0:
-            sf = squarefree_part(self)
-            chain = _sturm_chain(sf)
-        return sf, tuple(chain)
+        sf = _primitive(self) if self._squarefree_mod_p else squarefree_part(self)
+        return sf, tuple(_sturm_chain(sf))
+
+    @cached_property
+    def _largest_root(self) -> RationalInterval | None:
+        """The default-width enclosure of a monic polynomial's largest real
+        root, None without one; the radius and the witness guard share it."""
+        return _largest_root_interval(self, DEFAULT_RADIUS_WIDTH)
 
     def __repr__(self):
         return f"IntPolynomial({', '.join(str(c) for c in self.coeffs)})"
@@ -251,6 +299,8 @@ class RationalInterval:
 
 
 DEFAULT_RADIUS_WIDTH = Fraction(1, 10**9)
+# The Mersenne prime of ``IntPolynomial._squarefree_mod_p``
+_SQUAREFREE_MODULUS = 2**61 - 1
 
 
 def det(matrix: IntMatrix) -> int:
@@ -519,10 +569,19 @@ def count_real_roots_above(poly: IntPolynomial, bound) -> int:
 def spectral_radius_interval(matrix: IntMatrix, width=DEFAULT_RADIUS_WIDTH) -> RationalInterval:
     """Certified rational enclosure of the largest real eigenvalue.
 
-    Sturm sign counts drive a bisection; exact rational roots are returned
-    as zero-width intervals.  For an action preserving a full-dimensional
-    cone (every numerical pullback action does) the largest real eigenvalue
-    is the spectral radius, which is the intended use.
+    For an action preserving a full-dimensional cone (every numerical
+    pullback action does) the largest real eigenvalue is the spectral
+    radius, which is the intended use.  The enclosure is the final cell of a
+    dyadic bisection from the Cauchy bound, or a point for an exact rational
+    root.  It is first guessed and certified: a float estimate picks the
+    cell, integer signs at its ends show a root inside, and one Taylor shift
+    with no sign variation shows, by Descartes' rule of signs, no root above
+    it.  Perron-Frobenius puts every other eigenvalue of a cone-preserving
+    action at real part below the radius, so the shift has no variation
+    there.  When the guess is not certified (a repeated root, a float
+    overflow, a complex pair to the right of the largest real root) Sturm
+    sign counts drive the bisection itself; both give the same interval.
+    The default-width answer is kept on the characteristic polynomial.
 
     Raises ``SingularMatrixError`` for singular input and
     ``NoRealEigenvalueError`` when no real eigenvalue exists, which cannot
@@ -534,11 +593,28 @@ def spectral_radius_interval(matrix: IntMatrix, width=DEFAULT_RADIUS_WIDTH) -> R
     chi = char_poly(matrix)
     if chi.evaluate(0) == 0:
         raise SingularMatrixError("matrix is singular")
+    if width == DEFAULT_RADIUS_WIDTH:
+        interval = chi._largest_root
+    else:
+        interval = _largest_root_interval(chi, width)
+    if interval is None:
+        raise NoRealEigenvalueError("no real eigenvalue; matrix cannot preserve a cone")
+    return interval
+
+
+def _largest_root_interval(chi: IntPolynomial, width: Fraction) -> RationalInterval | None:
+    """The monic ``chi``'s largest real root in a cell of width <= ``width``.
+
+    A point for a rational root, None when there is no real root.
+    """
+    certified = _certified_largest_root(chi, width)
+    if certified is not None:
+        return certified
     sf, chain = chi._sturm
     at_infinity = _variations_at_infinity(chain, positive=True)
     above_lo = _variations_at_infinity(chain, positive=False) - at_infinity
     if above_lo == 0:
-        raise NoRealEigenvalueError("no real eigenvalue; matrix cannot preserve a cone")
+        return None
 
     # sf is a primitive factor of the monic chi with a positive leading
     # coefficient, hence monic (Gauss's lemma): the Cauchy bound is an
@@ -575,6 +651,109 @@ def spectral_radius_interval(matrix: IntMatrix, width=DEFAULT_RADIUS_WIDTH) -> R
         else:
             jh = mid
     return RationalInterval(Fraction(jl, scale), Fraction(jh, scale))
+
+
+# --- guess and certify ------------------------------------------------------
+#
+# The bisection above is determined by its input: it stops at the least
+# power-of-two scale S with 2 * bound / S <= width, and its cells are
+# (-bound + i * 2 * bound / S, -bound + (i + 1) * 2 * bound / S].  When sf is
+# chi itself and those cells are narrower than 1/2, its answer is known in
+# advance: the cell above it was narrower than 1 and still wider than the
+# width, so an integer largest root is returned as a point; any other is
+# irrational (a rational root of a monic integer polynomial is an integer),
+# never a cell end, and the answer is the open final cell around it.
+
+def _certified_largest_root(chi: IntPolynomial, width: Fraction) -> RationalInterval | None:
+    """The bisection's answer for ``chi``, certified from a float guess, or None."""
+    if not chi._squarefree_mod_p:
+        return None
+    bound = 1 + max(abs(c) for c in chi.coeffs[:-1])
+    step = 2 * bound
+    cells = -(-step * width.denominator // width.numerator)
+    scale = 1 << (cells - 1).bit_length() if cells > 1 else 1
+    if 4 * bound >= scale:
+        return None
+    guess = _float_largest_root(chi)
+    if guess is None:
+        return None
+    root = round(guess)
+    if chi.evaluate(root) == 0 and _shift_nonnegative(chi, root, 1):
+        return RationalInterval(root, root)
+    num, den = guess.as_integer_ratio()
+    # the cell (hi - step, hi] / scale that holds the guess
+    hi = step * -(-(num + bound * den) * scale // (step * den)) - bound * scale
+    lo = hi - step
+    lo_value, hi_value = _homogeneous_value(chi, lo, scale), _homogeneous_value(chi, hi, scale)
+    # a guess within rounding of a cell end may sit in the neighbouring cell
+    if hi_value < 0:
+        lo, lo_value, hi = hi, hi_value, hi + step
+        hi_value = _homogeneous_value(chi, hi, scale)
+    elif lo_value > 0:
+        lo, hi, hi_value = lo - step, lo, lo_value
+        lo_value = _homogeneous_value(chi, lo, scale)
+    if not lo_value < 0 < hi_value:
+        return None
+    # a root in (lo, hi), none at or above hi; an integer root inside the
+    # cell might be the largest, which the bisection returns as a point
+    candidate = hi // scale
+    if lo < candidate * scale and chi.evaluate(candidate) == 0:
+        return None
+    if not _shift_nonnegative(chi, hi, scale):
+        return None
+    return RationalInterval(Fraction(lo, scale), Fraction(hi, scale))
+
+
+def _float_largest_root(poly: IntPolynomial) -> float | None:
+    """A float estimate of the largest real root, or None on overflow.
+
+    Laguerre's Newton-type iteration from the Fujiwara cap, which lies
+    above every root: for a real-rooted polynomial it falls monotonically
+    onto the largest root, cubically near it (about 4 steps on the
+    benchmark's actions, where plain Newton takes about 16).
+    """
+    try:
+        coeffs = [float(c) for c in reversed(poly.coeffs)]
+        x = float(_root_cap(poly))
+    except OverflowError:
+        return None
+    n = len(coeffs) - 1
+    for _ in range(64):
+        # Horner for p, p' and p''/2 at x
+        p = dp = ddp = 0.0
+        for c in coeffs:
+            ddp = ddp * x + dp
+            dp = dp * x + p
+            p = p * x + c
+        if not p:
+            break
+        g = dp / p
+        h = g * g - 2 * ddp / p
+        denominator = g + math.copysign(math.sqrt(max((n - 1) * (n * h - g * g), 0.0)), g)
+        if not denominator:
+            break
+        correction = n / denominator
+        x -= correction
+        if not abs(correction) > 1e-14 * abs(x):
+            break
+    return x if math.isfinite(x) else None
+
+
+def _shift_nonnegative(poly: IntPolynomial, p: int, q: int) -> bool:
+    """True when every coefficient of q**degree * poly(x + p/q) is >= 0, q > 0.
+
+    By Descartes' rule of signs poly then has no root above p/q.  The Taylor
+    shift runs on q**degree * poly(y / q) by p, in y = q * x; coefficient i is
+    final after pass i, so a negative one stops it early.
+    """
+    n = poly.degree()
+    c = [a * q ** (n - i) for i, a in enumerate(poly.coeffs)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += p * c[j + 1]
+        if c[i] < 0:
+            return False
+    return c[n] >= 0
 
 
 def _root_cap(poly: IntPolynomial) -> int:

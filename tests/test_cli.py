@@ -258,6 +258,28 @@ def test_malformed_json_shapes_name_the_input(flag, value, message):
     assert result.stderr.splitlines()[-1] == f"thcr ampleness: error: {message}"
 
 
+ROWS_MESSAGE = "must be a JSON list of lists of integers"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--matrix", "[[null]]", f"--matrix {ROWS_MESSAGE}"),
+    ("--matrix", "[[[1]]]", f"--matrix {ROWS_MESSAGE}"),
+    ("--matrix", "[[1.5]]", f"--matrix {ROWS_MESSAGE}"),
+    ("--matrix", "[[true]]", f"--matrix {ROWS_MESSAGE}"),
+    ("--matrix", '{"P": [["2"]]}', f'"P" in the --matrix document {ROWS_MESSAGE}'),
+    ("--curves", "[[null]]", f"--curves {ROWS_MESSAGE}"),
+    ("--divisor", "[null]", "--divisor must be a JSON list of integers"),
+    ("--divisor", "[[1]]", "--divisor must be a JSON list of integers"),
+    ("--divisor", "[1.5]", "--divisor must be a JSON list of integers"),
+    ("--divisor", "[false]", "--divisor must be a JSON list of integers"),
+])
+def test_non_integer_json_entries_name_the_input(flag, value, message):
+    args = {"--matrix": "[[2]]", "--divisor": "[1]", "--curves": "[[1]]", flag: value}
+    result = invoke("ampleness", *(part for item in args.items() for part in item))
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == f"thcr ampleness: error: {message}"
+
+
 # --- argument fuzzing -------------------------------------------------------------
 
 JUNK = ("", "x", "1.5", "-", "1e3", "[1]", "--p", "{", "not-a-file", "0", "-1", "xml")

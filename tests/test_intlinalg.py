@@ -11,6 +11,7 @@ import thcr.intlinalg as intlinalg
 from thcr.dynamics import (
     DivisorClass,
     NumericalActionSpec,
+    _real_root_above_one,
     classify_ampleness,
     non_left_ample_witness,
 )
@@ -222,13 +223,22 @@ def test_sturm_chain_built_once_per_action(monkeypatch):
         return sturm_chain(poly)
 
     monkeypatch.setattr(intlinalg, "_sturm_chain", counted)
-    # the radius bisection and the witness guard read one cached chain
-    spec = NumericalActionSpec([[3, 1, 0], [1, 2, 1], [0, 1, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    divisor = DivisorClass((1, 2, 1))
-    report = classify_ampleness(spec, divisor)
-    assert report.spectral_radius is not None and not report.quasi_unipotent
-    non_left_ample_witness(spec, divisor, DivisorClass((1, 1, 1)))
-    assert len(builds) == 1
+
+    def chains_built(rows):
+        builds.clear()
+        spec = NumericalActionSpec(rows, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        divisor = DivisorClass((1, 2, 1))
+        report = classify_ampleness(spec, divisor)
+        assert report.spectral_radius is not None and not report.quasi_unipotent
+        non_left_ample_witness(spec, divisor, DivisorClass((1, 1, 1)))
+        return len(builds)
+
+    # a Perron action: the certified radius cell also decides the witness
+    # guard, so no chain is built
+    assert chains_built([[3, 1, 0], [1, 2, 1], [0, 1, 2]]) == 0
+    # a repeated root: the bisection and the guard read one cached chain of
+    # the squarefree part
+    assert chains_built([[2, 1, 0], [0, 2, 0], [0, 0, 5]]) == 1
 
 
 def test_squarefree_chi_runs_no_gcd(monkeypatch):
@@ -252,10 +262,11 @@ def test_repeated_root_falls_back_to_squarefree_part():
     matrix = IntMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
     chi = char_poly(matrix)
     assert chi == IntPolynomial(-2, 1) * IntPolynomial(-2, 1) * IntPolynomial(-5, 1)
+    # the gcd mod p flags the repeated root and the certificate declines it
+    assert not chi._squarefree_mod_p
     assert chi._sturm[0] == IntPolynomial(10, -7, 1)
     assert [count_real_roots_above(chi, b) for b in (0, 2, 5)] == [2, 1, 0]
-    interval = spectral_radius_interval(matrix)
-    assert (interval.lo, interval.hi) == reference_radius_interval(matrix) == (5, 5)
+    assert assert_bisection_fallback(matrix) == intlinalg.RationalInterval(5, 5)
 
 
 def sturm_factor_lists():
@@ -381,15 +392,50 @@ def test_spectral_radius_matches_full_sturm_bisection(matrix):
     assert (interval.lo, interval.hi) == expected
 
 
-@settings(deadline=None, max_examples=80)
+@st.composite
+def action_matrices(draw):
+    """Signed, nonnegative and equal-row-sum matrices, and companions of a
+    cyclotomic product times (x - r): the shapes the ampleness path meets.
+
+    Equal row sums make the row sum an eigenvalue with the all-ones
+    eigenvector, so a nonnegative one has an integer spectral radius.
+    """
+    kind = draw(st.sampled_from(["signed", "nonnegative", "row-sum", "cyclotomic"]))
+    if kind == "cyclotomic":
+        poly = IntPolynomial(-draw(st.integers(-4, 4)), 1)
+        for index in draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]), max_size=2)):
+            poly = poly * cyclotomic(index)
+        return companion(poly)
+    n = draw(st.integers(1, 6))
+    if kind == "signed":
+        return IntMatrix(draw(square_lists(n, -9, 9)))
+    rows = draw(square_lists(n, 0, 9))
+    if kind == "row-sum":
+        total = max(map(sum, rows)) + draw(st.integers(0, 5))
+        for i, row in enumerate(rows):
+            row[i] += total - sum(row)
+    return IntMatrix(rows)
+
+
+@settings(deadline=None, max_examples=120)
 @given(
-    radius_matrices(),
-    st.sampled_from([Fraction(1, 3), Fraction(5, 7), 1, 3, 100, Fraction(1, 10**30)]),
+    st.one_of(radius_matrices(), action_matrices()),
+    st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5),
+                     Fraction(5, 7), Fraction(3, 4), 1, 3, 100, Fraction(1, 10**30)]),
 )
+# an integer largest root: a point when a cell narrower than 1 is still wider
+# than the width (1/2 and 3/5 here), else the final cell around it (3/4, 1)
+@example(IntMatrix([[3, 0], [0, 1]]), Fraction(1, 2))
+@example(IntMatrix([[3, 0], [0, 1]]), Fraction(3, 5))
+@example(IntMatrix([[3, 0], [0, 1]]), Fraction(3, 4))
+@example(IntMatrix([[3, 0], [0, 1]]), 1)
+@example(IntMatrix([[2, 5, 1], [4, 3, 1], [0, 0, 8]]), Fraction(1, 2))
+@example(IntMatrix([[2, 5, 1], [4, 3, 1], [0, 0, 8]]), Fraction(3, 4))
 def test_spectral_radius_matches_full_sturm_bisection_at_other_widths(matrix, width):
     # widths that are not powers of two, wider than the Cauchy interval, or
     # far below the default: the integer width test must stop where the
-    # Fraction one did
+    # Fraction one did; from 1/2 up the final cells can hold an integer
+    # root without a point being returned
     assume(det(matrix) != 0)
     try:
         expected = reference_radius_interval(matrix, width)
@@ -397,6 +443,77 @@ def test_spectral_radius_matches_full_sturm_bisection_at_other_widths(matrix, wi
         return
     interval = spectral_radius_interval(matrix, width)
     assert (interval.lo, interval.hi) == expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(action_matrices())
+def test_spectral_radius_matches_full_sturm_bisection_on_action_shapes(matrix):
+    assume(det(matrix) != 0)
+    try:
+        expected = reference_radius_interval(matrix)
+    except NoRealEigenvalueError:
+        with pytest.raises(NoRealEigenvalueError):
+            spectral_radius_interval(matrix)
+        return
+    interval = spectral_radius_interval(matrix)
+    assert (interval.lo, interval.hi) == expected
+
+
+def assert_bisection_fallback(matrix):
+    """The certificate declines ``matrix``; the bisection gives the reference."""
+    chi = char_poly(matrix)
+    assert intlinalg._certified_largest_root(chi, DEFAULT_RADIUS_WIDTH) is None
+    interval = spectral_radius_interval(matrix)
+    assert (interval.lo, interval.hi) == reference_radius_interval(matrix)
+    return interval
+
+
+def test_certificate_declines_a_complex_pair_right_of_the_largest_real_root():
+    # 5 +- 3i lie right of the real root 2, so the shift by 2 keeps a sign
+    # variation that Descartes' rule cannot rule out
+    matrix = IntMatrix([[5, -3, 0], [3, 5, 0], [0, 0, 2]])
+    chi = char_poly(matrix)
+    assert chi._squarefree_mod_p and not intlinalg._shift_nonnegative(chi, 2, 1)
+    assert assert_bisection_fallback(matrix) == intlinalg.RationalInterval(2, 2)
+
+
+def test_certificate_declines_when_the_float_guess_overflows():
+    matrix = IntMatrix([[2**1100 + 3, 1], [1, 1]])
+    assert intlinalg._float_largest_root(char_poly(matrix)) is None
+    interval = assert_bisection_fallback(matrix)
+    assert interval.lo < 2**1100 + 3 < interval.hi
+
+
+def test_certificate_declines_when_the_squarefree_test_fails(monkeypatch):
+    # x**2 - x - 1 has discriminant 5, so it is (x + 2)**2 mod 5
+    fibonacci = [[1, 1], [1, 0]]
+    assert intlinalg._certified_largest_root(
+        char_poly(IntMatrix(fibonacci)), DEFAULT_RADIUS_WIDTH) is not None
+    monkeypatch.setattr(intlinalg, "_SQUAREFREE_MODULUS", 5)
+    matrix = IntMatrix(fibonacci)
+    assert not char_poly(matrix)._squarefree_mod_p
+    assert_bisection_fallback(matrix)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(radius_matrices(), action_matrices()))
+# the largest root about 1e-11 above or below 1, so that 1 lies strictly
+# inside its cell and the guard falls back to a Sturm count
+@example(companion(IntPolynomial(-(10**11 + 2), 10**11, 1)))
+@example(companion(IntPolynomial(-(10**11), 10**11, 1)))
+def test_witness_guard_matches_sturm_count(matrix):
+    assume(det(matrix) != 0)
+    chi = char_poly(matrix)
+    assert _real_root_above_one(chi) == (count_real_roots_above(chi, 1) >= 1)
+
+
+def test_witness_guard_counts_only_when_one_is_inside_the_cell():
+    for n, inside in ((10**11, True), (10**10, False)):
+        chi = char_poly(companion(IntPolynomial(-(n + 2), n, 1)))
+        interval = chi._largest_root
+        assert (interval.lo < 1 < interval.hi) == inside
+        assert _real_root_above_one(chi)
+        assert ("_sturm" in vars(chi)) == inside
 
 
 @pytest.mark.parametrize(
