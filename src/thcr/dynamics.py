@@ -75,6 +75,14 @@ def pairing(divisor: DivisorClass, curve: CurveFunctional) -> int:
     return sum(map(operator.mul, divisor.coords, curve.coords))
 
 
+def _int_row(values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints: plain ints as they are, others by ``exact_int``."""
+    row = tuple(values)
+    if all(type(x) is int for x in row):
+        return row
+    return tuple(map(exact_int, row))
+
+
 @dataclasses.dataclass(init=False, frozen=True)
 class NumericalActionSpec:
     """Invertible integer action plus curve functionals and metadata.
@@ -95,8 +103,7 @@ class NumericalActionSpec:
         if not isinstance(matrix, IntMatrix):
             matrix = IntMatrix(matrix)
         curves = tuple(
-            c if isinstance(c, CurveFunctional)
-            else CurveFunctional(tuple(map(exact_int, c)))
+            c if isinstance(c, CurveFunctional) else CurveFunctional(_int_row(c))
             for c in curves
         )
         if not curves:

@@ -167,13 +167,18 @@ def decompose_fast(
     that target is always an integer and the capacities always cover it,
     so a split at grade a exists iff sum(z_i mod r**a) <= e_a; any greedy
     fill then produces a witness.  The smallest such a is returned.
+
+    The grade loop carries q = r**a (q *= r) and e_a = r * e_{a-1} + 1
+    from one grade to the next instead of recomputing either.
     """
     _require_grade(spec, z, n)
     r = spec.power
+    q, e_a = 1, 0
     for a in range(1, n):
-        q = r**a
+        q *= r
+        e_a = r * e_a + 1
         residues = [e % q for e in z.exps]
-        need = twist_degree(spec, a) - sum(residues)
+        need = e_a - sum(residues)
         if need < 0:
             continue
         k = need // q

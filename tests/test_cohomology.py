@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thcr.cohomology import (
+    ScanRow,
     h,
     left_vanishing_scan,
     right_vanishing_scan,
@@ -163,3 +166,49 @@ def test_scans_require_power_at_least_two():
         right_vanishing_scan(PowerRingSpec(dim=1, power=1), 0, 5)
     with pytest.raises(ValueError):
         left_vanishing_scan(PowerRingSpec(dim=1, power=1), 0, 5)
+
+
+def reference_scan(spec, max_n, degree_of):
+    """Scan rows with each grade's degree computed afresh and h at every q > 0."""
+    m = spec.dim
+    rows = []
+    clean = []
+    for n in range(max_n + 1):
+        d = degree_of(n)
+        vals = [h(m, d, q) for q in range(1, m + 1)]
+        rows.extend(ScanRow(n, d, q, v) for q, v in zip(range(1, m + 1), vals))
+        clean.append(all(v == 0 for v in vals))
+    return rows, clean
+
+
+def trailing_start(flags, value):
+    """Start of the trailing run of ``flags`` equal to ``value``, or None."""
+    start = None
+    for n in range(len(flags) - 1, -1, -1):
+        if flags[n] != value:
+            break
+        start = n
+    return start
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    r=st.integers(2, 7),
+    t=st.integers(-60, 20),
+    max_n=st.integers(0, 80),
+)
+@example(m=1, r=3, t=-5, max_n=12)
+@example(m=3, r=2, t=-7, max_n=0)
+@example(m=2, r=5, t=4, max_n=20)
+@example(m=4, r=2, t=-1, max_n=80)
+def test_scans_match_reference(m, r, t, max_n):
+    spec = PowerRingSpec(dim=m, power=r)
+    rows, clean = reference_scan(spec, max_n, lambda n: t + twist_degree(spec, n))
+    right = right_vanishing_scan(spec, t, max_n)
+    assert right.rows == tuple(rows)
+    assert right.stabilized_at == trailing_start(clean, True)
+    rows, clean = reference_scan(spec, max_n, lambda n: twist_degree(spec, n) + r**n * t)
+    left = left_vanishing_scan(spec, t, max_n)
+    assert left.rows == tuple(rows)
+    assert left.nonvanishing_from == trailing_start(clean, False)

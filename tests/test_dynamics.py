@@ -392,6 +392,18 @@ def test_spec_rejects_non_boolean_ample_flag(flag):
         NumericalActionSpec.from_json_dict({"P": [[1]], "curves": [[1]], "ampleFlag": flag})
 
 
+@pytest.mark.parametrize("entry", [True, 1.5, "1"])
+def test_spec_rejects_non_integer_curve_entries(entry):
+    with pytest.raises(TypeError):
+        NumericalActionSpec([[1]], [[entry]])
+
+
+def test_spec_takes_integer_curve_rows():
+    spec = NumericalActionSpec([[1]], [[1]])
+    assert spec.curves == (CurveFunctional((1,)),)
+    assert type(spec.curves[0].coords[0]) is int
+
+
 def test_spec_json_roundtrip():
     doc = {
         "P": [[2, 1], [0, 3]],

@@ -206,6 +206,38 @@ def test_degree_one_marker_family_is_irreducible():
             assert found >= 1 and rest >= 0
 
 
+def reference_split_grade(spec, z, n):
+    """Least a in 1..n-1 with sum(z_i mod r**a) <= e_a, the exact split criterion."""
+    for a in range(1, n):
+        q = spec.power**a
+        if sum(e % q for e in z.exps) <= twist_degree(spec, a):
+            return a
+    return None
+
+
+@pytest.mark.parametrize(
+    "m, r, n", [(8, 2, 62), (1, 2, 64), (3, 7, 23), (2, 3, 41), (4, 1, 70), (1, 1, 2)]
+)
+def test_decompose_fast_deep_grades_match_criterion(m, r, n):
+    # exponents past 2**64 (e_n for r = 1 is n, so those grades stay small)
+    spec = PowerRingSpec(dim=m, power=r)
+    rng = random.Random(m * 1000 + r * 100 + n)
+    splits = 0
+    for _ in range(60):
+        z = random_monomial(spec, n, rng)
+        witness = decompose_fast(spec, z, n)
+        grade = reference_split_grade(spec, z, n)
+        if grade is None:
+            assert witness is None, z
+            continue
+        splits += 1
+        assert (witness.a, witness.b) == (grade, n - grade)
+        assert witness.u.degree == twist_degree(spec, grade)
+        assert witness.v.degree == twist_degree(spec, n - grade)
+        assert twisted_product(spec, witness.u, witness.v) == z
+    assert splits > 0
+
+
 def test_is_decomposable_dispatch():
     spec = PowerRingSpec(dim=1, power=2)
     z = Monomial((2, 1))
