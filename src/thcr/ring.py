@@ -121,12 +121,20 @@ def grade_dimension(spec: PowerRingSpec, n: int) -> int:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every ``parts``-tuple of nonnegative ints summing to ``total``, lexicographically.
+
+    The last two coordinates come from one flat loop, not from a one-part
+    generator per tuple.
+    """
     if parts == 1:
         yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    elif parts == 2:
+        for head in range(total + 1):
+            yield (head, total - head)
+    else:
+        for head in range(total + 1):
+            for rest in _compositions(total - head, parts - 1):
+                yield (head, *rest)
 
 
 def monomials(spec: PowerRingSpec, n: int) -> Iterator[Monomial]:
@@ -226,9 +234,16 @@ def generator_degrees(
     Grade 1 is reported as its full dimension (nothing below it can
     generate).  The ring is generated in degree one up to max_n iff every
     count for 2 <= n <= max_n is zero.
+
+    By the criterion behind ``decompose_fast``, a grade-n exponent vector z
+    is a new generator iff sum_i (z_i mod r**a) > e_a for every 1 <= a < n.
+    Each grade's ladder of (r**a, e_a) is built once; each monomial of each
+    grade is then visited once, with at most n - 1 residue sums and no
+    witness.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+    r = spec.power
     counts: dict[int, int] = {}
     for n in range(1, max_n + 1):
         size = grade_dimension(spec, n)
@@ -237,9 +252,20 @@ def generator_degrees(
         if n < 2:
             counts[n] = size
             continue
-        counts[n] = sum(
-            1 for z in monomials(spec, n) if decompose_fast(spec, z, n) is None
-        )
+        ladder = []
+        q, e_a = 1, 0
+        for _ in range(1, n):
+            q *= r
+            e_a = r * e_a + 1
+            ladder.append((q, e_a))
+        count = 0
+        for z in _compositions(twist_degree(spec, n), spec.nvars):
+            for q, e_a in ladder:
+                if sum([x % q for x in z]) <= e_a:
+                    break
+            else:
+                count += 1
+        counts[n] = count
     return counts
 
 

@@ -11,6 +11,7 @@ from thcr.ring import (
     GrowthClass,
     Monomial,
     PowerRingSpec,
+    _compositions,
     associativity_check,
     decompose_brute,
     decompose_fast,
@@ -85,6 +86,22 @@ def test_grade_dimension_matches_enumeration():
                 assert mono.degree == expected
                 seen.add(mono.exps)
             assert len(seen) == grade_dimension(spec, n)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_monomials_strictly_increasing_lexicographic(m, r):
+    spec = PowerRingSpec(dim=m, power=r)
+    assert [z.exps for z in monomials(spec, 0)] == [(0,) * (m + 1)]
+    for n in range(5):
+        exps = [z.exps for z in monomials(spec, n)]
+        assert all(a < b for a, b in zip(exps, exps[1:]))
+        assert len(exps) == grade_dimension(spec, n)
+
+
+def test_compositions_single_part():
+    for total in range(6):
+        assert list(_compositions(total, 1)) == [(total,)]
 
 
 def test_grade_dimension_ternary_plane():
@@ -267,13 +284,33 @@ def test_generator_degrees_binary_plane_lower_bound():
 
 
 def test_generator_degrees_match_brute_route():
-    for spec in SPEC_GRID[:4]:
+    for spec in SPEC_GRID:
         counts = generator_degrees(spec, 4)
         for n in range(2, 5):
             brute = sum(
                 1 for z in monomials(spec, n) if decompose_brute(spec, z, n) is None
             )
             assert counts[n] == brute
+
+
+def test_generator_degrees_match_decompose_fast_grid():
+    # every grade from 2 that holds at most 10**4 monomials; r = 1 never
+    # outgrows that, so its grades stop where the deepest r = 2 grade does
+    for m in (1, 2, 3):
+        for r in (1, 2, 3, 4, 5):
+            spec = PowerRingSpec(dim=m, power=r)
+            top = 1
+            while top < 13 and grade_dimension(spec, top + 1) <= 10**4:
+                top += 1
+            counts = generator_degrees(spec, top)
+            assert counts[1] == m + 1
+            for n in range(2, top + 1):
+                by_decompose_fast = sum(
+                    1 for z in monomials(spec, n) if decompose_fast(spec, z, n) is None
+                )
+                assert counts[n] == by_decompose_fast, (m, r, n)
+                if r == 1:
+                    assert counts[n] == 0
 
 
 def test_generator_degrees_budget():
