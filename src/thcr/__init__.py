@@ -55,7 +55,6 @@ _EXPORTS = {
         "GrowthClass",
         "Monomial",
         "PowerRingSpec",
-        "associativity_check",
         "generator_degrees",
         "grade_dimension",
         "grade_of_degree",

@@ -12,11 +12,9 @@ The environment variable TWISTED_BUDGET overrides --budget.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Optional
 
 from . import __version__, citations
 from .ring import (
@@ -30,6 +28,8 @@ from .ring import (
     twist_degree,
 )
 
+# The annotations are strings (PEP 563); the name is for type checkers only.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .intlinalg import RationalInterval
 
@@ -46,33 +46,59 @@ class UsageError(Exception):
     """An invalid configuration; ``main`` reports it as a usage error and exits 2."""
 
 
-@dataclasses.dataclass
 class RunConfig:
-    command: str
-    power: Optional[int] = None
-    m: Optional[int] = None
-    max_n: Optional[int] = None
-    matrix: Optional[object] = None
-    divisor: Optional[list] = None
-    curves: Optional[list] = None
-    dim_x: Optional[int] = None
-    deg_sigma: Optional[int] = None
-    ample_flag: Optional[bool] = None
-    t: Optional[int] = None
-    fmt: str = "json"
-    out: Optional[str] = None
-    seed: int = 0
-    budget: Optional[int] = None
+    """The options of one call, named as the parser stores them."""
+
+    def __init__(self, command: str, power: int | None = None, m: int | None = None,
+                 max_n: int | None = None, matrix: object | None = None,
+                 divisor: list | None = None, curves: list | None = None,
+                 dim_x: int | None = None, deg_sigma: int | None = None,
+                 ample_flag: bool | None = None, t: int | None = None, fmt: str = "json",
+                 out: str | None = None, seed: int = 0, budget: int | None = None):
+        self.command = command
+        self.power = power
+        self.m = m
+        self.max_n = max_n
+        self.matrix = matrix
+        self.divisor = divisor
+        self.curves = curves
+        self.dim_x = dim_x
+        self.deg_sigma = deg_sigma
+        self.ample_flag = ample_flag
+        self.t = t
+        self.fmt = fmt
+        self.out = out
+        self.seed = seed
+        self.budget = budget
 
 
-@dataclasses.dataclass
+# RunConfig fields echoed into a report's inputs, with their report keys;
+# command, fmt (echoed as "format") and out are not.
+_ECHOED = (
+    ("power", "power"),
+    ("m", "m"),
+    ("max_n", "maxN"),
+    ("matrix", "matrix"),
+    ("divisor", "divisor"),
+    ("curves", "curves"),
+    ("dim_x", "dimX"),
+    ("deg_sigma", "degSigma"),
+    ("ample_flag", "ampleFlag"),
+    ("t", "t"),
+    ("seed", "seed"),
+    ("budget", "budget"),
+)
+
+
 class Report:
-    command: str
-    inputs: dict
-    results: dict
-    citations: list[str]
-    version: str
-    csv_table: Optional[tuple] = None
+    def __init__(self, command: str, inputs: dict, results: dict, citations: list[str],
+                 version: str, csv_table: tuple | None = None):
+        self.command = command
+        self.inputs = inputs
+        self.results = results
+        self.citations = citations
+        self.version = version
+        self.csv_table = csv_table
 
     def to_json(self) -> str:
         doc = {
@@ -93,7 +119,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def resolve_budget(flag_value: Optional[int]) -> int:
+def resolve_budget(flag_value: int | None) -> int:
     env = os.environ.get("TWISTED_BUDGET")
     if env is not None:
         try:
@@ -109,7 +135,7 @@ def resolve_budget(flag_value: Optional[int]) -> int:
     return budget
 
 
-def _interval_json(interval: Optional[RationalInterval]) -> Optional[dict]:
+def _interval_json(interval: RationalInterval | None) -> dict | None:
     if interval is None:
         return None
     return {
@@ -336,21 +362,11 @@ def run(config: RunConfig) -> Report:
 
 
 def _echo_inputs(config: RunConfig) -> dict:
-    skip = {"command", "fmt", "out"}
     echo = {"format": config.fmt}
-    for field in dataclasses.fields(config):
-        if field.name in skip:
-            continue
-        value = getattr(config, field.name)
-        if value is None:
-            continue
-        key = {
-            "max_n": "maxN",
-            "dim_x": "dimX",
-            "deg_sigma": "degSigma",
-            "ample_flag": "ampleFlag",
-        }.get(field.name, field.name)
-        echo[key] = value
+    for name, key in _ECHOED:
+        value = getattr(config, name)
+        if value is not None:
+            echo[key] = value
     return echo
 
 

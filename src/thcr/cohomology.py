@@ -14,11 +14,9 @@ one multiply-add rather than a power.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Optional
 
-from .ring import PowerRingSpec
+from .ring import PowerRingSpec, _Record, _setattr
 
 
 def h(space_dim: int, degree: int, q: int) -> int:
@@ -34,30 +32,36 @@ def h(space_dim: int, degree: int, q: int) -> int:
     return 0
 
 
-@dataclasses.dataclass(frozen=True)
-class ScanRow:
-    n: int
-    degree: int
-    q: int
-    value: int
+class ScanRow(_Record):
+    """``value`` = dim H^q of O(``degree``) at grade ``n`` of a scan."""
+
+    __slots__ = ("n", "degree", "q", "value")
+
+    def __init__(self, n: int, degree: int, q: int, value: int):
+        _setattr(self, "n", n)
+        _setattr(self, "degree", degree)
+        _setattr(self, "q", q)
+        _setattr(self, "value", value)
 
 
-@dataclasses.dataclass(frozen=True)
-class RightScanResult:
+class RightScanResult(_Record):
     """Outcome of scanning H^q(O(t + e_n)) for q > 0 over 0 <= n <= max_n.
 
     ``stabilized_at`` is the smallest n from which all higher cohomology
     vanishes through the end of the window, or None if it never does.
     """
 
-    twist: int
-    max_n: int
-    stabilized_at: Optional[int]
-    rows: tuple[ScanRow, ...]
+    __slots__ = ("twist", "max_n", "stabilized_at", "rows")
+
+    def __init__(self, twist: int, max_n: int, stabilized_at: int | None,
+                 rows: tuple[ScanRow, ...]):
+        _setattr(self, "twist", twist)
+        _setattr(self, "max_n", max_n)
+        _setattr(self, "stabilized_at", stabilized_at)
+        _setattr(self, "rows", rows)
 
 
-@dataclasses.dataclass(frozen=True)
-class LeftScanResult:
+class LeftScanResult(_Record):
     """Outcome of scanning H^q(O(e_n + r**n * t)) for q > 0 over n <= max_n.
 
     The degree e_n + r**n * t is the twist seen from the left: tensoring
@@ -67,10 +71,14 @@ class LeftScanResult:
     when set, the scan witnesses failure of vanishing on the left.
     """
 
-    twist: int
-    max_n: int
-    nonvanishing_from: Optional[int]
-    rows: tuple[ScanRow, ...]
+    __slots__ = ("twist", "max_n", "nonvanishing_from", "rows")
+
+    def __init__(self, twist: int, max_n: int, nonvanishing_from: int | None,
+                 rows: tuple[ScanRow, ...]):
+        _setattr(self, "twist", twist)
+        _setattr(self, "max_n", max_n)
+        _setattr(self, "nonvanishing_from", nonvanishing_from)
+        _setattr(self, "rows", rows)
 
     @property
     def nonvanishing(self) -> bool:
@@ -106,7 +114,7 @@ def right_vanishing_scan(spec: PowerRingSpec, twist: int, max_n: int) -> RightSc
     """Smallest n0 with H^q(O(twist + e_n)) = 0 for all q > 0, n0 <= n <= max_n."""
     _check_scan_args(spec, max_n)
     rows, clean = _scan(spec, max_n, twist, 1 - (spec.power - 1) * twist)
-    n0: Optional[int] = None
+    n0: int | None = None
     for n in range(max_n, -1, -1):
         if not clean[n]:
             break
@@ -118,7 +126,7 @@ def left_vanishing_scan(spec: PowerRingSpec, twist: int, max_n: int) -> LeftScan
     """Scan the left-twisted degrees e_n + r**n * twist for persistent cohomology."""
     _check_scan_args(spec, max_n)
     rows, clean = _scan(spec, max_n, twist, 1)
-    start: Optional[int] = None
+    start: int | None = None
     for n in range(max_n, -1, -1):
         if clean[n]:
             break

@@ -9,20 +9,26 @@ and the product of a grade-a piece with a grade-b piece raises the second
 factor's exponents by r**a before multiplying.  Since the twist fixes the
 base field, products of monomials are monomials, so generation questions
 reduce to exponent-vector combinatorics; this module provides the graded
-pieces, the twisted product, a decomposability test (two independent
-routes), generator counting, and a growth classifier.
+pieces, the twisted product, a decomposability test (which the tests check
+against brute-force enumeration), generator counting, and a growth
+classifier.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
-import random
-from fractions import Fraction
-from typing import Iterator, Optional
 
 DEFAULT_BUDGET = 10**6
+
+# The annotations are strings (PEP 563), so these names are needed only by
+# type checkers; importing typing or random would cost every cold CLI call.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import random
+    from collections.abc import Iterator
+
+_setattr = object.__setattr__
 
 
 class GradeError(ValueError):
@@ -42,8 +48,45 @@ class BudgetExceededError(RuntimeError):
         self.partial = dict(partial)
 
 
-@dataclasses.dataclass(frozen=True)
-class PowerRingSpec:
+class _Record:
+    """Immutable value record over the fields named in a subclass's ``__slots__``.
+
+    Equality and hashing go by the class and the field values, ``repr`` is
+    ``Name(field=value, ...)``, and assigning or deleting a field raises
+    ``AttributeError``, as for a frozen dataclass.  Each subclass writes its
+    own ``__init__``, which validates and stores the fields with
+    ``object.__setattr__``; pickling rebuilds a record by calling its class
+    with the field values, so unpickling runs the same checks.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class PowerRingSpec(_Record):
     """Ambient P^m (``dim`` = m) and the exponent ``power`` = r of x_i -> x_i**r.
 
     ``power`` may be any integer >= 1; r = 1 degenerates to the ordinary
@@ -51,32 +94,33 @@ class PowerRingSpec:
     nothing below needs primality.
     """
 
-    dim: int
-    power: int
+    __slots__ = ("dim", "power")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, power: int):
+        if dim < 1:
             raise ValueError("projective space dimension must be >= 1")
-        if self.power < 1:
+        if power < 1:
             raise ValueError("endomorphism power must be >= 1")
+        _setattr(self, "dim", dim)
+        _setattr(self, "power", power)
 
     @property
     def nvars(self) -> int:
         return self.dim + 1
 
 
-@dataclasses.dataclass(frozen=True)
-class Monomial:
+class Monomial(_Record):
     """Exponent vector of a monomial in the homogeneous coordinates."""
 
-    exps: tuple[int, ...]
+    __slots__ = ("exps",)
 
-    def __post_init__(self):
-        if any(e < 0 for e in self.exps):
+    def __init__(self, exps: tuple[int, ...]):
+        if any(e < 0 for e in exps):
             raise ValueError("exponents must be nonnegative")
+        _setattr(self, "exps", exps)
 
     @classmethod
-    def unit(cls, nvars: int) -> "Monomial":
+    def unit(cls, nvars: int) -> Monomial:
         return cls((0,) * nvars)
 
     @property
@@ -84,14 +128,16 @@ class Monomial:
         return sum(self.exps)
 
 
-@dataclasses.dataclass(frozen=True)
-class DecompositionWitness:
+class DecompositionWitness(_Record):
     """A factorization z = u * v with u in grade a, v in grade b."""
 
-    a: int
-    b: int
-    u: Monomial
-    v: Monomial
+    __slots__ = ("a", "b", "u", "v")
+
+    def __init__(self, a: int, b: int, u: Monomial, v: Monomial):
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "u", u)
+        _setattr(self, "v", v)
 
 
 def twist_degree(spec: PowerRingSpec, n: int) -> int:
@@ -165,7 +211,7 @@ def twisted_product(spec: PowerRingSpec, u: Monomial, v: Monomial) -> Monomial:
 
 def decompose_fast(
     spec: PowerRingSpec, z: Monomial, n: int
-) -> Optional[DecompositionWitness]:
+) -> DecompositionWitness | None:
     """Residue-based decomposability test, O(n * variables).
 
     Splitting z = u * v with u in grade a forces u's exponents to agree
@@ -201,28 +247,6 @@ def decompose_fast(
         v = Monomial(tuple((x - y) // q for x, y in zip(z.exps, alpha)))
         assert v.degree == twist_degree(spec, n - a)
         return DecompositionWitness(a, n - a, u, v)
-    return None
-
-
-def decompose_brute(
-    spec: PowerRingSpec, z: Monomial, n: int
-) -> Optional[DecompositionWitness]:
-    """Exhaustive decomposability test; the independent check of the fast route.
-
-    Enumerates every candidate second factor of every admissible grade.
-    Exponential in the grade, so only suitable at small sizes.
-    """
-    _require_grade(spec, z, n)
-    if n < 2:
-        return None
-    r = spec.power
-    for a in range(1, n):
-        b = n - a
-        q = r**a
-        for beta in _compositions(twist_degree(spec, b), spec.nvars):
-            alpha = tuple(e - q * x for e, x in zip(z.exps, beta))
-            if all(x >= 0 for x in alpha):
-                return DecompositionWitness(a, b, Monomial(alpha), Monomial(beta))
     return None
 
 
@@ -289,46 +313,29 @@ def random_monomial(spec: PowerRingSpec, n: int, rng: random.Random) -> Monomial
     return Monomial(tuple(exps))
 
 
-def associativity_check(
-    spec: PowerRingSpec, trials: int, seed: int, max_grade: int = 4
-) -> bool:
-    """Sample random graded triples and compare the two product orders."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        grades = [rng.randint(0, max_grade) for _ in range(3)]
-        u, v, w = (random_monomial(spec, g, rng) for g in grades)
-        left = twisted_product(spec, twisted_product(spec, u, v), w)
-        right = twisted_product(spec, u, twisted_product(spec, v, w))
-        if left != right:
-            return False
-    return True
-
-
 class GrowthClass(enum.Enum):
     POLYNOMIAL_BOUNDED = "PolynomialBounded"
     EXPONENTIAL = "Exponential"
 
 
-def growth_class(
-    dims, threshold: Fraction = Fraction(17, 16)
-) -> GrowthClass:
+def growth_class(dims) -> GrowthClass:
     """Classify a dimension sequence as polynomially bounded or exponential.
 
     Exponential means the consecutive ratios over the last half of the
-    window stay at or above the threshold and are not decaying: the final
-    ratio must not drop below the first tail ratio.  Polynomial sequences
-    fail the second condition on any window (their ratios slide toward 1),
+    window stay at or above 17/16 and are not decaying: the final ratio
+    must not drop below the first tail ratio.  Polynomial sequences fail
+    the second condition on any window (their ratios slide toward 1),
     while the section rings here have ratios increasing toward r**m.
+    The dimensions are positive, so both tests compare the ratios exactly
+    by cross-multiplying.
     """
     dims = list(dims)
     if len(dims) < 4:
         raise ValueError("need at least four terms")
     if any(d <= 0 for d in dims):
         raise ValueError("dimensions must be positive")
-    ratios = [Fraction(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
-    tail = ratios[len(ratios) // 2 :]
-    if min(tail) >= threshold and tail[-1] >= tail[0]:
+    first, last = (len(dims) - 1) // 2, len(dims) - 1
+    steep = all(16 * dims[i + 1] >= 17 * dims[i] for i in range(first, last))
+    if steep and dims[last] * dims[first] >= dims[first + 1] * dims[last - 1]:
         return GrowthClass.EXPONENTIAL
     return GrowthClass.POLYNOMIAL_BOUNDED

@@ -8,6 +8,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from ring_oracles import decompose_brute
 
 from thcr.dynamics import (
     CurveFunctional,
@@ -24,7 +25,6 @@ from thcr.ring import (
     GrowthClass,
     Monomial,
     PowerRingSpec,
-    decompose_brute,
     decompose_fast,
     generator_degrees,
     grade_dimension,

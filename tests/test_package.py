@@ -25,16 +25,20 @@ PUBLIC_NAMES = [
     "LeftScanResult", "Monomial", "NoRealEigenvalueError", "NonLeftAmpleWitness",
     "NotAnEigenvalueError", "NumericalActionSpec", "PowerRingSpec", "RationalInterval",
     "RightScanResult", "SingularMatrixError", "Verdict", "WitnessSearchExhausted",
-    "associativity_check", "char_poly", "citations", "classify_ampleness", "cohomology",
-    "count_real_roots_above", "cyclotomic", "degree_consistency", "delta_sequence", "det",
-    "dynamics", "generator_degrees", "grade_dimension", "grade_of_degree",
-    "growth_bound_check", "growth_class", "h", "intlinalg", "is_quasi_unipotent",
-    "jordan_growth_exponent", "left_vanishing_scan", "monomials", "non_left_ample_witness",
-    "orbit_pairings", "pairing", "random_monomial", "right_vanishing_scan", "ring",
-    "spectral_radius_interval", "twist_degree", "twisted_product",
+    "char_poly", "citations", "classify_ampleness", "cohomology", "count_real_roots_above",
+    "cyclotomic", "degree_consistency", "delta_sequence", "det", "dynamics",
+    "generator_degrees", "grade_dimension", "grade_of_degree", "growth_bound_check",
+    "growth_class", "h", "intlinalg", "is_quasi_unipotent", "jordan_growth_exponent",
+    "left_vanishing_scan", "monomials", "non_left_ample_witness", "orbit_pairings",
+    "pairing", "random_monomial", "right_vanishing_scan", "ring", "spectral_radius_interval",
+    "twist_degree", "twisted_product",
 ]
 
 COMPUTE_MODULES = {"thcr.cohomology", "thcr.dynamics", "thcr.intlinalg"}
+# standard-library modules whose import the subcommands other than
+# ampleness no longer pay for on a cold start (inspect, ast, dis and
+# tokenize come with dataclasses)
+COLD_START_FREE = {"dataclasses", "inspect", "fractions", "decimal", "typing", "random"}
 
 AMPLENESS = ["ampleness", "--matrix", "[[2, 1], [1, 1]]", "--divisor", "[1, 2]",
              "--curves", "[[1, 0], [0, 1]]"]
@@ -48,8 +52,8 @@ SUBCOMMANDS = [
 IDENTITY = ["ampleness", "--matrix", "[[1, 0], [0, 1]]", "--divisor", "[1, 1]",
             "--curves", "[[1, 0], [0, 1]]"]
 
-# Runs the CLI as `python -m thcr.cli ARGS` does, then prints the thcr
-# submodules it loaded as the last line of stderr.
+# Runs the CLI as `python -m thcr.cli ARGS` does, then prints the names of
+# all loaded modules as the last line of stderr.
 RUN_CLI = """
 import json, runpy, sys
 sys.argv = ["thcr", *sys.argv[1:]]
@@ -57,7 +61,7 @@ try:
     runpy.run_module("thcr.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps(sorted(k for k in sys.modules if k.startswith("thcr."))), file=sys.stderr)
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -68,10 +72,16 @@ def fresh_python(*args, text=True):
                           capture_output=True, text=text, timeout=60)
 
 
-def run_cli(*args):
-    proc = fresh_python("-c", RUN_CLI, *args)
+def loaded_modules(*args, flags=()):
+    """Run the CLI in a fresh ``python FLAGS``; the process and every module it loaded."""
+    proc = fresh_python(*flags, "-c", RUN_CLI, *args)
     *_, loaded = proc.stderr.splitlines()
     return proc, set(json.loads(loaded))
+
+
+def run_cli(*args):
+    proc, loaded = loaded_modules(*args)
+    return proc, {k for k in loaded if k.startswith("thcr.")}
 
 
 def test_import_thcr_loads_no_submodule():
@@ -95,6 +105,16 @@ def test_cohomology_subcommand_loads_neither_dynamics_nor_intlinalg():
     proc, loaded = run_cli("cohomology", "--p", "2", "--m", "1", "--t", "-2", "--max-n", "6")
     assert proc.returncode == 0, proc.stderr
     assert loaded == {"thcr.citations", "thcr.cohomology", "thcr.ring"}
+
+
+@pytest.mark.parametrize("args", SUBCOMMANDS[:4], ids=lambda args: args[0])
+def test_ring_subcommands_load_no_dataclasses_fractions_typing_or_random(args):
+    # -S, because site-packages' .pth files may import typing and random
+    # themselves before thcr runs
+    proc, loaded = loaded_modules(*args, flags=("-S",))
+    assert proc.returncode == 0, proc.stderr
+    assert "thcr.ring" in loaded
+    assert sorted(loaded & COLD_START_FREE) == []
 
 
 def test_ampleness_report_from_a_cold_start_is_unchanged():

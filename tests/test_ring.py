@@ -1,19 +1,22 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ring_oracles import associativity_check, decompose_brute
 
+from thcr.cohomology import LeftScanResult, RightScanResult, ScanRow
 from thcr.ring import (
     BudgetExceededError,
+    DecompositionWitness,
     GradeError,
     GrowthClass,
     Monomial,
     PowerRingSpec,
     _compositions,
-    associativity_check,
-    decompose_brute,
     decompose_fast,
     generator_degrees,
     grade_dimension,
@@ -397,11 +400,104 @@ def test_growth_class_section_rings():
     assert growth_class(dims) is GrowthClass.EXPONENTIAL
 
 
+def reference_growth_class(dims):
+    """The classifier on Fraction ratios, as growth_class computed it before
+    it cross-multiplied."""
+    ratios = [Fraction(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
+    tail = ratios[len(ratios) // 2 :]
+    if min(tail) >= Fraction(17, 16) and tail[-1] >= tail[0]:
+        return GrowthClass.EXPONENTIAL
+    return GrowthClass.POLYNOMIAL_BOUNDED
+
+
+@st.composite
+def near_threshold_windows(draw):
+    # steps of exactly 17/16 and equal first and last tail ratios are the
+    # boundary cases; d_0 is a multiple of 16**length so exact steps stay
+    # whole, and half the windows keep one step ratio throughout
+    length = draw(st.integers(4, 12))
+    steps = st.sampled_from([(17, 16), (17, 16), (2, 1), (16, 15), (1, 1), (18, 17), (3, 4)])
+    if draw(st.booleans()):
+        steps = st.just(draw(steps))
+    dims = [draw(st.integers(1, 40)) * 16**length]
+    for _ in range(length - 1):
+        num, den = draw(steps)
+        dims.append(max(1, dims[-1] * num // den + draw(st.integers(-1, 1))))
+    return dims
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    near_threshold_windows(),
+    st.lists(st.integers(1, 10**4), min_size=4, max_size=30),
+))
+def test_growth_class_matches_fraction_reference(dims):
+    assert growth_class(dims) is reference_growth_class(dims)
+
+
+def test_growth_class_boundaries():
+    # every tail ratio exactly 17/16, so both comparisons are equalities
+    assert growth_class([16**5, 17 * 16**4, 17**2 * 16**3, 17**3 * 16**2]) is (
+        GrowthClass.EXPONENTIAL)
+    # one tail step just under 17/16
+    assert growth_class([16**3, 17 * 16**2, 17**2 * 16, 17**3 - 1]) is (
+        GrowthClass.POLYNOMIAL_BOUNDED)
+
+
 def test_growth_class_validation():
     with pytest.raises(ValueError):
         growth_class([1, 2, 4])
     with pytest.raises(ValueError):
         growth_class([1, 2, 0, 4])
+
+
+# --- records ----------------------------------------------------------------------
+
+_ROW = ScanRow(n=0, degree=-3, q=1, value=1)
+# (record built by keyword, the same record built positionally, a different
+# record of the same class, the repr the frozen dataclasses printed)
+RECORDS = [
+    (PowerRingSpec(dim=1, power=2), PowerRingSpec(1, 2), PowerRingSpec(2, 1),
+     "PowerRingSpec(dim=1, power=2)"),
+    (Monomial(exps=(1, 2)), Monomial((1, 2)), Monomial((2, 1)), "Monomial(exps=(1, 2))"),
+    (DecompositionWitness(a=1, b=1, u=Monomial((1, 0)), v=Monomial((0, 1))),
+     DecompositionWitness(1, 1, Monomial((1, 0)), Monomial((0, 1))),
+     DecompositionWitness(1, 1, Monomial((0, 1)), Monomial((1, 0))),
+     "DecompositionWitness(a=1, b=1, u=Monomial(exps=(1, 0)), v=Monomial(exps=(0, 1)))"),
+    (ScanRow(n=0, degree=-3, q=1, value=1), ScanRow(0, -3, 1, 1), ScanRow(0, -3, 1, 2),
+     "ScanRow(n=0, degree=-3, q=1, value=1)"),
+    (RightScanResult(twist=-3, max_n=0, stabilized_at=None, rows=(_ROW,)),
+     RightScanResult(-3, 0, None, (_ROW,)), RightScanResult(-3, 0, 0, (_ROW,)),
+     "RightScanResult(twist=-3, max_n=0, stabilized_at=None, "
+     "rows=(ScanRow(n=0, degree=-3, q=1, value=1),))"),
+    (LeftScanResult(twist=-3, max_n=0, nonvanishing_from=0, rows=(_ROW,)),
+     LeftScanResult(-3, 0, 0, (_ROW,)), LeftScanResult(-3, 0, 0, ()),
+     "LeftScanResult(twist=-3, max_n=0, nonvanishing_from=0, "
+     "rows=(ScanRow(n=0, degree=-3, q=1, value=1),))"),
+]
+
+
+@pytest.mark.parametrize("record, twin, other, text", RECORDS,
+                         ids=[type(case[0]).__name__ for case in RECORDS])
+def test_records_are_frozen_values(record, twin, other, text):
+    assert record == twin and hash(record) == hash(twin)
+    assert record != other and not record == other
+    assert record != tuple(getattr(record, f) for f in record.__slots__)
+    assert len({record, twin, other}) == 2
+    assert repr(record) == text
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(record, protocol))
+        assert type(clone) is type(record) and clone == record
+    assert copy.copy(record) == record == copy.deepcopy(record)
+    field = record.__slots__[0]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    assert getattr(record, field) == getattr(twin, field)
+    assert not hasattr(record, "__dict__")
 
 
 def test_spec_validation():
