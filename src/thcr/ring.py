@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 
 DEFAULT_BUDGET = 10**6
 
@@ -29,6 +30,20 @@ if TYPE_CHECKING:
     from collections.abc import Iterator
 
 _setattr = object.__setattr__
+
+
+def _exact_int(name: str, value) -> int:
+    """``value`` as an int; bools, floats and strings raise TypeError, never truncate.
+
+    The same rule as ``intlinalg.exact_int``, kept here so that the ring
+    subcommands do not load ``intlinalg``; the message names the argument.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 class GradeError(ValueError):
@@ -91,12 +106,15 @@ class PowerRingSpec(_Record):
 
     ``power`` may be any integer >= 1; r = 1 degenerates to the ordinary
     polynomial ring.  Prime r is the motivating (Frobenius) case, but
-    nothing below needs primality.
+    nothing below needs primality.  Both must be integers: bools and
+    non-integral values raise ``TypeError``.
     """
 
     __slots__ = ("dim", "power")
 
     def __init__(self, dim: int, power: int):
+        dim = _exact_int("dim", dim)
+        power = _exact_int("power", power)
         if dim < 1:
             raise ValueError("projective space dimension must be >= 1")
         if power < 1:
@@ -151,14 +169,23 @@ def twist_degree(spec: PowerRingSpec, n: int) -> int:
 
 
 def grade_of_degree(spec: PowerRingSpec, total_degree: int) -> int:
-    """Inverse of twist_degree; raises GradeError off the degree ladder."""
-    n, e = 0, 0
-    while e < total_degree:
-        e = e * spec.power + 1
-        n += 1
-    if e != total_degree:
-        raise GradeError(f"{total_degree} is not a twist degree for r={spec.power}")
-    return n
+    """Inverse of twist_degree; raises GradeError off the degree ladder.
+
+    For r >= 2, ``total_degree`` = e_n exactly when
+    r**n == total_degree * (r - 1) + 1.  The logarithm of that target
+    rounds to the only candidate n (math.log works from the bit length of
+    a big int, and its error is far below 1/2 at any degree that fits in
+    memory), and one power checks it exactly.
+    """
+    r = spec.power
+    if total_degree >= 0:
+        if r == 1:
+            return total_degree
+        target = total_degree * (r - 1) + 1
+        n = round(math.log(target, r))
+        if r**n == target:
+            return n
+    raise GradeError(f"{total_degree} is not a twist degree for r={r}")
 
 
 def grade_dimension(spec: PowerRingSpec, n: int) -> int:
@@ -212,39 +239,43 @@ def twisted_product(spec: PowerRingSpec, u: Monomial, v: Monomial) -> Monomial:
 def decompose_fast(
     spec: PowerRingSpec, z: Monomial, n: int
 ) -> DecompositionWitness | None:
-    """Residue-based decomposability test, O(n * variables).
+    """Decomposability test by one inequality per grade, O(n * variables).
 
     Splitting z = u * v with u in grade a forces u's exponents to agree
-    with z's modulo r**a.  Writing u_i = (z_i mod r**a) + r**a * k_i, the
-    k_i must be nonnegative, at most z_i // r**a, and sum to
-    (e_a - sum of residues) / r**a.  Since sum z_i = e_a + r**a * e_b,
-    that target is always an integer and the capacities always cover it,
-    so a split at grade a exists iff sum(z_i mod r**a) <= e_a; any greedy
-    fill then produces a witness.  The smallest such a is returned.
+    with z's modulo r**a, so v_i <= w_i = z_i // r**a, and the degrees
+    force sum(v) = e_{n-a}.  Such a v exists iff
 
-    The grade loop carries q = r**a (q *= r) and e_a = r * e_{a-1} + 1
-    from one grade to the next instead of recomputing either.
+        sum_i (z_i mod r**a) <= e_a,   equivalently   sum_i w_i >= e_{n-a},
+
+    the two forms being one inequality because sum z_i = e_n =
+    e_a + r**a * e_{n-a}.  The smallest split grade a is returned.
+
+    The loop carries the quotients (w_i //= r) and the target
+    (e_{n-a} = (e_{n-a+1} - 1) // r, from e_n) from one grade to the next,
+    so each grade costs one small division per coordinate.  The witness
+    removes the excess k = sum(w) - e_{n-a} from w greedily in coordinate
+    order, giving v, and u = z - r**a * v: the same witness as the residue
+    form, which fills u_i = (z_i mod r**a) + r**a * take_i with the same
+    takes.
     """
     _require_grade(spec, z, n)
     r = spec.power
-    q, e_a = 1, 0
+    w = z.exps
+    t = sum(w)  # e_n, by the grade check
     for a in range(1, n):
-        q *= r
-        e_a = r * e_a + 1
-        residues = [e % q for e in z.exps]
-        need = e_a - sum(residues)
-        if need < 0:
+        w = [x // r for x in w]
+        t = (t - 1) // r
+        k = sum(w) - t
+        if k < 0:
             continue
-        k = need // q
-        alpha = residues
-        for i, e in enumerate(z.exps):
-            take = min(e // q, k)
-            alpha[i] += take * q
+        v = []
+        for x in w:
+            take = min(x, k)
+            v.append(x - take)
             k -= take
-            if k == 0:
-                break
-        u = Monomial(tuple(alpha))
-        v = Monomial(tuple((x - y) // q for x, y in zip(z.exps, alpha)))
+        q = r**a
+        u = Monomial(tuple([x - q * y for x, y in zip(z.exps, v)]))
+        v = Monomial(tuple(v))
         assert v.degree == twist_degree(spec, n - a)
         return DecompositionWitness(a, n - a, u, v)
     return None
@@ -260,10 +291,13 @@ def generator_degrees(
     count for 2 <= n <= max_n is zero.
 
     By the criterion behind ``decompose_fast``, a grade-n exponent vector z
-    is a new generator iff sum_i (z_i mod r**a) > e_a for every 1 <= a < n.
-    Each grade's ladder of (r**a, e_a) is built once; each monomial of each
-    grade is then visited once, with at most n - 1 residue sums and no
-    witness.
+    is a new generator iff, for every 1 <= a < n,
+
+        sum_i (z_i mod r**a) > e_a,   equivalently   sum_i z_i // r**a < e_{n-a}.
+
+    The residue form is the one tested here: each grade's ladder of
+    (r**a, e_a) is built once; each monomial of each grade is then visited
+    once, with at most n - 1 residue sums and no witness.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")

@@ -1,7 +1,8 @@
-"""Brute-force oracles for ``thcr.ring``: the exhaustive decomposability
-search that ``decompose_fast`` is checked against, and the sampled
-associativity check of the twisted product.  Nothing in the library uses
-them."""
+"""Reference implementations for ``thcr.ring``: the exhaustive
+decomposability search that ``decompose_fast`` is checked against, the
+residue form of ``decompose_fast`` whose witnesses it must reproduce
+exactly, and the sampled associativity check of the twisted product.
+Nothing in the library uses them."""
 
 import random
 
@@ -33,6 +34,45 @@ def decompose_brute(spec, z, n):
             alpha = tuple(e - q * x for e, x in zip(z.exps, beta))
             if all(x >= 0 for x in alpha):
                 return DecompositionWitness(a, b, Monomial(alpha), Monomial(beta))
+    return None
+
+
+def decompose_residue(spec, z, n):
+    """Residue-based decomposability test, O(n * variables).
+
+    Splitting z = u * v with u in grade a forces u's exponents to agree
+    with z's modulo r**a.  Writing u_i = (z_i mod r**a) + r**a * k_i, the
+    k_i must be nonnegative, at most z_i // r**a, and sum to
+    (e_a - sum of residues) / r**a.  Since sum z_i = e_a + r**a * e_b,
+    that target is always an integer and the capacities always cover it,
+    so a split at grade a exists iff sum(z_i mod r**a) <= e_a; any greedy
+    fill then produces a witness.  The smallest such a is returned.
+
+    The grade loop carries q = r**a (q *= r) and e_a = r * e_{a-1} + 1
+    from one grade to the next instead of recomputing either.
+    """
+    _require_grade(spec, z, n)
+    r = spec.power
+    q, e_a = 1, 0
+    for a in range(1, n):
+        q *= r
+        e_a = r * e_a + 1
+        residues = [e % q for e in z.exps]
+        need = e_a - sum(residues)
+        if need < 0:
+            continue
+        k = need // q
+        alpha = residues
+        for i, e in enumerate(z.exps):
+            take = min(e // q, k)
+            alpha[i] += take * q
+            k -= take
+            if k == 0:
+                break
+        u = Monomial(tuple(alpha))
+        v = Monomial(tuple((x - y) // q for x, y in zip(z.exps, alpha)))
+        assert v.degree == twist_degree(spec, n - a)
+        return DecompositionWitness(a, n - a, u, v)
     return None
 
 

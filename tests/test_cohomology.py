@@ -77,6 +77,24 @@ def test_h_validation():
         h(0, 0, 0)
 
 
+@pytest.mark.parametrize("args", [
+    (2, 1.5, 2), (2.0, 1, 2), (2, 1, 2.0), (True, 1, 1), (2, False, 2), (2, 1, True),
+    ("2", 1, 2), (2, None, 2),
+], ids=repr)
+def test_h_rejects_non_integers(args):
+    with pytest.raises(TypeError, match="must be an integer"):
+        h(*args)
+
+
+@pytest.mark.parametrize("scan", [right_vanishing_scan, left_vanishing_scan])
+@pytest.mark.parametrize("twist, max_n", [
+    (1.5, 3), (-2.0, 3), (True, 3), (-2, 3.0), (-2, False), ("-2", 3), (-2, None),
+], ids=repr)
+def test_scans_reject_non_integers(scan, twist, max_n):
+    with pytest.raises(TypeError, match="must be an integer"):
+        scan(PowerRingSpec(2, 2), twist, max_n)
+
+
 def test_line_bundle_and_table():
     assert h(2, -4, 2) == 3
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from ring_oracles import associativity_check, decompose_brute
+from ring_oracles import associativity_check, decompose_brute, decompose_residue
 
 from thcr.cohomology import LeftScanResult, RightScanResult, ScanRow
 from thcr.ring import (
@@ -64,6 +64,38 @@ def test_grade_of_degree_roundtrip():
         assert grade_of_degree(spec, twist_degree(spec, n)) == n
     with pytest.raises(GradeError):
         grade_of_degree(spec, 2)
+
+
+def ladder_grade_of_degree(spec, total_degree):
+    """The ladder walk e -> r * e + 1 that grade_of_degree used to take."""
+    n, e = 0, 0
+    while e < total_degree:
+        e = e * spec.power + 1
+        n += 1
+    if e != total_degree:
+        raise GradeError(f"{total_degree} is not a twist degree for r={spec.power}")
+    return n
+
+
+def grade_or_error(inverse, spec, total_degree):
+    try:
+        return "grade", inverse(spec, total_degree)
+    except GradeError as err:
+        return "error", str(err)
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_grade_of_degree_matches_ladder_walk(r):
+    # every degree in -3..3000, and e_n - 1, e_n, e_n + 1 for n < 200, where
+    # the degrees run to hundreds of digits
+    spec = PowerRingSpec(dim=2, power=r)
+    degrees = list(range(-3, 3001))
+    for n in range(200):
+        e = twist_degree(spec, n)
+        degrees += [e - 1, e, e + 1]
+    for d in degrees:
+        assert grade_or_error(grade_of_degree, spec, d) == grade_or_error(
+            ladder_grade_of_degree, spec, d), d
 
 
 # --- graded dimensions ------------------------------------------------------------
@@ -256,6 +288,34 @@ def test_decompose_fast_deep_grades_match_criterion(m, r, n):
         assert witness.v.degree == twist_degree(spec, n - grade)
         assert twisted_product(spec, witness.u, witness.v) == z
     assert splits > 0
+
+
+# the eight (m, r, n) shapes of the deep-queries benchmark workload, and r = 1
+DEEP_SHAPES = [(8, 2, 62), (4, 3, 40), (1, 2, 64), (2, 5, 27), (8, 5, 27),
+               (3, 2, 63), (6, 3, 40), (2, 7, 23), (3, 1, 50)]
+
+
+def test_decompose_fast_witness_equals_residue_form_on_small_grades():
+    # every grade whose piece holds at most 3,000 monomials; on the line
+    # with r = 1 that is every grade up to 2,998, so it stops at grade 100
+    for m in (1, 2, 3):
+        for r in (1, 2, 3, 4):
+            spec = PowerRingSpec(dim=m, power=r)
+            n = 0
+            while n < 100 and grade_dimension(spec, n + 1) <= 3000:
+                n += 1
+                for z in monomials(spec, n):
+                    assert decompose_fast(spec, z, n) == decompose_residue(spec, z, n), (
+                        spec, z)
+
+
+@pytest.mark.parametrize("m, r, n", DEEP_SHAPES)
+def test_decompose_fast_witness_equals_residue_form_deep(m, r, n):
+    spec = PowerRingSpec(dim=m, power=r)
+    rng = random.Random(f"{m}:{r}:{n}")
+    for _ in range(200):
+        z = random_monomial(spec, n, rng)
+        assert decompose_fast(spec, z, n) == decompose_residue(spec, z, n), z
 
 
 def test_is_decomposable_dispatch():
@@ -498,6 +558,30 @@ def test_records_are_frozen_values(record, twin, other, text):
         record.extra = 0
     assert getattr(record, field) == getattr(twin, field)
     assert not hasattr(record, "__dict__")
+
+
+class _Index:
+    """An integer-like value that is not an int, as numpy's integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("dim, power", [
+    (True, 2), (1, False), (2.5, 2), (1, 2.0), (2.0, 2), ("1", 2), (1, None),
+], ids=repr)
+def test_spec_rejects_non_integers(dim, power):
+    with pytest.raises(TypeError, match="must be an integer"):
+        PowerRingSpec(dim, power)
+
+
+def test_spec_takes_integer_likes_as_ints():
+    spec = PowerRingSpec(_Index(2), _Index(3))
+    assert spec == PowerRingSpec(2, 3)
+    assert type(spec.dim) is int and type(spec.power) is int
 
 
 def test_spec_validation():
