@@ -128,13 +128,21 @@ class PowerRingSpec(_Record):
 
 
 class Monomial(_Record):
-    """Exponent vector of a monomial in the homogeneous coordinates."""
+    """Exponent vector of a monomial in the homogeneous coordinates.
+
+    Exponents must be nonnegative integers: bools, floats and strings raise
+    ``TypeError``, negatives ``ValueError``, and integer-likes become ints.
+    """
 
     __slots__ = ("exps",)
 
     def __init__(self, exps: tuple[int, ...]):
-        if any(e < 0 for e in exps):
-            raise ValueError("exponents must be nonnegative")
+        for e in exps:
+            if type(e) is not int:
+                self.__init__(tuple([_exact_int("exponent", x) for x in exps]))
+                return
+            if e < 0:
+                raise ValueError("exponents must be nonnegative")
         _setattr(self, "exps", exps)
 
     @classmethod
@@ -208,6 +216,38 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         for head in range(total + 1):
             for rest in _compositions(total - head, parts - 1):
                 yield (head, *rest)
+
+
+def _sorted_parts(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Every non-increasing ``parts``-tuple of ints in 0..cap summing to ``total``.
+
+    The tuples come lexicographically, as from ``_compositions``; the head
+    runs from ceil(total / parts), the least a largest part can be, to the
+    cap, and the tail is walked under the head as its cap.
+    """
+    if parts == 1:
+        if total <= cap:
+            yield (total,)
+    elif parts == 2:
+        for head in range(-(-total // 2), min(cap, total) + 1):
+            yield (head, total - head)
+    else:
+        for head in range(-(-total // parts), min(cap, total) + 1):
+            for rest in _sorted_parts(total - head, parts - 1, head):
+                yield (head, *rest)
+
+
+def _orbit_size(z: tuple[int, ...]) -> int:
+    """Distinct orderings of a sorted tuple: len(z)! / prod(run length!)."""
+    size = math.factorial(len(z))
+    run = 1
+    for i in range(1, len(z)):
+        if z[i] == z[i - 1]:
+            run += 1
+            size //= run
+        else:
+            run = 1
+    return size
 
 
 def monomials(spec: PowerRingSpec, n: int) -> Iterator[Monomial]:
@@ -295,14 +335,32 @@ def generator_degrees(
 
         sum_i (z_i mod r**a) > e_a,   equivalently   sum_i z_i // r**a < e_{n-a}.
 
-    The residue form is the one tested here: each grade's ladder of
-    (r**a, e_a) is built once; each monomial of each grade is then visited
-    once, with at most n - 1 residue sums and no witness.
+    The residue form is the one tested here, and two facts shrink the walk:
+
+    * Cap lemma.  If some z_i >= r**(n-1), then sum_i (z_i mod r**(n-1))
+      <= e_n - r**(n-1) = e_{n-1}, so z splits at grade n - 1.  Every
+      generator therefore has all z_i <= r**(n-1) - 1, and under that cap
+      the residues at a = n - 1 are z itself, whose sum e_n > e_{n-1}
+      never splits: the top rung leaves the ladder.
+    * Symmetry.  The test is symmetric in the coordinates, so only
+      non-increasing z are walked, and each generator found counts its
+      orbit size (m+1)! / prod(run length!) (``_orbit_size``).
+
+    The ladder of (r**a, e_a), 1 <= a <= n - 2, grows by one rung per
+    grade (q *= r, e_a = r * e_a + 1); each sorted, capped z is visited
+    once, with at most n - 2 residue sums and no witness.  The budget
+    still compares the full grade dimension.
+
+    Corollary: P^1 with r = 2 is generated in degree one in every grade.
+    Under the cap, z_0 + z_1 <= 2**n - 2 < e_n = 2**n - 1, so the capped
+    walk of every grade n >= 2 is empty.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     r = spec.power
     counts: dict[int, int] = {}
+    ladder: list[tuple[int, int]] = []
+    q, e_a = 1, 0
     for n in range(1, max_n + 1):
         size = grade_dimension(spec, n)
         if size > budget:
@@ -310,20 +368,19 @@ def generator_degrees(
         if n < 2:
             counts[n] = size
             continue
-        ladder = []
-        q, e_a = 1, 0
-        for _ in range(1, n):
-            q *= r
-            e_a = r * e_a + 1
-            ladder.append((q, e_a))
         count = 0
-        for z in _compositions(twist_degree(spec, n), spec.nvars):
-            for q, e_a in ladder:
-                if sum([x % q for x in z]) <= e_a:
+        # q = r**(n-2) here, so the cap is r**(n-1) - 1
+        for z in _sorted_parts(twist_degree(spec, n), spec.nvars, q * r - 1):
+            for q_a, e in ladder:
+                if sum([x % q_a for x in z]) <= e:
                     break
             else:
-                count += 1
+                count += _orbit_size(z)
         counts[n] = count
+        # grade n + 1 tests the rungs a <= n - 1
+        q *= r
+        e_a = r * e_a + 1
+        ladder.append((q, e_a))
     return counts
 
 

@@ -1,4 +1,6 @@
 import copy
+import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -17,6 +19,8 @@ from thcr.ring import (
     Monomial,
     PowerRingSpec,
     _compositions,
+    _orbit_size,
+    _sorted_parts,
     decompose_fast,
     generator_degrees,
     grade_dimension,
@@ -357,23 +361,25 @@ def test_generator_degrees_match_brute_route():
 
 
 def test_generator_degrees_match_decompose_fast_grid():
-    # every grade from 2 that holds at most 10**4 monomials; r = 1 never
-    # outgrows that, so its grades stop where the deepest r = 2 grade does
-    for m in (1, 2, 3):
-        for r in (1, 2, 3, 4, 5):
-            spec = PowerRingSpec(dim=m, power=r)
-            top = 1
-            while top < 13 and grade_dimension(spec, top + 1) <= 10**4:
-                top += 1
-            counts = generator_degrees(spec, top)
-            assert counts[1] == m + 1
-            for n in range(2, top + 1):
-                by_decompose_fast = sum(
-                    1 for z in monomials(spec, n) if decompose_fast(spec, z, n) is None
-                )
-                assert counts[n] == by_decompose_fast, (m, r, n)
-                if r == 1:
-                    assert counts[n] == 0
+    # the oracle of the capped, sorted walk: decompose_fast over every
+    # monomial of every grade from 2 that holds at most 10**4 monomials;
+    # r = 1 never outgrows that, so its grades stop where the deepest r = 2
+    # grade does
+    grid = [(m, r) for m in (1, 2, 3) for r in (1, 2, 3, 4, 5)]
+    for m, r in grid + [(4, r) for r in (2, 3, 4, 5)]:
+        spec = PowerRingSpec(dim=m, power=r)
+        top = 1
+        while top < 13 and grade_dimension(spec, top + 1) <= 10**4:
+            top += 1
+        counts = generator_degrees(spec, top)
+        assert counts[1] == m + 1
+        for n in range(2, top + 1):
+            by_decompose_fast = sum(
+                1 for z in monomials(spec, n) if decompose_fast(spec, z, n) is None
+            )
+            assert counts[n] == by_decompose_fast, (m, r, n)
+            if r == 1:
+                assert counts[n] == 0
 
 
 def test_generator_degrees_budget():
@@ -382,6 +388,55 @@ def test_generator_degrees_budget():
     err = info.value
     assert err.grade == 4
     assert err.partial == {1: 3, 2: 1, 3: 3}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    total=st.integers(min_value=0, max_value=14),
+    parts=st.integers(min_value=1, max_value=5),
+    cap=st.integers(min_value=0, max_value=16),
+)
+def test_sorted_parts_are_the_sorted_capped_compositions(total, parts, cap):
+    want = [
+        z for z in _compositions(total, parts)
+        if list(z) == sorted(z, reverse=True) and max(z) <= cap
+    ]
+    assert list(_sorted_parts(total, parts, cap)) == want
+
+
+def test_orbit_sizes_cover_every_composition():
+    for parts in range(1, 6):
+        for total in range(12):
+            walk = list(_sorted_parts(total, parts, total))
+            assert sum(_orbit_size(z) for z in walk) == math.comb(total + parts - 1, parts - 1)
+            for z in walk:
+                assert _orbit_size(z) == len(set(itertools.permutations(z)))
+
+
+def test_cap_lemma_every_large_exponent_splits():
+    # a monomial of grade n with an exponent >= r**(n-1) splits at grade n - 1
+    # or lower, so the capped walk misses no generator
+    checked = 0
+    for m in (1, 2, 3):
+        for r in (2, 3, 4):
+            spec = PowerRingSpec(dim=m, power=r)
+            n = 2
+            while grade_dimension(spec, n) <= 3000:
+                cap = r ** (n - 1)
+                for z in monomials(spec, n):
+                    if max(z.exps) >= cap:
+                        witness = decompose_fast(spec, z, n)
+                        assert witness is not None, (m, r, z)
+                        checked += 1
+                n += 1
+    assert checked > 1000
+
+
+def test_binary_line_capped_walk_is_empty_in_every_grade():
+    # (1, 2) is generated in degree one: under the cap x + y <= 2**n - 2,
+    # one short of e_n = 2**n - 1, whatever the budget
+    for n in range(2, 501):
+        assert list(_sorted_parts(2**n - 1, 2, 2 ** (n - 1) - 1)) == []
 
 
 # --- sampling and laws ------------------------------------------------------------------
@@ -591,3 +646,21 @@ def test_spec_validation():
         PowerRingSpec(dim=1, power=0)
     with pytest.raises(ValueError):
         Monomial((1, -1))
+
+
+# (0.5, 0.5) and (True, 0) once multiplied to Monomial(exps=(2.5, 0.5)), and
+# decompose_fast answered None for (1.5, 1.5)
+@pytest.mark.parametrize("exps", [
+    (0.5, 0.5), (True, 0), (0, False), (1.5, 1.5), ("1", 0), (2.0, 1), (1, None),
+], ids=repr)
+def test_monomial_rejects_non_integer_exponents(exps):
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        Monomial(exps)
+
+
+def test_monomial_takes_integer_likes_as_ints():
+    mono = Monomial((_Index(2), 1))
+    assert mono == Monomial((2, 1))
+    assert all(type(e) is int for e in mono.exps)
+    with pytest.raises(ValueError):
+        Monomial((_Index(-1), 1))
