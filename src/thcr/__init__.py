@@ -20,7 +20,6 @@ _EXPORTS = {
         "AmplenessReport",
         "CurveFunctional",
         "DivisorClass",
-        "GrowthFit",
         "NonLeftAmpleWitness",
         "NumericalActionSpec",
         "Verdict",
@@ -28,7 +27,6 @@ _EXPORTS = {
         "classify_ampleness",
         "degree_consistency",
         "delta_sequence",
-        "growth_bound_check",
         "non_left_ample_witness",
         "orbit_pairings",
         "pairing",

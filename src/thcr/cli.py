@@ -46,34 +46,9 @@ class UsageError(Exception):
     """An invalid configuration; ``main`` reports it as a usage error and exits 2."""
 
 
-class RunConfig:
-    """The options of one call, named as the parser stores them."""
-
-    def __init__(self, command: str, power: int | None = None, m: int | None = None,
-                 max_n: int | None = None, matrix: object | None = None,
-                 divisor: list | None = None, curves: list | None = None,
-                 dim_x: int | None = None, deg_sigma: int | None = None,
-                 ample_flag: bool | None = None, t: int | None = None, fmt: str = "json",
-                 out: str | None = None, seed: int = 0, budget: int | None = None):
-        self.command = command
-        self.power = power
-        self.m = m
-        self.max_n = max_n
-        self.matrix = matrix
-        self.divisor = divisor
-        self.curves = curves
-        self.dim_x = dim_x
-        self.deg_sigma = deg_sigma
-        self.ample_flag = ample_flag
-        self.t = t
-        self.fmt = fmt
-        self.out = out
-        self.seed = seed
-        self.budget = budget
-
-
-# RunConfig fields echoed into a report's inputs, with their report keys;
-# command, fmt (echoed as "format") and out are not.
+# Parsed options echoed into a report's inputs, with their report keys;
+# command, fmt (echoed as "format") and out are not.  A subcommand's
+# namespace holds only its own options.
 _ECHOED = (
     ("power", "power"),
     ("m", "m"),
@@ -150,18 +125,9 @@ def _collect_citations(reasons) -> list[str]:
     return sorted(set(reasons) & _CITATION_IDS)
 
 
-def _ring_spec(config: RunConfig) -> PowerRingSpec:
-    if config.power is None or config.m is None:
-        raise UsageError("--p/--r and --m are required")
-    try:
-        return PowerRingSpec(dim=config.m, power=config.power)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _run_dims(config: RunConfig) -> Report:
-    spec = _ring_spec(config)
-    max_n = config.max_n if config.max_n is not None else 8
+def _run_dims(config: argparse.Namespace) -> Report:
+    spec = PowerRingSpec(dim=config.m, power=config.power)
+    max_n = config.max_n
     if max_n < 0:
         raise UsageError("--max-n must be >= 0")
     rows = [
@@ -176,9 +142,9 @@ def _run_dims(config: RunConfig) -> Report:
     return Report("dims", _echo_inputs(config), results, [], __version__, csv_table)
 
 
-def _run_gens(config: RunConfig) -> Report:
-    spec = _ring_spec(config)
-    max_n = config.max_n if config.max_n is not None else 4
+def _run_gens(config: argparse.Namespace) -> Report:
+    spec = PowerRingSpec(dim=config.m, power=config.power)
+    max_n = config.max_n
     budget = resolve_budget(config.budget)
     counts = generator_degrees(spec, max_n, budget=budget)
     generated = all(counts[n] == 0 for n in range(2, max_n + 1))
@@ -197,10 +163,9 @@ def _run_gens(config: RunConfig) -> Report:
     return Report("gens", _echo_inputs(config), results, cites, __version__, csv_table)
 
 
-def _run_growth(config: RunConfig) -> Report:
-    spec = _ring_spec(config)
-    max_n = config.max_n if config.max_n is not None else 10
-    dims = [grade_dimension(spec, n) for n in range(max_n + 1)]
+def _run_growth(config: argparse.Namespace) -> Report:
+    spec = PowerRingSpec(dim=config.m, power=config.power)
+    dims = [grade_dimension(spec, n) for n in range(config.max_n + 1)]
     verdict = growth_class(dims)
     exponential = verdict is GrowthClass.EXPONENTIAL
     cites = [citations.EXPONENTIAL_GROWTH_NOT_NOETHERIAN] if exponential else []
@@ -213,18 +178,12 @@ def _run_growth(config: RunConfig) -> Report:
     return Report("growth", _echo_inputs(config), results, cites, __version__, csv_table)
 
 
-def _run_cohomology(config: RunConfig) -> Report:
+def _run_cohomology(config: argparse.Namespace) -> Report:
     from .cohomology import left_vanishing_scan, right_vanishing_scan
 
-    spec = _ring_spec(config)
-    if config.t is None:
-        raise UsageError("--t is required for cohomology scans")
-    max_n = config.max_n if config.max_n is not None else 12
-    try:
-        right = right_vanishing_scan(spec, config.t, max_n)
-        left = left_vanishing_scan(spec, config.t, max_n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    spec = PowerRingSpec(dim=config.m, power=config.power)
+    right = right_vanishing_scan(spec, config.t, config.max_n)
+    left = left_vanishing_scan(spec, config.t, config.max_n)
     cites = []
     if right.stabilized_at is not None:
         cites.append(citations.EVENTUAL_VANISHING)
@@ -279,7 +238,7 @@ def _require_rows(value, what: str) -> None:
         raise UsageError(f"{what} must be a JSON list of lists of integers")
 
 
-def _run_ampleness(config: RunConfig) -> Report:
+def _run_ampleness(config: argparse.Namespace) -> Report:
     from .dynamics import (
         DivisorClass,
         NumericalActionSpec,
@@ -288,8 +247,6 @@ def _run_ampleness(config: RunConfig) -> Report:
         degree_consistency,
     )
 
-    if config.matrix is None:
-        raise UsageError("--matrix is required (inline JSON or a file path)")
     in_doc = isinstance(config.matrix, dict)
     doc = dict(config.matrix) if in_doc else {"P": config.matrix}
     if config.curves is not None:
@@ -303,8 +260,6 @@ def _run_ampleness(config: RunConfig) -> Report:
     doc.setdefault("curves", None)
     if doc["curves"] is None:
         raise UsageError("--curves is required (or supply them in the spec file)")
-    if config.divisor is None:
-        raise UsageError("--divisor is required")
     if "P" in doc:
         _require_rows(doc["P"], '"P" in the --matrix document' if in_doc else "--matrix")
     _require_rows(doc["curves"], "--curves" if config.curves is not None
@@ -352,29 +307,16 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> Report:
-    """Dispatch a validated configuration to its command implementation."""
-    try:
-        runner = _RUNNERS[config.command]
-    except KeyError:
-        raise UsageError(f"unknown command {config.command!r}")
-    return runner(config)
-
-
-def _echo_inputs(config: RunConfig) -> dict:
+def _echo_inputs(config: argparse.Namespace) -> dict:
     echo = {"format": config.fmt}
     for name, key in _ECHOED:
-        value = getattr(config, name)
+        value = getattr(config, name, None)
         if value is not None:
             echo[key] = value
     return echo
 
 
-def _emit(report: Report, config: RunConfig) -> None:
-    try:
-        text = report.to_json() if config.fmt == "json" else report.to_csv()
-    except ValueError as exc:
-        raise UsageError(str(exc))
+def _emit(text: str, config: argparse.Namespace) -> None:
     if config.out:
         try:
             with open(config.out, "w", encoding="utf-8") as handle:
@@ -385,9 +327,10 @@ def _emit(report: Report, config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _execute(config: RunConfig) -> int:
+def _execute(config: argparse.Namespace) -> int:
     try:
-        report = run(config)
+        report = _RUNNERS[config.command](config)
+        text = report.to_json() if config.fmt == "json" else report.to_csv()
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         partial = {str(n): exc.partial[n] for n in sorted(exc.partial)}
@@ -395,7 +338,7 @@ def _execute(config: RunConfig) -> int:
         return 3
     except ValueError as exc:
         raise UsageError(str(exc))
-    _emit(report, config)
+    _emit(text, config)
     return 0
 
 
@@ -479,14 +422,13 @@ def main(argv=None) -> int:
     usage = commands[args.command]
     if extra:
         usage.error(f"unrecognized arguments: {' '.join(extra)}")
-    config = RunConfig(**vars(args))
     try:
-        if config.command == "ampleness":
-            config.matrix = _parse_json_argument(config.matrix, "--matrix")
-            config.divisor = _parse_json_argument(config.divisor, "--divisor")
-            config.curves = (_parse_json_argument(config.curves, "--curves")
-                             if config.curves else None)
-        return _execute(config)
+        if args.command == "ampleness":
+            args.matrix = _parse_json_argument(args.matrix, "--matrix")
+            args.divisor = _parse_json_argument(args.divisor, "--divisor")
+            args.curves = (_parse_json_argument(args.curves, "--curves")
+                           if args.curves else None)
+        return _execute(args)
     except UsageError as exc:
         usage.error(str(exc))
 

@@ -26,8 +26,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import operator
-from fractions import Fraction
-from typing import Optional
 
 from . import citations
 from .intlinalg import (
@@ -38,10 +36,15 @@ from .intlinalg import (
     RationalInterval,
     char_poly,
     count_real_roots_above,
-    exact_int,
     is_quasi_unipotent,
     spectral_radius_interval,
 )
+from .ring import _exact_int
+
+# The annotations are strings (PEP 563); the name is for type checkers only.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class WitnessSearchExhausted(RuntimeError):
@@ -76,11 +79,11 @@ def pairing(divisor: DivisorClass, curve: CurveFunctional) -> int:
 
 
 def _int_row(values) -> tuple[int, ...]:
-    """``values`` as a tuple of ints: plain ints as they are, others by ``exact_int``."""
+    """``values`` as a tuple of ints: plain ints as they are, others by ``_exact_int``."""
     row = tuple(values)
     if all(type(x) is int for x in row):
         return row
-    return tuple(map(exact_int, row))
+    return tuple([_exact_int("curve entry", x) for x in row])
 
 
 @dataclasses.dataclass(init=False, frozen=True)
@@ -96,8 +99,8 @@ class NumericalActionSpec:
     matrix: IntMatrix
     curves: tuple[CurveFunctional, ...]
     dim_x: int
-    deg_sigma: Optional[int]
-    ample_flag: Optional[bool]
+    deg_sigma: int | None
+    ample_flag: bool | None
 
     def __init__(self, matrix, curves, dim_x=1, deg_sigma=None, ample_flag=None):
         if not isinstance(matrix, IntMatrix):
@@ -111,8 +114,8 @@ class NumericalActionSpec:
         if any(len(c.coords) != matrix.dim for c in curves):
             raise ValueError("curve length does not match the action rank")
         try:
-            dim_x = exact_int(dim_x)
-            deg_sigma = None if deg_sigma is None else exact_int(deg_sigma)
+            dim_x = _exact_int("dim_x", dim_x)
+            deg_sigma = None if deg_sigma is None else _exact_int("deg_sigma", deg_sigma)
         except TypeError:
             raise TypeError(
                 f"dim_x and deg_sigma must be integers, got {dim_x!r} and {deg_sigma!r}"
@@ -151,18 +154,6 @@ class NumericalActionSpec:
             ample_flag=doc.get("ampleFlag"),
         )
 
-    def to_json_dict(self) -> dict:
-        doc = {
-            "P": [list(row) for row in self.matrix.rows],
-            "curves": [list(c.coords) for c in self.curves],
-            "dimX": self.dim_x,
-        }
-        if self.deg_sigma is not None:
-            doc["degSigma"] = self.deg_sigma
-        if self.ample_flag is not None:
-            doc["ampleFlag"] = self.ample_flag
-        return doc
-
 
 class Verdict(enum.Enum):
     YES = "Yes"
@@ -174,9 +165,9 @@ class Verdict(enum.Enum):
 class AmplenessReport:
     left: Verdict
     right: Verdict
-    spectral_radius: Optional[RationalInterval]
+    spectral_radius: RationalInterval | None
     quasi_unipotent: bool
-    ample_eigenvector: Optional[DivisorClass]
+    ample_eigenvector: DivisorClass | None
     reasons: tuple[str, ...]
 
 
@@ -230,46 +221,6 @@ def delta_sequence(
         acc += value
         out.append(acc)
     return out
-
-
-@dataclasses.dataclass(frozen=True)
-class GrowthFit:
-    """Minimal constant fitting seq[m] <= c * m**j * radius**m on a window.
-
-    ``prefix_constants[i]`` is the minimal constant over the first i+1
-    entries; a constant that keeps climbing as the window grows flags a
-    polynomial exponent j chosen too small.
-    """
-
-    bounded: bool
-    constant: Fraction
-    prefix_constants: tuple[Fraction, ...]
-
-
-def growth_bound_check(
-    seq, radius: RationalInterval, j: int, start: int = 0
-) -> GrowthFit:
-    """Fit the minimal c with seq[i] <= c * m**j * radius.hi**m, m = start + i.
-
-    Entries with m < 1 are skipped (the bound is asserted for m >= 1 with
-    the convention m**0 = 1).  Any finite window admits a finite constant,
-    so ``bounded`` is always True; the interesting output is the constant
-    and its trend.
-    """
-    seq = list(seq)
-    if not seq:
-        raise ValueError("sequence must be nonempty")
-    if radius.lo <= 0:
-        raise ValueError("radius must be positive")
-    best = Fraction(0)
-    prefix = []
-    for i, value in enumerate(seq):
-        m = start + i
-        if m >= 1:
-            envelope = Fraction(m) ** j * radius.hi**m
-            best = max(best, Fraction(value) / envelope)
-        prefix.append(best)
-    return GrowthFit(True, best, tuple(prefix))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -330,7 +281,7 @@ def _real_root_above_one(chi: IntPolynomial) -> bool:
     return count_real_roots_above(chi, 1) >= 1
 
 
-def _integer_eigenvalue(matrix: IntMatrix, coords: tuple[int, ...]) -> Optional[int]:
+def _integer_eigenvalue(matrix: IntMatrix, coords: tuple[int, ...]) -> int | None:
     if all(c == 0 for c in coords):
         return None
     image = matrix.apply(coords)
@@ -364,7 +315,7 @@ def classify_ampleness(
     quasi_unipotent = is_quasi_unipotent(matrix)
     reasons: list[str] = []
     if quasi_unipotent:
-        interval: Optional[RationalInterval] = RationalInterval.point(1)
+        interval: RationalInterval | None = RationalInterval.point(1)
     else:
         try:
             interval = spectral_radius_interval(matrix, width)
@@ -374,7 +325,7 @@ def classify_ampleness(
 
     left = Verdict.UNDETERMINED
     right = Verdict.UNDETERMINED
-    eigenvector: Optional[DivisorClass] = None
+    eigenvector: DivisorClass | None = None
 
     positive = all(pairing(divisor, c) > 0 for c in spec.curves)
     lam = _integer_eigenvalue(matrix, divisor.coords)

@@ -45,6 +45,8 @@ import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from .ring import _exact_int
+
 
 class SingularMatrixError(ValueError):
     """Raised where an invertible matrix is required."""
@@ -56,13 +58,6 @@ class NoRealEigenvalueError(ValueError):
 
 class NotAnEigenvalueError(ValueError):
     """The requested value is not a root of the characteristic polynomial."""
-
-
-def exact_int(value) -> int:
-    """``value`` as an int; floats, strings and bools raise TypeError, never truncate."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclasses.dataclass(init=False, eq=True, frozen=True)
@@ -80,7 +75,7 @@ class IntPolynomial:
     def __init__(self, *coeffs: int):
         coeffs = list(coeffs)
         if not all(type(c) is int for c in coeffs):
-            coeffs = [exact_int(c) for c in coeffs]
+            coeffs = [_exact_int("coefficient", c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -228,7 +223,7 @@ class IntMatrix:
     def __init__(self, rows):
         data = tuple(map(tuple, rows))
         if not all(type(x) is int for row in data for x in row):
-            data = tuple(tuple(exact_int(x) for x in row) for row in data)
+            data = tuple(tuple(_exact_int("entry", x) for x in row) for row in data)
         if not data:
             raise ValueError("matrix must be nonempty")
         if any(len(row) != len(data) for row in data):

@@ -27,7 +27,7 @@ DEFAULT_BUDGET = 10**6
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import random
-    from collections.abc import Iterator
+    from collections.abc import Iterable, Iterator
 
 _setattr = object.__setattr__
 
@@ -35,8 +35,7 @@ _setattr = object.__setattr__
 def _exact_int(name: str, value) -> int:
     """``value`` as an int; bools, floats and strings raise TypeError, never truncate.
 
-    The same rule as ``intlinalg.exact_int``, kept here so that the ring
-    subcommands do not load ``intlinalg``; the message names the argument.
+    The message names the argument.
     """
     if not isinstance(value, bool):
         try:
@@ -130,16 +129,18 @@ class PowerRingSpec(_Record):
 class Monomial(_Record):
     """Exponent vector of a monomial in the homogeneous coordinates.
 
-    Exponents must be nonnegative integers: bools, floats and strings raise
-    ``TypeError``, negatives ``ValueError``, and integer-likes become ints.
+    ``exps`` may be any iterable and is stored as a tuple.  Exponents must be
+    nonnegative integers: bools, floats and strings raise ``TypeError``,
+    negatives ``ValueError``, and integer-likes become ints.
     """
 
     __slots__ = ("exps",)
 
-    def __init__(self, exps: tuple[int, ...]):
+    def __init__(self, exps: Iterable[int]):
+        exps = tuple(exps)
         for e in exps:
             if type(e) is not int:
-                self.__init__(tuple([_exact_int("exponent", x) for x in exps]))
+                self.__init__([_exact_int("exponent", x) for x in exps])
                 return
             if e < 0:
                 raise ValueError("exponents must be nonnegative")

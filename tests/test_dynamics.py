@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +13,6 @@ from thcr.dynamics import (
     classify_ampleness,
     degree_consistency,
     delta_sequence,
-    growth_bound_check,
     non_left_ample_witness,
     orbit_pairings,
     pairing,
@@ -181,48 +179,6 @@ def test_orbit_recurrence_matches_matrix_vector_products(case):
     divisor, curve = DivisorClass(dvec), CurveFunctional(cvec)
     expected = reference_orbit_pairings(spec, divisor, curve, max_m)
     assert orbit_pairings(spec, divisor, curve, max_m) == expected
-
-
-# --- growth bound fitting ----------------------------------------------------------
-
-def test_growth_fit_exact_geometric():
-    fit = growth_bound_check([1, 2, 4, 8], RationalInterval(2, 2), 0)
-    assert fit.bounded and fit.constant == 1
-
-
-def test_growth_fit_flags_undersized_exponent():
-    spec = NumericalActionSpec([[1, 1], [0, 1]], [[1, 0]])
-    divisor, curve = DivisorClass((0, 1)), CurveFunctional((1, 0))
-    short = growth_bound_check(
-        delta_sequence(spec, divisor, curve, 4), RationalInterval(1, 1), 1, start=1
-    )
-    longer = growth_bound_check(
-        delta_sequence(spec, divisor, curve, 8), RationalInterval(1, 1), 1, start=1
-    )
-    assert short.constant == Fraction(3, 2)
-    assert longer.constant == Fraction(7, 2)  # grows with the window: j too small
-    ok = growth_bound_check(
-        delta_sequence(spec, divisor, curve, 8), RationalInterval(1, 1), 2, start=1
-    )
-    assert ok.constant <= 1
-
-
-def test_growth_fit_partial_sums_of_powers():
-    fit = growth_bound_check([1, 3, 7, 15], RationalInterval(2, 2), 0, start=1)
-    assert fit.constant == Fraction(15, 16)
-    assert fit.prefix_constants == (
-        Fraction(1, 2),
-        Fraction(3, 4),
-        Fraction(7, 8),
-        Fraction(15, 16),
-    )
-
-
-def test_growth_fit_validation():
-    with pytest.raises(ValueError):
-        growth_bound_check([], RationalInterval(2, 2), 0)
-    with pytest.raises(ValueError):
-        growth_bound_check([1], RationalInterval(0, 0), 0)
 
 
 # --- witness search -----------------------------------------------------------------
@@ -398,6 +354,18 @@ def test_spec_rejects_non_integer_curve_entries(entry):
         NumericalActionSpec([[1]], [[entry]])
 
 
+# the messages were "expected an integer, got 1.5" and "'NoneType' object
+# cannot be interpreted as an integer"
+@pytest.mark.parametrize("build, name", [
+    (lambda: IntMatrix([[1.5]]), "entry"),
+    (lambda: IntPolynomial(True), "coefficient"),
+    (lambda: NumericalActionSpec([[1]], [[None]]), "curve entry"),
+], ids=["matrix", "polynomial", "curve"])
+def test_integer_checks_name_the_argument(build, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        build()
+
+
 def test_spec_takes_integer_curve_rows():
     spec = NumericalActionSpec([[1]], [[1]])
     assert spec.curves == (CurveFunctional((1,)),)
@@ -412,8 +380,9 @@ def test_spec_json_roundtrip():
         "degSigma": 6,
         "ampleFlag": False,
     }
-    spec = NumericalActionSpec.from_json_dict(doc)
-    assert spec.to_json_dict() == doc
+    assert NumericalActionSpec.from_json_dict(doc) == NumericalActionSpec(
+        [[2, 1], [0, 3]], [[1, 0], [0, 1]], dim_x=2, deg_sigma=6, ample_flag=False
+    )
     with pytest.raises(ValueError):
         NumericalActionSpec.from_json_dict({"P": [[2]]})
 

@@ -776,7 +776,7 @@ def test_matrix_validation():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         IntMatrix([])
-    # entries that are not plain ints go through exact_int: bools, floats
+    # entries that are not plain ints go through ring._exact_int: bools, floats
     # and strings are rejected, never truncated
     for bad in (lambda: IntPolynomial(True), lambda: IntPolynomial(2.0),
                 lambda: IntPolynomial(1, "2"), lambda: IntMatrix([[1.5]]),

@@ -21,13 +21,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
     "AmplenessReport", "BudgetExceededError", "CurveFunctional", "DecompositionWitness",
-    "DivisorClass", "GradeError", "GrowthClass", "GrowthFit", "IntMatrix", "IntPolynomial",
+    "DivisorClass", "GradeError", "GrowthClass", "IntMatrix", "IntPolynomial",
     "LeftScanResult", "Monomial", "NoRealEigenvalueError", "NonLeftAmpleWitness",
     "NotAnEigenvalueError", "NumericalActionSpec", "PowerRingSpec", "RationalInterval",
     "RightScanResult", "SingularMatrixError", "Verdict", "WitnessSearchExhausted",
     "char_poly", "citations", "classify_ampleness", "cohomology", "count_real_roots_above",
     "cyclotomic", "degree_consistency", "delta_sequence", "det", "dynamics",
-    "generator_degrees", "grade_dimension", "grade_of_degree", "growth_bound_check",
+    "generator_degrees", "grade_dimension", "grade_of_degree",
     "growth_class", "h", "intlinalg", "is_quasi_unipotent", "jordan_growth_exponent",
     "left_vanishing_scan", "monomials", "non_left_ample_witness", "orbit_pairings",
     "pairing", "random_monomial", "right_vanishing_scan", "ring", "spectral_radius_interval",

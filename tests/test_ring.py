@@ -664,3 +664,12 @@ def test_monomial_takes_integer_likes_as_ints():
     assert all(type(e) is int for e in mono.exps)
     with pytest.raises(ValueError):
         Monomial((_Index(-1), 1))
+
+
+# a list was stored as given (unhashable, unequal to the tuple) and a
+# generator was stored exhausted, with degree 0
+@pytest.mark.parametrize("exps", [[1, 2], (x for x in (1, 2))], ids=["list", "generator"])
+def test_monomial_stores_a_tuple(exps):
+    mono = Monomial(exps)
+    assert mono.exps == (1, 2) and mono.degree == 3
+    assert mono == Monomial((1, 2)) and hash(mono) == hash(Monomial((1, 2)))
