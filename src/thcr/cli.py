@@ -46,52 +46,10 @@ class UsageError(Exception):
     """An invalid configuration; ``main`` reports it as a usage error and exits 2."""
 
 
-# Parsed options echoed into a report's inputs, with their report keys;
-# command, fmt (echoed as "format") and out are not.  A subcommand's
-# namespace holds only its own options.
-_ECHOED = (
-    ("power", "power"),
-    ("m", "m"),
-    ("max_n", "maxN"),
-    ("matrix", "matrix"),
-    ("divisor", "divisor"),
-    ("curves", "curves"),
-    ("dim_x", "dimX"),
-    ("deg_sigma", "degSigma"),
-    ("ample_flag", "ampleFlag"),
-    ("t", "t"),
-    ("seed", "seed"),
-    ("budget", "budget"),
-)
-
-
-class Report:
-    def __init__(self, command: str, inputs: dict, results: dict, citations: list[str],
-                 version: str, csv_table: tuple | None = None):
-        self.command = command
-        self.inputs = inputs
-        self.results = results
-        self.citations = citations
-        self.version = version
-        self.csv_table = csv_table
-
-    def to_json(self) -> str:
-        doc = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "citations": self.citations,
-            "version": self.version,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-    def to_csv(self) -> str:
-        if self.csv_table is None:
-            raise ValueError(f"command {self.command!r} has no CSV form; use json")
-        header, data = self.csv_table
-        lines = [",".join(header)]
-        lines.extend(",".join(str(x) for x in row) for row in data)
-        return "\n".join(lines) + "\n"
+def _key(dest: str) -> str:
+    """An option's report key: its argparse dest in camelCase (max_n -> maxN)."""
+    head, *rest = dest.split("_")
+    return head + "".join(word.title() for word in rest)
 
 
 def resolve_budget(flag_value: int | None) -> int:
@@ -125,7 +83,7 @@ def _collect_citations(reasons) -> list[str]:
     return sorted(set(reasons) & _CITATION_IDS)
 
 
-def _run_dims(config: argparse.Namespace) -> Report:
+def _run_dims(config: argparse.Namespace) -> tuple:
     spec = PowerRingSpec(dim=config.m, power=config.power)
     max_n = config.max_n
     if max_n < 0:
@@ -134,15 +92,11 @@ def _run_dims(config: argparse.Namespace) -> Report:
         {"n": n, "twistDegree": twist_degree(spec, n), "dim": grade_dimension(spec, n)}
         for n in range(max_n + 1)
     ]
-    results = {"rows": rows}
-    csv_table = (
-        ("n", "twist_degree", "dim"),
-        [(r["n"], r["twistDegree"], r["dim"]) for r in rows],
-    )
-    return Report("dims", _echo_inputs(config), results, [], __version__, csv_table)
+    csv_rows = [(r["n"], r["twistDegree"], r["dim"]) for r in rows]
+    return {"rows": rows}, [], (("n", "twist_degree", "dim"), csv_rows)
 
 
-def _run_gens(config: argparse.Namespace) -> Report:
+def _run_gens(config: argparse.Namespace) -> tuple:
     spec = PowerRingSpec(dim=config.m, power=config.power)
     max_n = config.max_n
     budget = resolve_budget(config.budget)
@@ -151,7 +105,7 @@ def _run_gens(config: argparse.Namespace) -> Report:
     cites = []
     if generated:
         cites.append(citations.GENERATED_IN_DEGREE_ONE)
-    if any(counts[n] > 0 for n in range(2, max_n + 1)):
+    else:
         cites.append(citations.NEW_GENERATORS_EVERY_DEGREE)
     results = {
         "counts": {str(n): counts[n] for n in sorted(counts)},
@@ -160,10 +114,10 @@ def _run_gens(config: argparse.Namespace) -> Report:
         "budget": budget,
     }
     csv_table = (("n", "new_generators"), [(n, counts[n]) for n in sorted(counts)])
-    return Report("gens", _echo_inputs(config), results, cites, __version__, csv_table)
+    return results, cites, csv_table
 
 
-def _run_growth(config: argparse.Namespace) -> Report:
+def _run_growth(config: argparse.Namespace) -> tuple:
     spec = PowerRingSpec(dim=config.m, power=config.power)
     dims = [grade_dimension(spec, n) for n in range(config.max_n + 1)]
     verdict = growth_class(dims)
@@ -174,11 +128,10 @@ def _run_growth(config: argparse.Namespace) -> Report:
         "growthClass": verdict.value,
         "noetherian": False if exponential else None,
     }
-    csv_table = (("n", "dim"), list(enumerate(dims)))
-    return Report("growth", _echo_inputs(config), results, cites, __version__, csv_table)
+    return results, cites, (("n", "dim"), list(enumerate(dims)))
 
 
-def _run_cohomology(config: argparse.Namespace) -> Report:
+def _run_cohomology(config: argparse.Namespace) -> tuple:
     from .cohomology import left_vanishing_scan, right_vanishing_scan
 
     spec = PowerRingSpec(dim=config.m, power=config.power)
@@ -207,9 +160,7 @@ def _run_cohomology(config: argparse.Namespace) -> Report:
         ("n", "degree", "q", "h"),
         [(r["n"], r["degree"], r["q"], r["h"]) for r in table],
     )
-    return Report(
-        "cohomology", _echo_inputs(config), results, cites, __version__, csv_table
-    )
+    return results, cites, csv_table
 
 
 def _parse_json_argument(text: str, what: str):
@@ -238,27 +189,21 @@ def _require_rows(value, what: str) -> None:
         raise UsageError(f"{what} must be a JSON list of lists of integers")
 
 
-def _run_ampleness(config: argparse.Namespace) -> Report:
+def _run_ampleness(config: argparse.Namespace) -> tuple:
     from .dynamics import (
         DivisorClass,
         NumericalActionSpec,
-        UnsupportedActionError,
         classify_ampleness,
         degree_consistency,
     )
 
     in_doc = isinstance(config.matrix, dict)
     doc = dict(config.matrix) if in_doc else {"P": config.matrix}
-    if config.curves is not None:
-        doc["curves"] = config.curves
-    if config.dim_x is not None:
-        doc["dimX"] = config.dim_x
-    if config.deg_sigma is not None:
-        doc["degSigma"] = config.deg_sigma
-    if config.ample_flag is not None:
-        doc["ampleFlag"] = config.ample_flag
-    doc.setdefault("curves", None)
-    if doc["curves"] is None:
+    # flags override document fields
+    for name in ("curves", "dim_x", "deg_sigma", "ample_flag"):
+        if (value := getattr(config, name)) is not None:
+            doc[_key(name)] = value
+    if doc.get("curves") is None:
         raise UsageError("--curves is required (or supply them in the spec file)")
     if "P" in doc:
         _require_rows(doc["P"], '"P" in the --matrix document' if in_doc else "--matrix")
@@ -272,12 +217,8 @@ def _run_ampleness(config: argparse.Namespace) -> Report:
         report = classify_ampleness(spec, divisor)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc))
-    degree_ok = None
-    if spec.deg_sigma is not None and spec.rank == 1:
-        try:
-            degree_ok = degree_consistency(spec, divisor)
-        except (ValueError, UnsupportedActionError):
-            degree_ok = None
+    degree_ok = (degree_consistency(spec, divisor)
+                 if spec.deg_sigma is not None and spec.rank == 1 else None)
     results = {
         "left": report.left.value,
         "right": report.right.value,
@@ -289,15 +230,11 @@ def _run_ampleness(config: argparse.Namespace) -> Report:
         "reasons": list(report.reasons),
         "degreeConsistent": degree_ok,
     }
-    return Report(
-        "ampleness",
-        _echo_inputs(config),
-        results,
-        _collect_citations(report.reasons),
-        __version__,
-    )
+    return results, _collect_citations(report.reasons), None
 
 
+# Each runner returns (results, citations, csv_table), csv_table None where
+# the report has no CSV form; _execute wraps them in the report envelope.
 _RUNNERS = {
     "dims": _run_dims,
     "gens": _run_gens,
@@ -308,12 +245,9 @@ _RUNNERS = {
 
 
 def _echo_inputs(config: argparse.Namespace) -> dict:
-    echo = {"format": config.fmt}
-    for name, key in _ECHOED:
-        value = getattr(config, name, None)
-        if value is not None:
-            echo[key] = value
-    return echo
+    """The parsed options a report echoes; a subcommand's namespace holds only its own."""
+    return {_key(k): v for k, v in vars(config).items()
+            if k not in ("command", "out") and v is not None}
 
 
 def _emit(text: str, config: argparse.Namespace) -> None:
@@ -329,8 +263,7 @@ def _emit(text: str, config: argparse.Namespace) -> None:
 
 def _execute(config: argparse.Namespace) -> int:
     try:
-        report = _RUNNERS[config.command](config)
-        text = report.to_json() if config.fmt == "json" else report.to_csv()
+        results, cites, csv_table = _RUNNERS[config.command](config)
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         partial = {str(n): exc.partial[n] for n in sorted(exc.partial)}
@@ -338,6 +271,20 @@ def _execute(config: argparse.Namespace) -> int:
         return 3
     except ValueError as exc:
         raise UsageError(str(exc))
+    if config.format == "json":
+        doc = {
+            "command": config.command,
+            "inputs": _echo_inputs(config),
+            "results": results,
+            "citations": cites,
+            "version": __version__,
+        }
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    elif csv_table is None:
+        raise UsageError(f"command {config.command!r} has no CSV form; use json")
+    else:
+        header, data = csv_table
+        text = "".join(",".join(map(str, row)) + "\n" for row in (header, *data))
     _emit(text, config)
     return 0
 
@@ -408,7 +355,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     sub.add_argument("--max-n", type=int, default=10, help="Largest grade in the window.")
 
     for sub in commands.values():
-        sub.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json",
+        sub.add_argument("--format", choices=["json", "csv"], default="json",
                          help="Report format; JSON is canonical, CSV covers tables.")
         sub.add_argument("--out", default=None, help="Write the report here.")
         sub.add_argument("--seed", type=int, default=0, help="Sampling seed (echoed).")

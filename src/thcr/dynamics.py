@@ -29,7 +29,6 @@ import operator
 
 from . import citations
 from .intlinalg import (
-    DEFAULT_RADIUS_WIDTH,
     IntMatrix,
     IntPolynomial,
     NoRealEigenvalueError,
@@ -41,10 +40,8 @@ from .intlinalg import (
 )
 from .ring import _exact_int
 
-# The annotations are strings (PEP 563); the name is for type checkers only.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from fractions import Fraction
+# The largest multiple k of the ample class the witness search tries
+MAX_WITNESS_MULTIPLIER = 2**16
 
 
 class WitnessSearchExhausted(RuntimeError):
@@ -238,7 +235,6 @@ def non_left_ample_witness(
     divisor: DivisorClass,
     ample: DivisorClass,
     horizon: int = 64,
-    max_multiplier: int = 2**16,
 ) -> NonLeftAmpleWitness:
     """Search for the obstruction pair behind left-ampleness failure.
 
@@ -258,12 +254,12 @@ def non_left_ample_witness(
         deltas = delta_sequence(spec, divisor, curve, horizon)
         orbit = orbit_pairings(spec, ample, curve, horizon)
         k = 1
-        while k <= max_multiplier:
+        while k <= MAX_WITNESS_MULTIPLIER:
             if all(deltas[m - 1] - k * orbit[m] < 0 for m in range(1, horizon + 1)):
                 return NonLeftAmpleWitness(ample.scaled(k), curve, horizon, k)
             k *= 2
     raise WitnessSearchExhausted(
-        f"no witness with multiplier <= {max_multiplier} over horizon {horizon}"
+        f"no witness with multiplier <= {MAX_WITNESS_MULTIPLIER} over horizon {horizon}"
     )
 
 
@@ -298,7 +294,6 @@ def _integer_eigenvalue(matrix: IntMatrix, coords: tuple[int, ...]) -> int | Non
 def classify_ampleness(
     spec: NumericalActionSpec,
     divisor: DivisorClass,
-    width: Fraction = DEFAULT_RADIUS_WIDTH,
 ) -> AmplenessReport:
     """Three-valued left/right ampleness verdicts with exact certificates.
 
@@ -318,7 +313,7 @@ def classify_ampleness(
         interval: RationalInterval | None = RationalInterval.point(1)
     else:
         try:
-            interval = spectral_radius_interval(matrix, width)
+            interval = spectral_radius_interval(matrix)
         except NoRealEigenvalueError:
             interval = None
             reasons.append("no-real-eigenvalue-action-cannot-preserve-a-cone")

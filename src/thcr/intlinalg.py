@@ -206,9 +206,10 @@ class IntPolynomial:
 
     @cached_property
     def _largest_root(self) -> RationalInterval | None:
-        """The default-width enclosure of a monic polynomial's largest real
-        root, None without one; the radius and the witness guard share it."""
-        return _largest_root_interval(self, DEFAULT_RADIUS_WIDTH)
+        """The ``DEFAULT_RADIUS_WIDTH`` enclosure of a monic polynomial's
+        largest real root, None without one; the radius and the witness
+        guard share it."""
+        return _largest_root_interval(self)
 
     def __repr__(self):
         return f"IntPolynomial({', '.join(str(c) for c in self.coeffs)})"
@@ -561,7 +562,7 @@ def count_real_roots_above(poly: IntPolynomial, bound) -> int:
     return above - _variations_at_infinity(chain, positive=True)
 
 
-def spectral_radius_interval(matrix: IntMatrix, width=DEFAULT_RADIUS_WIDTH) -> RationalInterval:
+def spectral_radius_interval(matrix: IntMatrix) -> RationalInterval:
     """Certified rational enclosure of the largest real eigenvalue.
 
     For an action preserving a full-dimensional cone (every numerical
@@ -576,33 +577,30 @@ def spectral_radius_interval(matrix: IntMatrix, width=DEFAULT_RADIUS_WIDTH) -> R
     there.  When the guess is not certified (a repeated root, a float
     overflow, a complex pair to the right of the largest real root) Sturm
     sign counts drive the bisection itself; both give the same interval.
-    The default-width answer is kept on the characteristic polynomial.
+    The enclosure, of width at most ``DEFAULT_RADIUS_WIDTH``, is kept on the
+    characteristic polynomial.
 
     Raises ``SingularMatrixError`` for singular input and
     ``NoRealEigenvalueError`` when no real eigenvalue exists, which cannot
     happen for cone-preserving actions.
     """
-    width = Fraction(width)
-    if width <= 0:
-        raise ValueError("width must be positive")
     chi = char_poly(matrix)
     if chi.evaluate(0) == 0:
         raise SingularMatrixError("matrix is singular")
-    if width == DEFAULT_RADIUS_WIDTH:
-        interval = chi._largest_root
-    else:
-        interval = _largest_root_interval(chi, width)
+    interval = chi._largest_root
     if interval is None:
         raise NoRealEigenvalueError("no real eigenvalue; matrix cannot preserve a cone")
     return interval
 
 
-def _largest_root_interval(chi: IntPolynomial, width: Fraction) -> RationalInterval | None:
-    """The monic ``chi``'s largest real root in a cell of width <= ``width``.
+def _largest_root_interval(chi: IntPolynomial) -> RationalInterval | None:
+    """The monic ``chi``'s largest real root in a cell of width at most
+    ``DEFAULT_RADIUS_WIDTH``.
 
     A point for a rational root, None when there is no real root.
     """
-    certified = _certified_largest_root(chi, width)
+    width = DEFAULT_RADIUS_WIDTH
+    certified = _certified_largest_root(chi)
     if certified is not None:
         return certified
     sf, chain = chi._sturm
@@ -652,23 +650,23 @@ def _largest_root_interval(chi: IntPolynomial, width: Fraction) -> RationalInter
 #
 # The bisection above is determined by its input: it stops at the least
 # power-of-two scale S with 2 * bound / S <= width, and its cells are
-# (-bound + i * 2 * bound / S, -bound + (i + 1) * 2 * bound / S].  When sf is
-# chi itself and those cells are narrower than 1/2, its answer is known in
-# advance: the cell above it was narrower than 1 and still wider than the
-# width, so an integer largest root is returned as a point; any other is
-# irrational (a rational root of a monic integer polynomial is an integer),
-# never a cell end, and the answer is the open final cell around it.
+# (-bound + i * 2 * bound / S, -bound + (i + 1) * 2 * bound / S].  At the
+# width 10**-9 those cells are narrower than 1/2, so when sf is chi itself
+# its answer is known in advance: the cell above it was narrower than 1 and
+# still wider than the width, so an integer largest root is returned as a
+# point; any other is irrational (a rational root of a monic integer
+# polynomial is an integer), never a cell end, and the answer is the open
+# final cell around it.
 
-def _certified_largest_root(chi: IntPolynomial, width: Fraction) -> RationalInterval | None:
+def _certified_largest_root(chi: IntPolynomial) -> RationalInterval | None:
     """The bisection's answer for ``chi``, certified from a float guess, or None."""
     if not chi._squarefree_mod_p:
         return None
     bound = 1 + max(abs(c) for c in chi.coeffs[:-1])
     step = 2 * bound
+    width = DEFAULT_RADIUS_WIDTH
     cells = -(-step * width.denominator // width.numerator)
-    scale = 1 << (cells - 1).bit_length() if cells > 1 else 1
-    if 4 * bound >= scale:
-        return None
+    scale = 1 << (cells - 1).bit_length()
     guess = _float_largest_root(chi)
     if guess is None:
         return None

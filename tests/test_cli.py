@@ -75,6 +75,20 @@ def test_ampleness_spec_file(tmp_path):
     assert doc["results"]["degreeConsistent"] is True
 
 
+def test_flags_override_document_fields_and_inputs_echo_parsed_options():
+    document = json.dumps({"P": [[2]], "curves": [[1]], "dimX": 2, "degSigma": 4})
+    args = ("ampleness", "--matrix", document, "--divisor", "[1]")
+    doc = json.loads(invoke(*args).output)
+    assert doc["results"]["degreeConsistent"] is True
+    doc = json.loads(invoke(*args, "--deg-sigma", "3").output)
+    assert doc["results"]["degreeConsistent"] is False
+    assert doc["inputs"]["degSigma"] == 3
+    # every parsed option but the command and --out, under its camelCase key
+    doc = json.loads(invoke("gens", "--p", "2", "--m", "1", "--max-n", "2",
+                            "--budget", "100").output)
+    assert set(doc["inputs"]) == {"power", "m", "maxN", "budget", "format", "seed"}
+
+
 def test_ampleness_rejects_singular():
     result = invoke("ampleness", "--matrix", "[[1, 1], [1, 1]]", "--divisor", "[1, 0]",
                     "--curves", "[[1, 0]]")

@@ -208,13 +208,7 @@ def test_witness_search_can_exhaust():
     # ample class pairing to zero can never dominate the partial sums
     spec = NumericalActionSpec([[2, 0], [0, 2]], [[1, 0]])
     with pytest.raises(WitnessSearchExhausted):
-        non_left_ample_witness(
-            spec,
-            DivisorClass((1, 0)),
-            DivisorClass((0, 1)),
-            horizon=8,
-            max_multiplier=4,
-        )
+        non_left_ample_witness(spec, DivisorClass((1, 0)), DivisorClass((0, 1)), horizon=8)
 
 
 # --- ampleness classifier --------------------------------------------------------------

@@ -80,7 +80,7 @@ def charpoly_by_interpolation(rows):
     return tuple(int(c) for c in coeffs)
 
 
-def reference_radius_interval(matrix, width=DEFAULT_RADIUS_WIDTH):
+def reference_radius_interval(matrix):
     """The radius bisection with a full Sturm count at every midpoint.
 
     Same schedule as ``spectral_radius_interval``: Cauchy start, midpoints,
@@ -92,7 +92,7 @@ def reference_radius_interval(matrix, width=DEFAULT_RADIUS_WIDTH):
     if count_real_roots_above(sf, -bound) == 0:
         raise NoRealEigenvalueError("no real eigenvalue")
     lo, hi = -bound, Fraction(bound)
-    while hi - lo > width:
+    while hi - lo > DEFAULT_RADIUS_WIDTH:
         if hi - lo < 1:
             candidate = math.floor(hi)
             if lo < candidate <= hi and sf.evaluate(candidate) == 0:
@@ -309,8 +309,8 @@ def test_spectral_radius_identity_exact():
 def test_spectral_radius_golden_ratio():
     fib = IntMatrix([[1, 1], [1, 0]])
     chi = char_poly(fib)  # x**2 - x - 1, increasing through its largest root
-    interval = spectral_radius_interval(fib, Fraction(1, 10**9))
-    assert interval.width <= Fraction(1, 10**9)
+    interval = spectral_radius_interval(fib)
+    assert interval.width <= DEFAULT_RADIUS_WIDTH
     assert chi.evaluate(interval.lo) <= 0 <= chi.evaluate(interval.hi)
     assert count_real_roots_above(chi, interval.hi) == 0
 
@@ -332,10 +332,9 @@ def test_spectral_radius_certificate_on_cone_preserving(rows):
     # largest real root is the spectral radius and |det| >= 1 forces it >= 1.
     matrix = IntMatrix(rows)
     assume(det(matrix) != 0)
-    width = Fraction(1, 10**6)
-    interval = spectral_radius_interval(matrix, width)
+    interval = spectral_radius_interval(matrix)
     chi = char_poly(matrix)
-    assert interval.lo >= 1 - width
+    assert interval.lo >= 1 - DEFAULT_RADIUS_WIDTH
     assert count_real_roots_above(chi, interval.hi) == 0
     assert chi.evaluate(interval.lo) == 0 or count_real_roots_above(chi, interval.lo) >= 1
 
@@ -417,36 +416,11 @@ def action_matrices(draw):
     return IntMatrix(rows)
 
 
-@settings(deadline=None, max_examples=120)
-@given(
-    st.one_of(radius_matrices(), action_matrices()),
-    st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5),
-                     Fraction(5, 7), Fraction(3, 4), 1, 3, 100, Fraction(1, 10**30)]),
-)
-# an integer largest root: a point when a cell narrower than 1 is still wider
-# than the width (1/2 and 3/5 here), else the final cell around it (3/4, 1)
-@example(IntMatrix([[3, 0], [0, 1]]), Fraction(1, 2))
-@example(IntMatrix([[3, 0], [0, 1]]), Fraction(3, 5))
-@example(IntMatrix([[3, 0], [0, 1]]), Fraction(3, 4))
-@example(IntMatrix([[3, 0], [0, 1]]), 1)
-@example(IntMatrix([[2, 5, 1], [4, 3, 1], [0, 0, 8]]), Fraction(1, 2))
-@example(IntMatrix([[2, 5, 1], [4, 3, 1], [0, 0, 8]]), Fraction(3, 4))
-def test_spectral_radius_matches_full_sturm_bisection_at_other_widths(matrix, width):
-    # widths that are not powers of two, wider than the Cauchy interval, or
-    # far below the default: the integer width test must stop where the
-    # Fraction one did; from 1/2 up the final cells can hold an integer
-    # root without a point being returned
-    assume(det(matrix) != 0)
-    try:
-        expected = reference_radius_interval(matrix, width)
-    except NoRealEigenvalueError:
-        return
-    interval = spectral_radius_interval(matrix, width)
-    assert (interval.lo, interval.hi) == expected
-
-
 @settings(deadline=None, max_examples=150)
-@given(action_matrices())
+@given(st.one_of(radius_matrices(), action_matrices()))
+# integer largest roots, which the bisection returns as points
+@example(IntMatrix([[3, 0], [0, 1]]))
+@example(IntMatrix([[2, 5, 1], [4, 3, 1], [0, 0, 8]]))
 def test_spectral_radius_matches_full_sturm_bisection_on_action_shapes(matrix):
     assume(det(matrix) != 0)
     try:
@@ -462,7 +436,7 @@ def test_spectral_radius_matches_full_sturm_bisection_on_action_shapes(matrix):
 def assert_bisection_fallback(matrix):
     """The certificate declines ``matrix``; the bisection gives the reference."""
     chi = char_poly(matrix)
-    assert intlinalg._certified_largest_root(chi, DEFAULT_RADIUS_WIDTH) is None
+    assert intlinalg._certified_largest_root(chi) is None
     interval = spectral_radius_interval(matrix)
     assert (interval.lo, interval.hi) == reference_radius_interval(matrix)
     return interval
@@ -487,8 +461,7 @@ def test_certificate_declines_when_the_float_guess_overflows():
 def test_certificate_declines_when_the_squarefree_test_fails(monkeypatch):
     # x**2 - x - 1 has discriminant 5, so it is (x + 2)**2 mod 5
     fibonacci = [[1, 1], [1, 0]]
-    assert intlinalg._certified_largest_root(
-        char_poly(IntMatrix(fibonacci)), DEFAULT_RADIUS_WIDTH) is not None
+    assert intlinalg._certified_largest_root(char_poly(IntMatrix(fibonacci))) is not None
     monkeypatch.setattr(intlinalg, "_SQUAREFREE_MODULUS", 5)
     matrix = IntMatrix(fibonacci)
     assert not char_poly(matrix)._squarefree_mod_p
