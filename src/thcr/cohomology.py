@@ -15,13 +15,23 @@ The top-degree closed form lives in ``_top``, which ``h`` delegates to for
 q = m and which the scans call directly, once per grade: their arguments
 are checked once per scan by ``_check_scan_args``, not by ``h`` at every
 grade.
+
+A ``ScanRow`` is a tuple underneath.  ``_scan`` steps the degrees and
+evaluates ``_top`` once per grade in Python, then builds all m rows of
+every grade in C: ``zip`` over ``itertools`` repeats lays out the columns
+(n, d_n, q, value), and ``map`` applies ``tuple.__new__`` with the class,
+so no Python frame runs per row.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
+from operator import itemgetter
 
 from .ring import PowerRingSpec, _exact_int, _Record, _setattr
+
+_new_tuple = tuple.__new__
 
 
 def _top(space_dim: int, degree: int) -> int:
@@ -45,16 +55,23 @@ def h(space_dim: int, degree: int, q: int) -> int:
     return 0
 
 
-class ScanRow(_Record):
-    """``value`` = dim H^q of O(``degree``) at grade ``n`` of a scan."""
+class ScanRow(_Record, tuple):
+    """``value`` = dim H^q of O(``degree``) at grade ``n`` of a scan.
 
-    __slots__ = ("n", "degree", "q", "value")
+    The tuple ``(n, degree, q, value)`` underneath, built by one
+    ``tuple.__new__`` call; it never equals a plain tuple.
+    """
 
-    def __init__(self, n: int, degree: int, q: int, value: int):
-        _setattr(self, "n", n)
-        _setattr(self, "degree", degree)
-        _setattr(self, "q", q)
-        _setattr(self, "value", value)
+    __slots__ = ()
+    _fields = ("n", "degree", "q", "value")
+
+    def __new__(cls, n: int, degree: int, q: int, value: int):
+        return _new_tuple(cls, (n, degree, q, value))
+
+    n = property(itemgetter(0))
+    degree = property(itemgetter(1))
+    q = property(itemgetter(2))
+    value = property(itemgetter(3))
 
 
 class RightScanResult(_Record):
@@ -98,23 +115,28 @@ class LeftScanResult(_Record):
         return self.nonvanishing_from is not None
 
 
-def _scan(spec: PowerRingSpec, max_n: int, degree: int, step: int):
-    """Rows for the degrees d_0 = ``degree``, d_{n+1} = r * d_n + ``step``.
+def _scan(spec: PowerRingSpec, max_n: int, degree: int,
+          step: int) -> tuple[tuple[ScanRow, ...], list[int]]:
+    """Rows and H^m dimensions for d_0 = ``degree``, d_{n+1} = r * d_n + ``step``.
 
-    Only H^m can be nonzero, so each grade evaluates ``_top`` once and
-    writes the rows for 0 < q < m as the 0 that the closed form gives there.
+    Only H^m can be nonzero, so each grade steps its degree and evaluates
+    ``_top`` once; its rows are (n, d_n, q, 0) for 0 < q < m, then
+    (n, d_n, m, top).
     """
     m, r = spec.dim, spec.power
-    middle = range(1, m)
-    rows = []
-    clean = []
-    for n in range(max_n + 1):
-        top = _top(m, degree)
-        rows += [ScanRow(n, degree, q, 0) for q in middle]
-        rows.append(ScanRow(n, degree, m, top))
-        clean.append(top == 0)
+    grades = max_n + 1
+    degrees = []
+    for _ in range(grades):
+        degrees.append(degree)
         degree = r * degree + step
-    return rows, clean
+    tops = list(map(_top, repeat(m), degrees))
+    columns = zip(
+        chain.from_iterable(map(repeat, range(grades), repeat(m))),  # n, m times
+        chain.from_iterable(map(repeat, degrees, repeat(m))),  # d_n, m times
+        chain.from_iterable(repeat(range(1, m + 1), grades)),  # q = 1..m
+        chain.from_iterable(zip(*[repeat(0)] * (m - 1), tops)),  # 0, ..., 0, top
+    )
+    return tuple(map(_new_tuple, repeat(ScanRow), columns)), tops
 
 
 def _check_scan_args(spec: PowerRingSpec, twist: int, max_n: int) -> tuple[int, int]:
@@ -131,22 +153,22 @@ def _check_scan_args(spec: PowerRingSpec, twist: int, max_n: int) -> tuple[int, 
 def right_vanishing_scan(spec: PowerRingSpec, twist: int, max_n: int) -> RightScanResult:
     """Smallest n0 with H^q(O(twist + e_n)) = 0 for all q > 0, n0 <= n <= max_n."""
     twist, max_n = _check_scan_args(spec, twist, max_n)
-    rows, clean = _scan(spec, max_n, twist, 1 - (spec.power - 1) * twist)
+    rows, tops = _scan(spec, max_n, twist, 1 - (spec.power - 1) * twist)
     n0: int | None = None
     for n in range(max_n, -1, -1):
-        if not clean[n]:
+        if tops[n]:
             break
         n0 = n
-    return RightScanResult(twist, max_n, n0, tuple(rows))
+    return RightScanResult(twist, max_n, n0, rows)
 
 
 def left_vanishing_scan(spec: PowerRingSpec, twist: int, max_n: int) -> LeftScanResult:
     """Scan the left-twisted degrees e_n + r**n * twist for persistent cohomology."""
     twist, max_n = _check_scan_args(spec, twist, max_n)
-    rows, clean = _scan(spec, max_n, twist, 1)
+    rows, tops = _scan(spec, max_n, twist, 1)
     start: int | None = None
     for n in range(max_n, -1, -1):
-        if clean[n]:
+        if not tops[n]:
             break
         start = n
-    return LeftScanResult(twist, max_n, start, tuple(rows))
+    return LeftScanResult(twist, max_n, start, rows)

@@ -83,6 +83,10 @@ def _int_row(values) -> tuple[int, ...]:
     return tuple([_exact_int("curve entry", x) for x in row])
 
 
+# the keys of a spec document, as NumericalActionSpec.from_json_dict reads them
+_SPEC_KEYS = ("P", "curves", "dimX", "degSigma", "ampleFlag")
+
+
 @dataclasses.dataclass(init=False, frozen=True)
 class NumericalActionSpec:
     """Invertible integer action plus curve functionals and metadata.
@@ -138,6 +142,13 @@ class NumericalActionSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NumericalActionSpec":
+        """The spec a JSON document describes; an unknown key raises ``ValueError``."""
+        unknown = [key for key in doc if key not in _SPEC_KEYS]
+        if unknown:
+            raise ValueError(
+                f"spec document has unknown keys {', '.join(map(repr, unknown))}; "
+                f"the keys are {', '.join(_SPEC_KEYS)}"
+            )
         try:
             matrix = doc["P"]
             curves = doc["curves"]

@@ -63,31 +63,46 @@ class BudgetExceededError(RuntimeError):
 
 
 class _Record:
-    """Immutable value record over the fields named in a subclass's ``__slots__``.
+    """Immutable value record over the fields named in a subclass's ``_fields``.
 
-    Equality and hashing go by the class and the field values, ``repr`` is
+    ``_fields`` defaults to the subclass's ``__slots__``.  Equality and
+    hashing go by the class and the field values, ``repr`` is
     ``Name(field=value, ...)``, and assigning or deleting a field raises
-    ``AttributeError``, as for a frozen dataclass.  Each subclass writes its
-    own ``__init__``, which validates and stores the fields with
+    ``AttributeError``, as for a frozen dataclass.  Each slots subclass
+    writes its own ``__init__``, which validates and stores the fields with
     ``object.__setattr__``; pickling rebuilds a record by calling its class
     with the field values, so unpickling runs the same checks.
+
+    A subclass may also derive from ``tuple`` (``__slots__ = ()``, an
+    explicit ``_fields`` and one property per field).  ``__eq__`` answers
+    False for any tuple of another class, and ``__ne__`` here shadows
+    tuple's, so such a record never equals a plain tuple in either operand
+    order.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._values() == other._values()
-        return NotImplemented
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self):
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -242,6 +242,14 @@ def test_non_integer_spec_fields_exit_two(tmp_path):
         assert "dim_x and deg_sigma must be integers" in result.output, extra
 
 
+def test_unknown_spec_key_exits_two():
+    doc = '{"P": [[2]], "curves": [[1]], "dimX": 2, "degsigma": 3}'
+    result = invoke("ampleness", "--matrix", doc, "--divisor", "[1]")
+    assert result.exit_code == 2
+    assert "unknown keys 'degsigma'" in result.stderr
+    assert result.stdout == ""
+
+
 def test_dims_negative_window_exits_two():
     result = invoke("dims", "--p", "2", "--m", "1", "--max-n", "-3")
     assert result.exit_code == 2

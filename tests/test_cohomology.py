@@ -173,6 +173,8 @@ def test_scan_degree_bookkeeping():
     spec = PowerRingSpec(dim=2, power=3)
     right = right_vanishing_scan(spec, -4, 6)
     left = left_vanishing_scan(spec, -4, 6)
+    assert len(right.rows) == len(left.rows) == 7 * 2
+    assert all(type(row) is ScanRow for row in right.rows + left.rows)
     for row in right.rows:
         assert row.degree == -4 + twist_degree(spec, row.n)
     for row in left.rows:

@@ -379,6 +379,8 @@ def test_spec_json_roundtrip():
     )
     with pytest.raises(ValueError):
         NumericalActionSpec.from_json_dict({"P": [[2]]})
+    with pytest.raises(ValueError, match="unknown keys 'degsigma', 'extra'"):
+        NumericalActionSpec.from_json_dict({**doc, "degsigma": 3, "extra": None})
 
 
 def test_pairing_is_dot_product():

@@ -45,6 +45,14 @@ def _cases():
             for fmt in ("json", "csv"):
                 args = [command, "--p", str(p), "--m", str(m), *extra, "--format", fmt]
                 cases[f"{command}-p{p}-m{m}.{fmt}"] = args
+    # m >= 3 pins the order of the zero middle rows and large top binomials
+    for p, m, t, max_n, formats in ((2, 4, -3, 40, ("json", "csv")),
+                                    (5, 8, -2, 30, ("json",))):
+        for fmt in formats:
+            cases[f"cohomology-p{p}-m{m}.{fmt}"] = [
+                "cohomology", "--p", str(p), "--m", str(m), "--t", str(t),
+                "--max-n", str(max_n), "--format", fmt,
+            ]
     for label, (matrix, divisor, curves) in AMPLENESS.items():
         cases[f"ampleness-{label}.json"] = [
             "ampleness", "--matrix", json.dumps(matrix),

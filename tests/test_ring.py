@@ -597,14 +597,16 @@ RECORDS = [
 def test_records_are_frozen_values(record, twin, other, text):
     assert record == twin and hash(record) == hash(twin)
     assert record != other and not record == other
-    assert record != tuple(getattr(record, f) for f in record.__slots__)
+    values = tuple(getattr(record, f) for f in record._fields)
+    assert record != values and values != record
+    assert not record == values and not values == record
     assert len({record, twin, other}) == 2
     assert repr(record) == text
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         clone = pickle.loads(pickle.dumps(record, protocol))
         assert type(clone) is type(record) and clone == record
     assert copy.copy(record) == record == copy.deepcopy(record)
-    field = record.__slots__[0]
+    field = record._fields[0]
     with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
         setattr(record, field, 0)
     with pytest.raises(AttributeError):
