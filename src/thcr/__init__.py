@@ -35,7 +35,6 @@ _EXPORTS = {
         "IntMatrix",
         "IntPolynomial",
         "NoRealEigenvalueError",
-        "NotAnEigenvalueError",
         "RationalInterval",
         "SingularMatrixError",
         "char_poly",
@@ -43,7 +42,6 @@ _EXPORTS = {
         "cyclotomic",
         "det",
         "is_quasi_unipotent",
-        "jordan_growth_exponent",
         "spectral_radius_interval",
     ),
     "ring": (

@@ -29,7 +29,7 @@ import math
 from itertools import chain, repeat
 from operator import itemgetter
 
-from .ring import PowerRingSpec, _exact_int, _Record, _setattr
+from .ring import PowerRingSpec, _exact_int, _Record
 
 _new_tuple = tuple.__new__
 
@@ -68,6 +68,8 @@ class ScanRow(_Record, tuple):
     def __new__(cls, n: int, degree: int, q: int, value: int):
         return _new_tuple(cls, (n, degree, q, value))
 
+    __init__ = object.__init__
+
     n = property(itemgetter(0))
     degree = property(itemgetter(1))
     q = property(itemgetter(2))
@@ -83,13 +85,6 @@ class RightScanResult(_Record):
 
     __slots__ = ("twist", "max_n", "stabilized_at", "rows")
 
-    def __init__(self, twist: int, max_n: int, stabilized_at: int | None,
-                 rows: tuple[ScanRow, ...]):
-        _setattr(self, "twist", twist)
-        _setattr(self, "max_n", max_n)
-        _setattr(self, "stabilized_at", stabilized_at)
-        _setattr(self, "rows", rows)
-
 
 class LeftScanResult(_Record):
     """Outcome of scanning H^q(O(e_n + r**n * t)) for q > 0 over n <= max_n.
@@ -102,13 +97,6 @@ class LeftScanResult(_Record):
     """
 
     __slots__ = ("twist", "max_n", "nonvanishing_from", "rows")
-
-    def __init__(self, twist: int, max_n: int, nonvanishing_from: int | None,
-                 rows: tuple[ScanRow, ...]):
-        _setattr(self, "twist", twist)
-        _setattr(self, "max_n", max_n)
-        _setattr(self, "nonvanishing_from", nonvanishing_from)
-        _setattr(self, "rows", rows)
 
     @property
     def nonvanishing(self) -> bool:

@@ -23,7 +23,6 @@ left/right ampleness classifier.  Its exact certificates:
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import operator
 
@@ -38,7 +37,11 @@ from .intlinalg import (
     is_quasi_unipotent,
     spectral_radius_interval,
 )
-from .ring import _exact_int
+from .ring import _exact_int, _Record, _setattr
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable
 
 # The largest multiple k of the ample class the witness search tries
 MAX_WITNESS_MULTIPLIER = 2**16
@@ -52,21 +55,32 @@ class UnsupportedActionError(ValueError):
     """The requested computation is not supported on this action."""
 
 
-@dataclasses.dataclass(frozen=True)
-class DivisorClass:
-    """Coordinates of a divisor class in the numerical group Z^l."""
+class DivisorClass(_Record):
+    """Coordinates of a divisor class in the numerical group Z^l.
 
-    coords: tuple[int, ...]
+    ``coords`` may be any iterable of integers and is stored as a tuple of
+    ints: bools, floats and strings raise ``TypeError``.
+    """
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: Iterable[int]):
+        _setattr(self, "coords", _int_row(coords, "divisor entry"))
 
     def scaled(self, k: int) -> "DivisorClass":
         return DivisorClass(tuple(k * c for c in self.coords))
 
 
-@dataclasses.dataclass(frozen=True)
-class CurveFunctional:
-    """Intersection-with-a-curve functional; pairing is the dot product."""
+class CurveFunctional(_Record):
+    """Intersection-with-a-curve functional; pairing is the dot product.
 
-    coords: tuple[int, ...]
+    ``coords`` is stored as a tuple of ints, checked as ``DivisorClass``'s.
+    """
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: Iterable[int]):
+        _setattr(self, "coords", _int_row(coords, "curve entry"))
 
 
 def pairing(divisor: DivisorClass, curve: CurveFunctional) -> int:
@@ -75,20 +89,19 @@ def pairing(divisor: DivisorClass, curve: CurveFunctional) -> int:
     return sum(map(operator.mul, divisor.coords, curve.coords))
 
 
-def _int_row(values) -> tuple[int, ...]:
+def _int_row(values, name: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints: plain ints as they are, others by ``_exact_int``."""
     row = tuple(values)
     if all(type(x) is int for x in row):
         return row
-    return tuple([_exact_int("curve entry", x) for x in row])
+    return tuple([_exact_int(name, x) for x in row])
 
 
 # the keys of a spec document, as NumericalActionSpec.from_json_dict reads them
 _SPEC_KEYS = ("P", "curves", "dimX", "degSigma", "ampleFlag")
 
 
-@dataclasses.dataclass(init=False, frozen=True)
-class NumericalActionSpec:
+class NumericalActionSpec(_Record):
     """Invertible integer action plus curve functionals and metadata.
 
     ``dim_x`` is the dimension of the underlying space (used by the degree
@@ -97,19 +110,13 @@ class NumericalActionSpec:
     eventually ample, consulted only in the root-of-unity case.
     """
 
-    matrix: IntMatrix
-    curves: tuple[CurveFunctional, ...]
-    dim_x: int
-    deg_sigma: int | None
-    ample_flag: bool | None
+    __slots__ = ("matrix", "curves", "dim_x", "deg_sigma", "ample_flag")
 
     def __init__(self, matrix, curves, dim_x=1, deg_sigma=None, ample_flag=None):
         if not isinstance(matrix, IntMatrix):
             matrix = IntMatrix(matrix)
-        curves = tuple(
-            c if isinstance(c, CurveFunctional) else CurveFunctional(_int_row(c))
-            for c in curves
-        )
+        curves = tuple([c if isinstance(c, CurveFunctional) else CurveFunctional(c)
+                        for c in curves])
         if not curves:
             raise ValueError("at least one curve functional is required")
         if any(len(c.coords) != matrix.dim for c in curves):
@@ -130,11 +137,11 @@ class NumericalActionSpec:
         # chi(0) = (-1)**n det(P); chi is cached on the matrix for later use
         if char_poly(matrix).evaluate(0) == 0:
             raise ValueError("action matrix must be invertible over Q")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "curves", curves)
-        object.__setattr__(self, "dim_x", dim_x)
-        object.__setattr__(self, "deg_sigma", deg_sigma)
-        object.__setattr__(self, "ample_flag", ample_flag)
+        _setattr(self, "matrix", matrix)
+        _setattr(self, "curves", curves)
+        _setattr(self, "dim_x", dim_x)
+        _setattr(self, "deg_sigma", deg_sigma)
+        _setattr(self, "ample_flag", ample_flag)
 
     @property
     def rank(self) -> int:
@@ -169,14 +176,11 @@ class Verdict(enum.Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclasses.dataclass(frozen=True)
-class AmplenessReport:
-    left: Verdict
-    right: Verdict
-    spectral_radius: RationalInterval | None
-    quasi_unipotent: bool
-    ample_eigenvector: DivisorClass | None
-    reasons: tuple[str, ...]
+class AmplenessReport(_Record):
+    """The left and right verdicts, the radius enclosure and their reasons."""
+
+    __slots__ = ("left", "right", "spectral_radius", "quasi_unipotent",
+                 "ample_eigenvector", "reasons")
 
 
 def _check_lengths(spec: NumericalActionSpec, divisor: DivisorClass) -> None:
@@ -231,14 +235,10 @@ def delta_sequence(
     return out
 
 
-@dataclasses.dataclass(frozen=True)
-class NonLeftAmpleWitness:
+class NonLeftAmpleWitness(_Record):
     """An ample multiple H and curve C with (Delta_m - P**m H . C) < 0, m <= horizon."""
 
-    h: DivisorClass
-    curve: CurveFunctional
-    horizon: int
-    multiplier: int
+    __slots__ = ("h", "curve", "horizon", "multiplier")
 
 
 def non_left_ample_witness(

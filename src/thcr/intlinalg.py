@@ -1,9 +1,9 @@
 """Exact integer and rational linear algebra for endomorphism actions.
 
 Characteristic polynomials, certified isolation of the dominant real
-eigenvalue, quasi-unipotence via cyclotomic factorization, and Jordan block
-sizes for integer eigenvalues.  Everything runs over Z or Q, so every answer
-is a certificate rather than a floating-point estimate.
+eigenvalue and quasi-unipotence via cyclotomic factorization.  Everything
+runs over Z or Q, so every answer is a certificate rather than a
+floating-point estimate.
 
 The characteristic polynomial comes from Newton's identities on the power
 sums tr(P**k), which need only P**1..P**ceil(n/2): the later traces are dot
@@ -39,13 +39,12 @@ alone.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .ring import _exact_int
+from .ring import _exact_int, _Record, _setattr
 
 
 class SingularMatrixError(ValueError):
@@ -56,12 +55,7 @@ class NoRealEigenvalueError(ValueError):
     """The characteristic polynomial has no real root to isolate."""
 
 
-class NotAnEigenvalueError(ValueError):
-    """The requested value is not a root of the characteristic polynomial."""
-
-
-@dataclasses.dataclass(init=False, eq=True, frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Record):
     """Dense integer polynomial; ``coeffs[i]`` is the coefficient of x**i.
 
     >>> IntPolynomial(-2, 1)
@@ -70,7 +64,8 @@ class IntPolynomial:
     3
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs", "__dict__")  # the dict holds the cached properties
+    _fields = ("coeffs",)
 
     def __init__(self, *coeffs: int):
         coeffs = list(coeffs)
@@ -78,7 +73,10 @@ class IntPolynomial:
             coeffs = [_exact_int("coefficient", c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        _setattr(self, "coeffs", tuple(coeffs))
+
+    def __reduce__(self):  # the constructor takes the coefficients unpacked
+        return IntPolynomial, self.coeffs
 
     def degree(self) -> int:
         """Degree of the leading term; the zero polynomial has degree -1."""
@@ -215,11 +213,11 @@ class IntPolynomial:
         return f"IntPolynomial({', '.join(str(c) for c in self.coeffs)})"
 
 
-@dataclasses.dataclass(init=False, eq=True, frozen=True)
-class IntMatrix:
+class IntMatrix(_Record):
     """Square matrix with arbitrary-precision integer entries."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "__dict__")  # the dict holds the cached characteristic polynomial
+    _fields = ("rows",)
 
     def __init__(self, rows):
         data = tuple(map(tuple, rows))
@@ -229,7 +227,7 @@ class IntMatrix:
             raise ValueError("matrix must be nonempty")
         if any(len(row) != len(data) for row in data):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", data)
+        _setattr(self, "rows", data)
 
     @property
     def dim(self) -> int:
@@ -246,10 +244,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, dim: int) -> "IntMatrix":
         return cls.scalar(dim, 1)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_dim(other)
-        return IntMatrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)
@@ -268,19 +262,17 @@ class IntMatrix:
             raise ValueError("matrix dimensions differ")
 
 
-@dataclasses.dataclass(init=False, eq=True, frozen=True)
-class RationalInterval:
+class RationalInterval(_Record):
     """Closed interval with exact rational endpoints, lo <= hi."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("interval endpoints out of order")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
 
     @classmethod
     def point(cls, value) -> "RationalInterval":
@@ -318,26 +310,6 @@ def det(matrix: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def integer_rank(matrix: IntMatrix) -> int:
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
-    n = matrix.dim
-    a = [list(row) for row in matrix.rows]
-    prev = 1
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, n) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        for i in range(rank + 1, n):
-            for j in range(col + 1, n):
-                a[i][j] = (a[i][j] * a[rank][col] - a[i][col] * a[rank][j]) // prev
-            a[i][col] = 0
-        prev = a[rank][col]
-        rank += 1
-    return rank
 
 
 def char_poly(matrix: IntMatrix) -> IntPolynomial:
@@ -439,26 +411,6 @@ def is_quasi_unipotent(matrix: IntMatrix) -> bool:
         if f.degree() == 0:
             break
     return f.degree() == 0
-
-
-def jordan_growth_exponent(matrix: IntMatrix, eigenvalue: int) -> int:
-    """Size of the largest Jordan block for an integer eigenvalue, minus one.
-
-    Computed from the exact rank sequence of (P - rI)**k: the nullities
-    strictly increase until k reaches the largest block size.
-    """
-    chi = char_poly(matrix)
-    if chi.evaluate(eigenvalue) != 0:
-        raise NotAnEigenvalueError(f"{eigenvalue} is not an eigenvalue")
-    n = matrix.dim
-    shifted = matrix - IntMatrix.scalar(n, eigenvalue)
-    ranks = [n]
-    power = IntMatrix.identity(n)
-    while True:
-        power = power @ shifted
-        ranks.append(integer_rank(power))
-        if ranks[-1] == ranks[-2]:
-            return len(ranks) - 3
 
 
 # --- Sturm machinery over Z -------------------------------------------------

@@ -68,13 +68,23 @@ class _Record:
     ``_fields`` defaults to the subclass's ``__slots__``.  Equality and
     hashing go by the class and the field values, ``repr`` is
     ``Name(field=value, ...)``, and assigning or deleting a field raises
-    ``AttributeError``, as for a frozen dataclass.  Each slots subclass
-    writes its own ``__init__``, which validates and stores the fields with
-    ``object.__setattr__``; pickling rebuilds a record by calling its class
-    with the field values, so unpickling runs the same checks.
+    ``AttributeError``.  Pickling and copying rebuild a record by calling
+    its class with the field values, so they rerun any checks.
+
+    The generic ``__init__`` takes the fields positionally or by keyword,
+    so a record that only stores its fields writes no ``__init__``.
+    ``__init_subclass__`` keeps each field's slot-descriptor ``__set__`` in
+    ``_stores``; a positional call stores through those, and only keywords
+    or a wrong arity take the binding branch.  A record that validates
+    writes its own ``__init__`` and stores with ``object.__setattr__``.  A
+    record that caches with ``functools.cached_property`` lists
+    ``"__dict__"`` in its ``__slots__`` and names its ``_fields``
+    explicitly; assignment still raises, since ``cached_property`` writes
+    the instance dict directly.
 
     A subclass may also derive from ``tuple`` (``__slots__ = ()``, an
-    explicit ``_fields`` and one property per field).  ``__eq__`` answers
+    explicit ``_fields``, one property per field, a ``__new__`` that builds
+    the tuple and ``__init__ = object.__init__``).  ``__eq__`` answers
     False for any tuple of another class, and ``__ne__`` here shadows
     tuple's, so such a record never equals a plain tuple in either operand
     order.
@@ -85,6 +95,28 @@ class _Record:
     def __init_subclass__(cls):
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__slots__
+        cls._stores = tuple([getattr(cls, name).__set__ for name in cls._fields])
+
+    def __init__(self, *args, **kwargs):
+        stores = self._stores
+        if kwargs or len(args) != len(stores):
+            args = self._bind(args, kwargs)
+        for store, value in zip(stores, args):
+            store(self, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values in ``_fields`` order; TypeError unless each is given once."""
+        fields = cls._fields
+        values = dict(zip(fields, args))
+        values.update(kwargs)
+        if len(args) + len(kwargs) == len(values) == len(fields):
+            try:
+                return [values[name] for name in fields]
+            except KeyError:
+                pass
+        raise TypeError(f"{cls.__qualname__}() takes {', '.join(fields)}, each once; got "
+                        f"{len(args)} positional and the keywords {', '.join(kwargs) or 'none'}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -174,12 +206,6 @@ class DecompositionWitness(_Record):
     """A factorization z = u * v with u in grade a, v in grade b."""
 
     __slots__ = ("a", "b", "u", "v")
-
-    def __init__(self, a: int, b: int, u: Monomial, v: Monomial):
-        _setattr(self, "a", a)
-        _setattr(self, "b", b)
-        _setattr(self, "u", u)
-        _setattr(self, "v", v)
 
 
 def twist_degree(spec: PowerRingSpec, n: int) -> int:

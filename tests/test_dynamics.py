@@ -360,6 +360,38 @@ def test_integer_checks_name_the_argument(build, name):
         build()
 
 
+class _Index:
+    """An integer-like value that is not an int, as numpy's integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# both records stored what they were given: DivisorClass((0.5,)) came back
+# from classify_ampleness as a right-Yes ample eigenvector, and a list made
+# an unhashable record
+@pytest.mark.parametrize("record, name", [
+    (DivisorClass, "divisor entry"), (CurveFunctional, "curve entry"),
+], ids=["divisor", "curve"])
+@pytest.mark.parametrize("coords", [
+    (0.5,), (True,), (1, False), (1.5, 2), ("1",), (2.0,), (None,),
+], ids=repr)
+def test_coordinates_reject_non_integers(record, name, coords):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        record(coords)
+
+
+@pytest.mark.parametrize("record", [DivisorClass, CurveFunctional])
+def test_coordinates_are_stored_as_int_tuples(record):
+    for coords in ([1, 2], (_Index(1), 2), (x for x in (1, 2))):
+        value = record(coords)
+        assert value.coords == (1, 2) and all(type(c) is int for c in value.coords)
+        assert value == record((1, 2)) and hash(value) == hash(record((1, 2)))
+
+
 def test_spec_takes_integer_curve_rows():
     spec = NumericalActionSpec([[1]], [[1]])
     assert spec.curves == (CurveFunctional((1,)),)

@@ -20,16 +20,13 @@ from thcr.intlinalg import (
     IntMatrix,
     IntPolynomial,
     NoRealEigenvalueError,
-    NotAnEigenvalueError,
     SingularMatrixError,
     char_poly,
     count_real_roots_above,
     cyclotomic,
     det,
     euler_phi,
-    integer_rank,
     is_quasi_unipotent,
-    jordan_growth_exponent,
     spectral_radius_interval,
     squarefree_part,
 )
@@ -552,6 +549,22 @@ def test_quasi_unipotent_float_oracle_sample():
         assert is_quasi_unipotent(matrix) == oracle
 
 
+def _random_unimodular(rng, dim):
+    """Product of integer shears; returns (Q, Q_inverse)."""
+    q = IntMatrix.identity(dim)
+    q_inv = IntMatrix.identity(dim)
+    for _ in range(6):
+        i, j = rng.sample(range(dim), 2)
+        k = rng.randint(-2, 2)
+        shear = [[1 if a == b else 0 for b in range(dim)] for a in range(dim)]
+        shear[i][j] = k
+        unshear = [row[:] for row in shear]
+        unshear[i][j] = -k
+        q = q @ IntMatrix(shear)
+        q_inv = IntMatrix(unshear) @ q_inv
+    return q, q_inv
+
+
 @st.composite
 def near_cyclotomic_matrices(draw):
     """Block-triangular cyclotomic companions conjugated by a unimodular
@@ -605,58 +618,6 @@ def test_cyclotomic_small():
     assert cyclotomic(4) == IntPolynomial(1, 0, 1)
     assert cyclotomic(6) == IntPolynomial(1, -1, 1)
     assert euler_phi(12) == 4
-
-
-# --- Jordan growth exponent -----------------------------------------------------
-
-def test_jordan_diagonal():
-    assert jordan_growth_exponent(IntMatrix([[2]]), 2) == 0
-
-
-def test_jordan_shear():
-    # rank(P - I) = 1, rank((P - I)**2) = 0
-    assert jordan_growth_exponent(IntMatrix([[1, 1], [0, 1]]), 1) == 1
-
-
-def test_jordan_block_two():
-    assert jordan_growth_exponent(IntMatrix([[2, 1], [0, 2]]), 2) == 1
-
-
-def test_jordan_rejects_non_eigenvalue():
-    with pytest.raises(NotAnEigenvalueError):
-        jordan_growth_exponent(IntMatrix([[2]]), 3)
-
-
-def _random_unimodular(rng, dim):
-    """Product of integer shears; returns (Q, Q_inverse)."""
-    q = IntMatrix.identity(dim)
-    q_inv = IntMatrix.identity(dim)
-    for _ in range(6):
-        i, j = rng.sample(range(dim), 2)
-        k = rng.randint(-2, 2)
-        shear = [[1 if a == b else 0 for b in range(dim)] for a in range(dim)]
-        shear[i][j] = k
-        unshear = [row[:] for row in shear]
-        unshear[i][j] = -k
-        q = q @ IntMatrix(shear)
-        q_inv = IntMatrix(unshear) @ q_inv
-    return q, q_inv
-
-
-def test_jordan_invariant_under_similarity():
-    rng = random.Random(99)
-    base_cases = [
-        (IntMatrix([[1, 1], [0, 1]]), 1),
-        (IntMatrix([[2, 1], [0, 2]]), 2),
-        (IntMatrix([[2, 0, 0], [0, 2, 1], [0, 0, 2]]), 2),
-        (IntMatrix([[3, 1, 0], [0, 3, 1], [0, 0, 3]]), 3),
-    ]
-    for matrix, eigenvalue in base_cases:
-        expected = jordan_growth_exponent(matrix, eigenvalue)
-        for _ in range(5):
-            q, q_inv = _random_unimodular(rng, matrix.dim)
-            conjugate = q @ matrix @ q_inv
-            assert jordan_growth_exponent(conjugate, eigenvalue) == expected
 
 
 # --- root counting and plumbing -------------------------------------------------
@@ -736,12 +697,6 @@ def test_spectral_radius_encloses_sympy_largest_root(factors):
     lo = sympy.Rational(interval.lo.numerator, interval.lo.denominator)
     hi = sympy.Rational(interval.hi.numerator, interval.hi.denominator)
     assert lo <= max(roots) <= hi
-
-
-def test_integer_rank():
-    assert integer_rank(IntMatrix([[1, 2], [2, 4]])) == 1
-    assert integer_rank(IntMatrix([[0, 0], [0, 0]])) == 0
-    assert integer_rank(IntMatrix([[1, 0], [0, 1]])) == 2
 
 
 def test_matrix_validation():

@@ -11,6 +11,15 @@ from hypothesis import strategies as st
 from ring_oracles import associativity_check, decompose_brute, decompose_residue
 
 from thcr.cohomology import LeftScanResult, RightScanResult, ScanRow
+from thcr.dynamics import (
+    AmplenessReport,
+    CurveFunctional,
+    DivisorClass,
+    NonLeftAmpleWitness,
+    NumericalActionSpec,
+    Verdict,
+)
+from thcr.intlinalg import IntMatrix, IntPolynomial, RationalInterval
 from thcr.ring import (
     BudgetExceededError,
     DecompositionWitness,
@@ -569,8 +578,11 @@ def test_growth_class_validation():
 # --- records ----------------------------------------------------------------------
 
 _ROW = ScanRow(n=0, degree=-3, q=1, value=1)
+_CURVE = CurveFunctional((1,))
+_REASONS = ("spectral-radius-above-one-blocks-left-ampleness",)
 # (record built by keyword, the same record built positionally, a different
-# record of the same class, the repr the frozen dataclasses printed)
+# record of the same class, the repr the frozen dataclasses printed);
+# IntPolynomial takes its coefficients only positionally and keeps its own repr
 RECORDS = [
     (PowerRingSpec(dim=1, power=2), PowerRingSpec(1, 2), PowerRingSpec(2, 1),
      "PowerRingSpec(dim=1, power=2)"),
@@ -589,7 +601,39 @@ RECORDS = [
      LeftScanResult(-3, 0, 0, (_ROW,)), LeftScanResult(-3, 0, 0, ()),
      "LeftScanResult(twist=-3, max_n=0, nonvanishing_from=0, "
      "rows=(ScanRow(n=0, degree=-3, q=1, value=1),))"),
+    (IntPolynomial(-2, 1), IntPolynomial(-2, 1, 0), IntPolynomial(2, 1), "IntPolynomial(-2, 1)"),
+    (IntMatrix(rows=[[2, 1], [1, 1]]), IntMatrix(((2, 1), (1, 1))), IntMatrix([[1, 1], [1, 2]]),
+     "IntMatrix(rows=((2, 1), (1, 1)))"),
+    (RationalInterval(lo=1, hi=2), RationalInterval(Fraction(1), Fraction(2)),
+     RationalInterval(1, 3), "RationalInterval(lo=Fraction(1, 1), hi=Fraction(2, 1))"),
+    (DivisorClass(coords=(1, 2)), DivisorClass([1, 2]), DivisorClass((2, 1)),
+     "DivisorClass(coords=(1, 2))"),
+    (CurveFunctional(coords=(1, 0)), CurveFunctional([1, 0]), CurveFunctional((0, 1)),
+     "CurveFunctional(coords=(1, 0))"),
+    (NumericalActionSpec(matrix=IntMatrix([[2]]), curves=(_CURVE,), dim_x=2, deg_sigma=4,
+                         ample_flag=None),
+     NumericalActionSpec([[2]], [[1]], 2, 4, None), NumericalActionSpec([[2]], [[1]], 2, 4, True),
+     "NumericalActionSpec(matrix=IntMatrix(rows=((2,),)), curves=(CurveFunctional(coords=(1,)),),"
+     " dim_x=2, deg_sigma=4, ample_flag=None)"),
+    (AmplenessReport(left=Verdict.NO, right=Verdict.YES, spectral_radius=RationalInterval(2, 2),
+                     quasi_unipotent=False, ample_eigenvector=DivisorClass((1,)),
+                     reasons=_REASONS),
+     AmplenessReport(Verdict.NO, Verdict.YES, RationalInterval(2, 2), False, DivisorClass((1,)),
+                     _REASONS),
+     AmplenessReport(Verdict.NO, Verdict.UNDETERMINED, RationalInterval(2, 2), False, None,
+                     _REASONS),
+     "AmplenessReport(left=<Verdict.NO: 'No'>, right=<Verdict.YES: 'Yes'>, "
+     "spectral_radius=RationalInterval(lo=Fraction(2, 1), hi=Fraction(2, 1)), "
+     "quasi_unipotent=False, ample_eigenvector=DivisorClass(coords=(1,)), "
+     "reasons=('spectral-radius-above-one-blocks-left-ampleness',))"),
+    (NonLeftAmpleWitness(h=DivisorClass((2,)), curve=_CURVE, horizon=8, multiplier=2),
+     NonLeftAmpleWitness(DivisorClass((2,)), _CURVE, 8, 2),
+     NonLeftAmpleWitness(DivisorClass((4,)), _CURVE, 8, 4),
+     "NonLeftAmpleWitness(h=DivisorClass(coords=(2,)), curve=CurveFunctional(coords=(1,)), "
+     "horizon=8, multiplier=2)"),
 ]
+# the records whose cached properties live in an instance dict
+CACHING_RECORDS = (IntPolynomial, IntMatrix)
 
 
 @pytest.mark.parametrize("record, twin, other, text", RECORDS,
@@ -614,7 +658,41 @@ def test_records_are_frozen_values(record, twin, other, text):
     with pytest.raises(AttributeError):
         record.extra = 0
     assert getattr(record, field) == getattr(twin, field)
-    assert not hasattr(record, "__dict__")
+    assert hasattr(record, "__dict__") == isinstance(record, CACHING_RECORDS)
+
+
+_MONO = Monomial((1, 0))
+
+
+# (class, positional arguments, keyword arguments) of calls that must raise
+BAD_CALLS = [
+    (DecompositionWitness, (1, 1, _MONO), {}),
+    (DecompositionWitness, (1, 1, _MONO, _MONO, _MONO), {}),
+    (DecompositionWitness, (), {"a": 1, "b": 1, "u": _MONO}),
+    (DecompositionWitness, (1, 1, _MONO, _MONO), {"w": 0}),
+    (DecompositionWitness, (1, 1, _MONO), {"v": _MONO, "a": 1}),
+    (RightScanResult, (-3, 0, None), {}),
+    (LeftScanResult, (), {"twist": -3, "max_n": 0, "nonvanishing_from": 0, "rows": (),
+                          "extra": 1}),
+    (NonLeftAmpleWitness, (DivisorClass((2,)), _CURVE, 8), {}),
+    (AmplenessReport, (), {"left": Verdict.NO}),
+    (ScanRow, (0, -3, 1), {}),
+    (ScanRow, (0, -3, 1, 1, 1), {}),
+    (PowerRingSpec, (1,), {}),
+    (PowerRingSpec, (), {"dim": 1, "r": 2}),
+    (DivisorClass, (), {}),
+    (CurveFunctional, (), {"coord": (1,)}),
+    (RationalInterval, (1, 2, 3), {}),
+    (IntMatrix, (), {}),
+    (IntPolynomial, (), {"coeffs": (1,)}),
+]
+
+
+@pytest.mark.parametrize("cls, args, kwargs", BAD_CALLS, ids=[
+    "-".join([cls.__name__, str(len(args)), *kwargs]) for cls, args, kwargs in BAD_CALLS])
+def test_records_reject_wrong_arity_and_unknown_keywords(cls, args, kwargs):
+    with pytest.raises(TypeError):
+        cls(*args, **kwargs)
 
 
 class _Index:
