@@ -196,20 +196,19 @@ def orbit_pairings(
 ) -> list[int]:
     """[(P**m D . C) for m = 0..max_m], exactly.
 
-    The terms below the rank n come from matrix-vector products.  Past them
-    Cayley-Hamilton (chi(P) = 0, chi = x**n + sum_{j<n} a_j x**j) gives
-    s_i = -sum_{j<n} a_j s_{i-n+j}, so each later term costs n products
-    instead of n**2.
+    The terms below the rank n pair D with the curve rows C @ P**m, which
+    the matrix computes once per curve and keeps.  Past them Cayley-Hamilton
+    (chi(P) = 0, chi = x**n + sum_{j<n} a_j x**j) gives s_i = -sum_{j<n} a_j s_{i-n+j},
+    so each later term costs n products instead of n**2.
     """
+    if max_m < 0:
+        raise ValueError("max_m must be >= 0")
     _check_lengths(spec, divisor)
     if len(curve.coords) != spec.rank:
         raise ValueError("curve length does not match the action rank")
     n = spec.rank
-    vec = divisor.coords
-    out = [sum(map(operator.mul, vec, curve.coords))]
-    for _ in range(min(max_m, n - 1)):
-        vec = spec.matrix.apply(vec)
-        out.append(sum(map(operator.mul, vec, curve.coords)))
+    rows = spec.matrix._curve_rows(curve.coords)[: max_m + 1]
+    out = [sum(map(operator.mul, divisor.coords, row)) for row in rows]
     if max_m >= n:
         negated = [-a for a in char_poly(spec.matrix).coeffs[:-1]]
         for i in range(n, max_m + 1):

@@ -6,10 +6,11 @@ runs over Z or Q, so every answer is a certificate rather than a
 floating-point estimate.
 
 The characteristic polynomial comes from Newton's identities on the power
-sums tr(P**k), which need only P**1..P**ceil(n/2): the later traces are dot
-products of P**ceil(n/2) with transposed lower powers.  It is computed once
-per matrix and kept on the immutable ``IntMatrix``, so the cyclotomic test,
-the radius, the witness search and the orbit recurrence share it.
+sums tr(P**k), read from the diagonals of powers built on packed rows: one
+integer per row, one slot per entry (Kronecker substitution).  It is kept on
+the immutable ``IntMatrix`` with the curve rows C @ P**m, m < n, of every
+curve C an orbit is paired with, so the cyclotomic test, the radius, the
+witness search and the orbit recurrence compute each once.
 
 The largest real root is guessed and certified.  A gcd mod the prime
 2**61 - 1 shows the characteristic polynomial squarefree, a float Laguerre
@@ -237,6 +238,20 @@ class IntMatrix(_Record):
     def _char_poly(self) -> "IntPolynomial":
         return _newton_char_poly(self.rows)
 
+    @cached_property
+    def _curve_row_cache(self) -> dict:
+        return {}
+
+    def _curve_rows(self, curve: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The row vectors ``curve @ P**m`` for m < n, computed once per curve."""
+        rows = self._curve_row_cache.get(curve)
+        if rows is None:
+            rows, cols = [curve], list(zip(*self.rows))
+            for _ in range(self.dim - 1):
+                rows.append(tuple([sum(map(operator.mul, rows[-1], col)) for col in cols]))
+            rows = self._curve_row_cache[curve] = tuple(rows)
+        return rows
+
     @classmethod
     def scalar(cls, dim: int, value: int) -> "IntMatrix":
         return cls([[value if i == j else 0 for j in range(dim)] for i in range(dim)])
@@ -246,7 +261,8 @@ class IntMatrix(_Record):
         return cls.scalar(dim, 1)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_dim(other)
+        if self.dim != other.dim:
+            raise ValueError("matrix dimensions differ")
         cols = list(zip(*other.rows))
         return IntMatrix(
             [[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows]
@@ -257,10 +273,6 @@ class IntMatrix(_Record):
             raise ValueError("vector length does not match matrix dimension")
         return tuple([sum(map(operator.mul, row, vector)) for row in self.rows])
 
-    def _check_dim(self, other: "IntMatrix") -> None:
-        if self.dim != other.dim:
-            raise ValueError("matrix dimensions differ")
-
 
 class RationalInterval(_Record):
     """Closed interval with exact rational endpoints, lo <= hi."""
@@ -268,6 +280,8 @@ class RationalInterval(_Record):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
+        if not all(isinstance(x, (int, Fraction)) and type(x) is not bool for x in (lo, hi)):
+            raise TypeError(f"interval endpoints must be ints or Fractions, got {lo!r} and {hi!r}")
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("interval endpoints out of order")
@@ -315,9 +329,9 @@ def det(matrix: IntMatrix) -> int:
 def char_poly(matrix: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - P), monic with integer coefficients.
 
-    Uses Newton's identities on the power sums tr(P**k), which need only the
-    powers up to P**ceil(n/2); every division is exact.  The result is
-    computed once per matrix and kept on it.
+    Uses Newton's identities on the power sums tr(P**k) for k <= n, read
+    from the diagonal slots of P**k built on packed rows; every division is
+    exact.  The result is computed once per matrix and kept on it.
 
     >>> char_poly(IntMatrix([[0, -1], [1, 0]]))
     IntPolynomial(1, 0, 1)
@@ -327,18 +341,19 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
 
 def _newton_char_poly(rows) -> IntPolynomial:
     n = len(rows)
-    half = (n + 1) // 2
-    # powers[k] = P**(k+1) for k < half
-    powers = [rows]
-    cols = list(zip(*rows))
-    for _ in range(half - 1):
-        powers.append([[sum(map(operator.mul, row, col)) for col in cols] for row in powers[-1]])
-    # p_k = tr(P**k): a diagonal for k <= half, else tr(P**half @ P**(k-half)),
-    # the flattened P**half against the flattened transpose of P**(k-half)
-    sums = [0] + [sum(power[i][i] for i in range(n)) for power in powers]
-    top = [x for row in powers[-1] for x in row]
-    for power in powers[: n - half]:
-        sums.append(sum(map(operator.mul, top, [x for col in zip(*power) for x in col])))
+    # Row i of P**k is packed into one integer, entry j in the w-bit slot j.
+    # |(P**k)_ij| <= ||P||_inf**k < 2**(n * bits) for k <= n, so an entry
+    # plus the slot bias 2**(w-1) fits its slot and never borrows from the next.
+    w = n * max(sum(map(abs, row)) for row in rows).bit_length() + 2
+    power = [sum([x << j * w for j, x in enumerate(row)]) for row in rows]
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = sum([half << j * w for j in range(n)])
+    # p_k = tr(P**k), each row of P @ P**k one sum of packed rows
+    sums = [0]
+    for k in range(1, n + 1):
+        if k > 1:
+            power = [sum(map(operator.mul, row, power)) for row in rows]
+        sums.append(sum([(r + bias) >> i * w & mask for i, r in enumerate(power)]) - n * half)
     # k * a_{n-k} = -(p_k + sum_{i<k} a_{n-i} p_{k-i})
     coeffs = [0] * n + [1]
     for k in range(1, n + 1):

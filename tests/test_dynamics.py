@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thcr.dynamics import (
+    MAX_WITNESS_MULTIPLIER,
     CurveFunctional,
     DivisorClass,
     NumericalActionSpec,
@@ -181,7 +182,94 @@ def test_orbit_recurrence_matches_matrix_vector_products(case):
     assert orbit_pairings(spec, divisor, curve, max_m) == expected
 
 
+@st.composite
+def shared_curve_calls(draw):
+    """One action with several curves and divisors, and a list of orbit
+    calls (curve, divisor, max_m) over them in any order, repeats included."""
+    n = draw(st.integers(1, 6))
+    rows = draw(small_matrices(n))
+    curves = draw(st.lists(small_vectors(n), min_size=1, max_size=4))
+    divisors = draw(st.lists(small_vectors(n), min_size=1, max_size=4))
+    calls = draw(st.lists(
+        st.tuples(st.integers(0, len(curves) - 1), st.integers(0, len(divisors) - 1),
+                  st.integers(0, 3 * n)),
+        min_size=1, max_size=12,
+    ))
+    return rows, curves, divisors, calls
+
+
+@settings(deadline=None)
+@given(shared_curve_calls())
+def test_cached_curve_rows_match_matrix_vector_products(case):
+    rows, curves, divisors, calls = case
+    matrix = IntMatrix(rows)
+    assume(det(matrix) != 0)
+    spec = NumericalActionSpec(matrix, curves)
+    for c, d, max_m in calls:
+        divisor, curve = DivisorClass(divisors[d]), CurveFunctional(curves[c])
+        expected = reference_orbit_pairings(spec, divisor, curve, max_m)
+        assert orbit_pairings(spec, divisor, curve, max_m) == expected
+    # one row sequence per distinct curve, kept on the matrix
+    assert set(matrix._curve_row_cache) == {tuple(curves[c]) for c, _, _ in calls}
+
+
+def test_orbit_rejects_negative_max_m():
+    with pytest.raises(ValueError, match="max_m must be >= 0"):
+        orbit_pairings(scalar_spec(2), D1, C1, -1)
+
+
 # --- witness search -----------------------------------------------------------------
+
+def brute_force_witness(spec, divisor, ample, horizon):
+    """(curve, k) for the first curve and least power of two k <= the cap with
+    sum_{i<m} (P**i D . C) < k * (P**m H . C) for m = 1..horizon, from
+    matrix-vector products alone; None when there is none."""
+    for curve in spec.curves:
+        orbit_d = reference_orbit_pairings(spec, divisor, curve, horizon)
+        orbit_h = reference_orbit_pairings(spec, ample, curve, horizon)
+        k = 1
+        while k <= MAX_WITNESS_MULTIPLIER:
+            if all(sum(orbit_d[:m]) < k * orbit_h[m] for m in range(1, horizon + 1)):
+                return curve, k
+            k *= 2
+    return None
+
+
+@st.composite
+def witness_cases(draw):
+    n = draw(st.integers(1, 3))
+    rows = draw(small_matrices(n))
+    curves = draw(st.lists(small_vectors(n), min_size=1, max_size=3))
+    return rows, curves, draw(small_vectors(n)), draw(small_vectors(n))
+
+
+@settings(deadline=None)
+@given(witness_cases())
+def test_witness_matches_brute_force(case):
+    rows, curves, dvec, hvec = case
+    matrix = IntMatrix(rows)
+    assume(det(matrix) != 0)
+    spec = NumericalActionSpec(matrix, curves)
+    divisor, ample = DivisorClass(dvec), DivisorClass(hvec)
+    try:
+        witness = non_left_ample_witness(spec, divisor, ample, horizon=12)
+    except UnsupportedActionError:
+        assume(False)
+    except WitnessSearchExhausted:
+        assert brute_force_witness(spec, divisor, ample, 12) is None
+        return
+    curve, k = brute_force_witness(spec, divisor, ample, 12)
+    assert (witness.curve, witness.multiplier, witness.h) == (curve, k, ample.scaled(k))
+
+
+def test_witness_skips_a_failing_first_curve():
+    spec = NumericalActionSpec([[-2, 1], [-2, 3]], [[2, -1], [-1, 2]])
+    divisor, ample = DivisorClass((0, 3)), DivisorClass((2, 1))
+    witness = non_left_ample_witness(spec, divisor, ample, horizon=12)
+    # the first curve fails, and the second needs multiplier 32
+    assert (witness.curve.coords, witness.multiplier) == ((-1, 2), 32)
+    assert brute_force_witness(spec, divisor, ample, 12) == (witness.curve, 32)
+
 
 def test_witness_scalar_double():
     witness = non_left_ample_witness(scalar_spec(2), D1, D1)

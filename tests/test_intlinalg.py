@@ -20,6 +20,7 @@ from thcr.intlinalg import (
     IntMatrix,
     IntPolynomial,
     NoRealEigenvalueError,
+    RationalInterval,
     SingularMatrixError,
     char_poly,
     count_real_roots_above,
@@ -166,7 +167,7 @@ def test_char_poly_matches_interpolation_oracle(rows):
 
 
 @settings(deadline=None)
-@given(st.integers(1, 10).flatmap(lambda d: square_lists(d, -(2**16), 2**16)))
+@given(st.integers(1, 12).flatmap(lambda d: square_lists(d, -(2**16), 2**16)))
 def test_char_poly_matches_sympy(rows):
     sympy = pytest.importorskip("sympy")
     expected = sympy.Matrix(rows).charpoly().all_coeffs()
@@ -181,10 +182,17 @@ def test_char_poly_matches_sympy(rows):
 @example([[1, 2], [3, 4]])
 @example([[2, 0, 1], [1, 3, 0], [0, 1, 4]])
 @example([[-(2**64), 2**64], [2**64, -(2**64)]])
+@example([[-(2**64)] * 12 for _ in range(12)])
+@example([[2**64 - 1 if j == 4 else 0 for j in range(12)] for _ in range(12)])
+@example([[(-1) ** i * 2**64 if j == (i + 1) % 12 else 0 for j in range(12)] for i in range(12)])
+@example([[-(2**64)]])
 @given(st.integers(1, 12).flatmap(lambda d: square_lists(d, -(2**64), 2**64)))
 def test_char_poly_matches_faddeev_leverrier(rows):
-    # pinned: the zero matrix, a nilpotent Jordan block, the identity, and
-    # ranks 1-3 on both sides of the odd/even split of the powers
+    # pinned: the zero matrix, a nilpotent Jordan block, the identity and
+    # small ranks; then the packed-row slot bound |(P**k)_ij| <= ||P||_inf**k.
+    # A rank-12 matrix of -(2**64) has powers of alternating sign within a
+    # factor 12 of it.  One nonzero column (||P||_inf = 2**64 - 1, just below
+    # a power of two), a signed cyclic shift and rank 1 reach it exactly.
     assert char_poly(IntMatrix(rows)) == reference_char_poly(rows)
 
 
@@ -711,6 +719,29 @@ def test_matrix_validation():
                 lambda: IntMatrix([[1, 2], [3, True]])):
         with pytest.raises(TypeError):
             bad()
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (True, 2), (0, False), (0.5, 1), (1, 2.0), ("1/2", 1), (0, "1"), (None, 1),
+], ids=repr)
+def test_interval_rejects_non_rational_endpoints(lo, hi):
+    # Fraction() took all of these: a bool as 0 or 1, a float as its binary
+    # value and a string by parsing it
+    with pytest.raises(TypeError, match="^interval endpoints must be ints or Fractions"):
+        RationalInterval(lo, hi)
+    with pytest.raises(TypeError, match="^interval endpoints must be ints or Fractions"):
+        RationalInterval(lo=lo, hi=hi)
+
+
+def test_interval_takes_ints_and_fractions():
+    for interval in (RationalInterval(1, Fraction(3, 2)),
+                     RationalInterval(lo=1, hi=Fraction(3, 2)),
+                     RationalInterval(Fraction(2, 2), hi=Fraction(6, 4))):
+        assert (interval.lo, interval.hi) == (1, Fraction(3, 2))
+        assert type(interval.lo) is Fraction and type(interval.hi) is Fraction
+    assert RationalInterval.point(-3) == RationalInterval(-3, -3)
+    with pytest.raises(ValueError):
+        RationalInterval(2, 1)
 
 
 def test_doctests():
