@@ -12,30 +12,32 @@ the immutable ``IntMatrix`` with the curve rows C @ P**m, m < n, of every
 curve C an orbit is paired with, so the cyclotomic test, the radius, the
 witness search and the orbit recurrence compute each once.
 
-The largest real root is guessed and certified.  A gcd mod the prime
-2**61 - 1 shows the characteristic polynomial squarefree, a float Laguerre
-iteration from a Fujiwara root bound guesses the root, integer signs at the
-ends of the dyadic cell around the guess show a root inside, and one Taylor
-shift to the upper end with no sign variation shows, by Descartes' rule of
-signs, no root above it.  Perron-Frobenius puts every other eigenvalue of a
-cone-preserving action at real part below the largest, so for such an
-action with a squarefree characteristic polynomial the certificate holds
-and no Sturm chain is built.  The cell is the one the Sturm bisection would
-return, so both paths give the same interval.  Each ``IntPolynomial`` keeps
-its default-width enclosure, which the radius and the witness guard share.
+The largest real root is guessed and certified on the grid of the Sturm
+bisection, the dyadic cells from the characteristic polynomial's own Cauchy
+bound.  A float Laguerre iteration from a Fujiwara root bound guesses the
+root, integer signs at the ends of the grid cell around the guess show a
+root inside (a bracket widened and halved back on exact signs when the guess
+is off, as it is near a multiple root), and one Taylor shift to the upper
+end with no sign variation shows, by Descartes' rule of signs, no root above
+it.  That proves the largest real root in the cell whatever its
+multiplicity, so no squarefree test comes first.  Perron-Frobenius puts
+every other eigenvalue of a cone-preserving action at real part below the
+largest, so for such an action the certificate holds, and no Sturm chain is
+built, unless that root has even multiplicity or the float guess overflows.
+The cell is the one the Sturm bisection would return, so both paths give
+the same interval.  Each ``IntPolynomial`` keeps its default-width
+enclosure, which the radius and the witness guard share.
 
 When the certificate fails the bisection runs.  Each ``IntPolynomial``
 keeps its squarefree part and Sturm chain, so the bisection and
-``count_real_roots_above`` build one chain per polynomial; the gcd mod p
-also shows a squarefree polynomial to be its own squarefree part, so it
-runs no gcd over Z.  The bisection runs on integers: every
-endpoint is a dyadic ``j / 2**k`` (the squarefree part of a monic
-polynomial is monic, so the Cauchy bound is an integer), and widths, floors
-and signs are read from the pair ``(j, 2**k)``; Fractions are built only
-for the returned interval.  It decides midpoints above a power-of-two
-Fujiwara root bound without a Sturm count, and once a count isolates the
-largest root it decides each midpoint by the sign of the squarefree part
-alone.
+``count_real_roots_above`` build one chain per polynomial.  The bisection
+runs on integers: every endpoint is a dyadic ``j / 2**k`` (the
+characteristic polynomial is monic, so its Cauchy bound is an integer), and
+widths, floors and signs are read from the pair ``(j, 2**k)``; Fractions are
+built only for the returned interval.  It decides midpoints above a
+power-of-two Fujiwara root bound without a Sturm count, and once a count
+isolates the largest root it decides each midpoint by the sign of the
+squarefree part alone.
 """
 
 from __future__ import annotations
@@ -159,48 +161,11 @@ class IntPolynomial(_Record):
         return IntPolynomial(*quot), IntPolynomial(*rem[:d]), k
 
     @cached_property
-    def _squarefree_mod_p(self) -> bool:
-        """True when a gcd mod the prime ``_SQUAREFREE_MODULUS`` proves f squarefree.
-
-        A repeated factor of f divides f' and, when p does not divide f's
-        leading coefficient, stays a repeated factor mod p; so a constant
-        gcd(f, f') mod p proves f squarefree.  False almost always means a
-        repeated root: a squarefree f fails only when p divides its
-        discriminant or leading coefficient.
-        """
-        p = _SQUAREFREE_MODULUS
-        if self.leading() % p == 0:
-            return False
-        a = [c % p for c in self.coeffs]
-        b = [i * c % p for i, c in enumerate(self.coeffs)][1:]
-        while b and not b[-1]:
-            b.pop()
-        # Euclid over GF(p) on remainders scaled by the divisor's leading
-        # coefficient, which needs no modular inverse
-        while b:
-            lead, d = b[-1], len(b) - 1
-            while len(a) > d:
-                q = a.pop()
-                if q:
-                    k = len(a) - d
-                    a = [x * lead % p for x in a[:k]] + [
-                        (x * lead - q * c) % p for x, c in zip(a[k:], b)
-                    ]
-                while a and not a[-1]:
-                    a.pop()
-            a, b = b, a
-        return len(a) == 1
-
-    @cached_property
     def _sturm(self) -> tuple["IntPolynomial", tuple["IntPolynomial", ...]]:
-        """The squarefree part and its Sturm chain (empty below degree one).
-
-        The gcd mod p shows a squarefree polynomial to be its own
-        squarefree part, so only a repeated root costs a gcd over Z.
-        """
+        """The squarefree part and its Sturm chain (empty below degree one)."""
         if self.degree() < 1:
             return self, ()
-        sf = _primitive(self) if self._squarefree_mod_p else squarefree_part(self)
+        sf = squarefree_part(self)
         return sf, tuple(_sturm_chain(sf))
 
     @cached_property
@@ -301,8 +266,6 @@ class RationalInterval(_Record):
 
 
 DEFAULT_RADIUS_WIDTH = Fraction(1, 10**9)
-# The Mersenne prime of ``IntPolynomial._squarefree_mod_p``
-_SQUAREFREE_MODULUS = 2**61 - 1
 
 
 def det(matrix: IntMatrix) -> int:
@@ -382,13 +345,17 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cyclotomic(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial, by dividing x**n - 1 by lower ones.
+
+    The cache is typed, so a bool, float or string reaches the check
+    instead of the entry of an equal int.
 
     >>> cyclotomic(4)
     IntPolynomial(1, 0, 1)
     """
+    n = _exact_int("cyclotomic index", n)
     if n < 1:
         raise ValueError("argument must be positive")
     poly = IntPolynomial(*([-1] + [0] * (n - 1) + [1]))
@@ -397,6 +364,12 @@ def cyclotomic(n: int) -> IntPolynomial:
             poly, rem, _ = poly.pseudo_divmod(cyclotomic(d))
             assert rem.is_zero()
     return poly
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_indices(n: int) -> tuple[int, ...]:
+    """The indices d with phi(d) <= n, all at most 2*n*n (Kronecker)."""
+    return tuple(d for d in range(1, 2 * n * n + 1) if euler_phi(d) <= n)
 
 
 def is_quasi_unipotent(matrix: IntMatrix) -> bool:
@@ -414,9 +387,7 @@ def is_quasi_unipotent(matrix: IntMatrix) -> bool:
     if abs(determinant) != 1:
         return False
     f = chi
-    for d in range(1, 2 * n * n + 1):
-        if euler_phi(d) > n:
-            continue
+    for d in _cyclotomic_indices(n):
         phi_d = cyclotomic(d)
         while f.degree() >= phi_d.degree():
             quot, rem, _ = f.pseudo_divmod(phi_d)
@@ -535,17 +506,18 @@ def spectral_radius_interval(matrix: IntMatrix) -> RationalInterval:
     For an action preserving a full-dimensional cone (every numerical
     pullback action does) the largest real eigenvalue is the spectral
     radius, which is the intended use.  The enclosure is the final cell of a
-    dyadic bisection from the Cauchy bound, or a point for an exact rational
-    root.  It is first guessed and certified: a float estimate picks the
-    cell, integer signs at its ends show a root inside, and one Taylor shift
-    with no sign variation shows, by Descartes' rule of signs, no root above
-    it.  Perron-Frobenius puts every other eigenvalue of a cone-preserving
-    action at real part below the radius, so the shift has no variation
-    there.  When the guess is not certified (a repeated root, a float
-    overflow, a complex pair to the right of the largest real root) Sturm
-    sign counts drive the bisection itself; both give the same interval.
-    The enclosure, of width at most ``DEFAULT_RADIUS_WIDTH``, is kept on the
-    characteristic polynomial.
+    dyadic bisection from the characteristic polynomial's Cauchy bound, or a
+    point for an exact rational root.  It is first guessed and certified: a
+    float estimate picks the cell, integer signs at its ends show a root
+    inside, and one Taylor shift with no sign variation shows, by Descartes'
+    rule of signs, no root above it, whatever the root's multiplicity.
+    Perron-Frobenius puts every other eigenvalue of a cone-preserving action
+    at real part below the radius, so the shift has no variation there.
+    When the guess is not certified (a largest root of even multiplicity, a
+    float overflow, a complex pair to the right of the largest real root)
+    Sturm sign counts of the squarefree part drive the bisection itself; both
+    give the same interval.  The enclosure, of width at most
+    ``DEFAULT_RADIUS_WIDTH``, is kept on the characteristic polynomial.
 
     Raises ``SingularMatrixError`` for singular input and
     ``NoRealEigenvalueError`` when no real eigenvalue exists, which cannot
@@ -562,9 +534,11 @@ def spectral_radius_interval(matrix: IntMatrix) -> RationalInterval:
 
 def _largest_root_interval(chi: IntPolynomial) -> RationalInterval | None:
     """The monic ``chi``'s largest real root in a cell of width at most
-    ``DEFAULT_RADIUS_WIDTH``.
+    ``DEFAULT_RADIUS_WIDTH`` on the dyadic grid from chi's Cauchy bound.
 
-    A point for a rational root, None when there is no real root.
+    A point for a rational root, None when there is no real root.  On the
+    radius path only this fallback, after the certificate declines, builds a
+    Sturm chain.
     """
     width = DEFAULT_RADIUS_WIDTH
     certified = _certified_largest_root(chi)
@@ -576,13 +550,12 @@ def _largest_root_interval(chi: IntPolynomial) -> RationalInterval | None:
     if above_lo == 0:
         return None
 
-    # sf is a primitive factor of the monic chi with a positive leading
-    # coefficient, hence monic (Gauss's lemma): the Cauchy bound is an
-    # integer and the endpoints are lo = jl / scale and hi = jh / scale with
-    # scale a power of two.  Signs at an unreduced pair equal those at the
-    # reduced fraction, so Fractions are built only for the result.
-    assert sf.leading() == 1
-    bound = 1 + max(abs(c) for c in sf.coeffs[:-1])
+    # The grid is chi's: chi is monic, so its Cauchy bound is an integer and
+    # the endpoints are lo = jl / scale and hi = jh / scale with scale a power
+    # of two.  Counts and signs are sf's, whose roots are chi's.  Signs at an
+    # unreduced pair equal those at the reduced fraction, so Fractions are
+    # built only for the result.
+    bound = 1 + max(abs(c) for c in chi.coeffs[:-1])
     cap = _root_cap(sf)
     jl, jh, scale = -bound, bound, 1
     # invariant: the largest real root lies in (lo, hi] and above_lo distinct
@@ -617,18 +590,18 @@ def _largest_root_interval(chi: IntPolynomial) -> RationalInterval | None:
 #
 # The bisection above is determined by its input: it stops at the least
 # power-of-two scale S with 2 * bound / S <= width, and its cells are
-# (-bound + i * 2 * bound / S, -bound + (i + 1) * 2 * bound / S].  At the
-# width 10**-9 those cells are narrower than 1/2, so when sf is chi itself
-# its answer is known in advance: the cell above it was narrower than 1 and
-# still wider than the width, so an integer largest root is returned as a
-# point; any other is irrational (a rational root of a monic integer
+# (-bound + i * 2 * bound / S, -bound + (i + 1) * 2 * bound / S], with bound
+# chi's Cauchy bound.  At the width 10**-9 those cells are narrower than 1/2,
+# so its answer is known in advance: the cell above it was narrower than 1
+# and still wider than the width, so an integer largest root is returned as
+# a point; any other is irrational (a rational root of a monic integer
 # polynomial is an integer), never a cell end, and the answer is the open
-# final cell around it.
+# final cell around it.  A sign change of chi across such a cell and no root
+# at or above its upper end prove the largest root inside, whatever its
+# multiplicity, so the certificate needs no squarefree test.
 
 def _certified_largest_root(chi: IntPolynomial) -> RationalInterval | None:
     """The bisection's answer for ``chi``, certified from a float guess, or None."""
-    if not chi._squarefree_mod_p:
-        return None
     bound = 1 + max(abs(c) for c in chi.coeffs[:-1])
     step = 2 * bound
     width = DEFAULT_RADIUS_WIDTH
@@ -645,15 +618,31 @@ def _certified_largest_root(chi: IntPolynomial) -> RationalInterval | None:
     hi = step * -(-(num + bound * den) * scale // (step * den)) - bound * scale
     lo = hi - step
     lo_value, hi_value = _homogeneous_value(chi, lo, scale), _homogeneous_value(chi, hi, scale)
-    # a guess within rounding of a cell end may sit in the neighbouring cell
-    if hi_value < 0:
-        lo, lo_value, hi = hi, hi_value, hi + step
-        hi_value = _homogeneous_value(chi, hi, scale)
-    elif lo_value > 0:
-        lo, hi, hi_value = lo - step, lo, lo_value
-        lo_value = _homogeneous_value(chi, lo, scale)
-    if not lo_value < 0 < hi_value:
-        return None
+    # A guess within rounding of a cell end may sit in a neighbouring cell,
+    # and one near a root of multiplicity k is good to about eps**(1/k) only:
+    # widen the bracket in doubling steps until chi changes sign over it
+    gap = step
+    while not lo_value < 0 < hi_value:
+        if hi_value < 0:
+            lo, lo_value, hi = hi, hi_value, hi + gap
+            hi_value = _homogeneous_value(chi, hi, scale)
+        elif lo_value > 0 and lo > -bound * scale:
+            lo, hi, hi_value = lo - gap, lo, lo_value
+            lo_value = _homogeneous_value(chi, lo, scale)
+        else:
+            return None
+        gap *= 2
+    # then halve it on chi's signs back to one cell; a grid point is never a
+    # root here unless it is an integer one
+    while hi - lo > step:
+        mid = lo + (hi - lo) // (2 * step) * step
+        value = _homogeneous_value(chi, mid, scale)
+        if value == 0:
+            return None
+        if value < 0:
+            lo = mid
+        else:
+            hi = mid
     # a root in (lo, hi), none at or above hi; an integer root inside the
     # cell might be the largest, which the bisection returns as a point
     candidate = hi // scale
@@ -670,7 +659,10 @@ def _float_largest_root(poly: IntPolynomial) -> float | None:
     Laguerre's Newton-type iteration from the Fujiwara cap, which lies
     above every root: for a real-rooted polynomial it falls monotonically
     onto the largest root, cubically near it (about 4 steps on the
-    benchmark's actions, where plain Newton takes about 16).
+    benchmark's actions, where plain Newton takes about 16).  It stops
+    before the first step no shorter than the last: rounding noise then
+    rules p, as it does early near a multiple root, and such a step can
+    jump to another root.
     """
     try:
         coeffs = [float(c) for c in reversed(poly.coeffs)]
@@ -678,6 +670,7 @@ def _float_largest_root(poly: IntPolynomial) -> float | None:
     except OverflowError:
         return None
     n = len(coeffs) - 1
+    previous = math.inf
     for _ in range(64):
         # Horner for p, p' and p''/2 at x
         p = dp = ddp = 0.0
@@ -693,8 +686,11 @@ def _float_largest_root(poly: IntPolynomial) -> float | None:
         if not denominator:
             break
         correction = n / denominator
+        if not abs(correction) < previous:
+            break
         x -= correction
-        if not abs(correction) > 1e-14 * abs(x):
+        previous = abs(correction)
+        if not previous > 1e-14 * abs(x):
             break
     return x if math.isfinite(x) else None
 

@@ -2,6 +2,7 @@ import doctest
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -81,12 +82,15 @@ def charpoly_by_interpolation(rows):
 def reference_radius_interval(matrix):
     """The radius bisection with a full Sturm count at every midpoint.
 
-    Same schedule as ``spectral_radius_interval``: Cauchy start, midpoints,
-    the floor-candidate check and the same endpoints; every side is decided
-    by ``count_real_roots_above`` and exact Fraction evaluation.
+    Same schedule as ``spectral_radius_interval``: the grid from the Cauchy
+    bound of the characteristic polynomial itself, midpoints, the
+    floor-candidate check and the same endpoints; every side is decided by
+    ``count_real_roots_above`` and exact Fraction evaluation of the
+    squarefree part.
     """
-    sf = squarefree_part(char_poly(matrix))
-    bound = 1 + max(abs(Fraction(c, sf.leading())) for c in sf.coeffs[:-1])
+    chi = char_poly(matrix)
+    sf = squarefree_part(chi)
+    bound = 1 + max(abs(Fraction(c, chi.leading())) for c in chi.coeffs[:-1])
     if count_real_roots_above(sf, -bound) == 0:
         raise NoRealEigenvalueError("no real eigenvalue")
     lo, hi = -bound, Fraction(bound)
@@ -231,19 +235,22 @@ def test_sturm_chain_built_once_per_action(monkeypatch):
 
     def chains_built(rows):
         builds.clear()
-        spec = NumericalActionSpec(rows, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        divisor = DivisorClass((1, 2, 1))
+        n = len(rows)
+        spec = NumericalActionSpec(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+        divisor = DivisorClass(((1, 2) * n)[:n])
         report = classify_ampleness(spec, divisor)
         assert report.spectral_radius is not None and not report.quasi_unipotent
-        non_left_ample_witness(spec, divisor, DivisorClass((1, 1, 1)))
+        non_left_ample_witness(spec, divisor, DivisorClass((1,) * n))
         return len(builds)
 
     # a Perron action: the certified radius cell also decides the witness
     # guard, so no chain is built
     assert chains_built([[3, 1, 0], [1, 2, 1], [0, 1, 2]]) == 0
-    # a repeated root: the bisection and the guard read one cached chain of
-    # the squarefree part
-    assert chains_built([[2, 1, 0], [0, 2, 0], [0, 0, 5]]) == 1
+    # a simple integer largest root above a double root: certified as a point
+    assert chains_built([[2, 1, 0], [0, 2, 0], [0, 0, 5]]) == 0
+    # an irrational double largest root: the bisection and the guard read one
+    # cached chain of the squarefree part
+    assert chains_built([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]) == 1
 
 
 def test_squarefree_chi_runs_no_gcd(monkeypatch):
@@ -263,15 +270,19 @@ def test_squarefree_chi_runs_no_gcd(monkeypatch):
     assert calls == []
 
 
-def test_repeated_root_falls_back_to_squarefree_part():
+def test_repeated_integer_root_is_certified_as_a_point():
     matrix = IntMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
     chi = char_poly(matrix)
     assert chi == IntPolynomial(-2, 1) * IntPolynomial(-2, 1) * IntPolynomial(-5, 1)
-    # the gcd mod p flags the repeated root and the certificate declines it
-    assert not chi._squarefree_mod_p
+    # chi(x + 5) = x (x + 3)**2 has no sign variation, whatever the double
+    # root below 5, so the point needs no squarefree test and no chain
+    assert intlinalg._certified_largest_root(chi) == RationalInterval(5, 5)
+    assert spectral_radius_interval(matrix) == RationalInterval(5, 5)
+    assert "_sturm" not in vars(chi)
+    assert reference_radius_interval(matrix) == (5, 5)
+    # the squarefree part and its counts, built on demand
     assert chi._sturm[0] == IntPolynomial(10, -7, 1)
     assert [count_real_roots_above(chi, b) for b in (0, 2, 5)] == [2, 1, 0]
-    assert assert_bisection_fallback(matrix) == intlinalg.RationalInterval(5, 5)
 
 
 def sturm_factor_lists():
@@ -452,7 +463,7 @@ def test_certificate_declines_a_complex_pair_right_of_the_largest_real_root():
     # variation that Descartes' rule cannot rule out
     matrix = IntMatrix([[5, -3, 0], [3, 5, 0], [0, 0, 2]])
     chi = char_poly(matrix)
-    assert chi._squarefree_mod_p and not intlinalg._shift_nonnegative(chi, 2, 1)
+    assert not intlinalg._shift_nonnegative(chi, 2, 1)
     assert assert_bisection_fallback(matrix) == intlinalg.RationalInterval(2, 2)
 
 
@@ -463,14 +474,65 @@ def test_certificate_declines_when_the_float_guess_overflows():
     assert interval.lo < 2**1100 + 3 < interval.hi
 
 
-def test_certificate_declines_when_the_squarefree_test_fails(monkeypatch):
-    # x**2 - x - 1 has discriminant 5, so it is (x + 2)**2 mod 5
-    fibonacci = [[1, 1], [1, 0]]
-    assert intlinalg._certified_largest_root(char_poly(IntMatrix(fibonacci))) is not None
-    monkeypatch.setattr(intlinalg, "_SQUAREFREE_MODULUS", 5)
-    matrix = IntMatrix(fibonacci)
-    assert not char_poly(matrix)._squarefree_mod_p
-    assert_bisection_fallback(matrix)
+def test_certificate_declines_an_even_multiplicity_largest_root():
+    # chi = (x**2 - 3x + 1)**2 keeps its sign across the double root
+    # (3 + sqrt(5)) / 2, so no cell shows a sign change; the bisection counts
+    # on the squarefree part and returns the cell of chi's grid
+    matrix = IntMatrix([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]])
+    chi = char_poly(matrix)
+    assert chi == IntPolynomial(1, -3, 1) * IntPolynomial(1, -3, 1)
+    interval = assert_bisection_fallback(matrix)
+    assert chi._sturm[0] == IntPolynomial(1, -3, 1)
+    assert interval == RationalInterval(
+        Fraction(11244370359, 4294967296), Fraction(5622185181, 2147483648)
+    )
+    assert (2 * interval.lo - 3) ** 2 < 5 < (2 * interval.hi - 3) ** 2
+
+
+@st.composite
+def repeated_blocks(draw):
+    """diag(A, ..., A) with two or three copies of a positive 2x2 or 3x3 A,
+    whose simple Perron root becomes a root of that multiplicity."""
+    k = draw(st.integers(2, 3))
+    block = draw(square_lists(k, 1, 2**8))
+    copies = draw(st.integers(2, 3))
+    n = k * copies
+    rows = [[0] * n for _ in range(n)]
+    for c in range(copies):
+        for i in range(k):
+            rows[c * k + i][c * k : (c + 1) * k] = block[i]
+    return rows, copies
+
+
+@settings(deadline=None, max_examples=60)
+@given(repeated_blocks())
+@example(([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]], 2))
+@example(([[2, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 0, 2, 1, 0, 0],
+           [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 2, 1], [0, 0, 0, 0, 1, 1]], 3))
+@example(([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1]], 2))
+# rounding noise near the triple root 266.35 once sent the float guess to the
+# smaller triple root 36.65
+@example(([[172, 129, 0, 0, 0, 0], [99, 131, 0, 0, 0, 0], [0, 0, 172, 129, 0, 0],
+           [0, 0, 99, 131, 0, 0], [0, 0, 0, 0, 172, 129], [0, 0, 0, 0, 99, 131]], 3))
+def test_spectral_radius_of_a_repeated_perron_root(case):
+    sympy = pytest.importorskip("sympy")
+    rows, copies = case
+    matrix = IntMatrix(rows)  # a fresh matrix, so chi and its cells are not cached yet
+    assume(det(matrix) != 0)
+    with mock.patch.object(intlinalg, "_sturm_chain", wraps=intlinalg._sturm_chain) as chains:
+        interval = spectral_radius_interval(matrix)
+    # chi changes sign across a root of odd multiplicity, so the certificate
+    # holds; across an even one it does not, and one chain is built.  An
+    # integer root is certified as a point either way.
+    if interval.lo == interval.hi or copies % 2:
+        assert chains.call_count == 0
+    else:
+        assert chains.call_count == 1
+    assert (interval.lo, interval.hi) == reference_radius_interval(matrix)
+    root = max(sympy_poly(char_poly(matrix)).real_roots())
+    lo = sympy.Rational(interval.lo.numerator, interval.lo.denominator)
+    hi = sympy.Rational(interval.hi.numerator, interval.hi.denominator)
+    assert lo <= root <= hi
 
 
 @settings(deadline=None, max_examples=100)
@@ -618,6 +680,29 @@ def test_quasi_unipotent_with_fixed_vector_has_radius_one():
         matrix = IntMatrix(rows)
         assert is_quasi_unipotent(matrix)
         assert 1 in spectral_radius_interval(matrix)
+
+
+def test_cyclotomic_indices_match_brute_force():
+    # phi from a sieve up to twice Kronecker's bound 2 * n * n at n = 30
+    limit = 4 * 30 * 30
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            for k in range(p, limit + 1, p):
+                phi[k] -= phi[k] // p
+    for n in range(1, 31):
+        expected = tuple(d for d in range(1, limit + 1) if phi[d] <= n)
+        assert intlinalg._cyclotomic_indices(n) == expected
+        assert max(expected) <= 2 * n * n
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 1.5, "3", None], ids=repr)
+def test_cyclotomic_rejects_non_integers(bad):
+    # the cache holds the entries of 1 and 2, which True and 2.0 compare equal to
+    assert cyclotomic(1) == IntPolynomial(-1, 1)
+    assert cyclotomic(2) == IntPolynomial(1, 1)
+    with pytest.raises(TypeError, match="^cyclotomic index must be an integer"):
+        cyclotomic(bad)
 
 
 def test_cyclotomic_small():

@@ -22,6 +22,13 @@ AMPLENESS = {
     "quasi-unipotent": ([[0, -1], [1, 0]], [1, 1], [[1, 0], [0, 1]]),
     "scalar-minus-2": ([[-2]], [1], [[1]]),
     "no-real-eigenvalue": ([[0, -2], [1, 0]], [1, 1], [[1, 0], [0, 1]]),
+    # chi = (x**2 - 3x + 1)**2: an irrational double largest root, whose cell
+    # lies on chi's grid rather than its squarefree part's
+    "repeated-root": (
+        [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
+        [1, 1, 1, 1],
+        [[1 if i == j else 0 for j in range(4)] for i in range(4)],
+    ),
     "rank-6-8bit": (
         [
             [-87, 120, 5, -110, -128, -54],
