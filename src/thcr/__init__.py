@@ -26,7 +26,6 @@ _EXPORTS = {
         "WitnessSearchExhausted",
         "classify_ampleness",
         "degree_consistency",
-        "delta_sequence",
         "non_left_ample_witness",
         "orbit_pairings",
         "pairing",

@@ -7,8 +7,11 @@ every supplied curve.  That convention is faithful when the curve list is
 a full dual description of the nef cone (as for toric inputs) and an
 approximation otherwise.
 
-On top of the orbit and partial-sum sequences this module builds the
-left/right ampleness classifier.  Its exact certificates:
+The witness search for the failure of left ampleness runs one linear
+recurrence per curve, with characteristic polynomial chi(x) * (x - 1), on
+the gaps between the partial sums of D's orbit and H's orbit; H's orbit is
+built past the rank only when the multiplier k = 1 fails.  Next to it this
+module builds the left/right ampleness classifier.  Its exact certificates:
 
 * an invertible integer action whose eigenvalues do not all lie on the
   unit circle has spectral radius strictly above one (unit-circle algebraic
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from itertools import accumulate
 
 from . import citations
 from .intlinalg import (
@@ -216,24 +220,6 @@ def orbit_pairings(
     return out
 
 
-def delta_sequence(
-    spec: NumericalActionSpec,
-    divisor: DivisorClass,
-    curve: CurveFunctional,
-    max_m: int,
-) -> list[int]:
-    """[(sum_{i<m} P**i D . C) for m = 1..max_m]."""
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
-    orbit = orbit_pairings(spec, divisor, curve, max_m - 1)
-    out = []
-    acc = 0
-    for value in orbit:
-        acc += value
-        out.append(acc)
-    return out
-
-
 class NonLeftAmpleWitness(_Record):
     """An ample multiple H and curve C with (Delta_m - P**m H . C) < 0, m <= horizon."""
 
@@ -253,19 +239,41 @@ def non_left_ample_witness(
     it.  Tries each curve with multipliers k = 1, 2, 4, ... of the
     supplied ample class until the partial-sum pairing stays strictly
     below the orbit pairing of k * ample over the whole horizon.
+
+    The gaps g_m = (Delta_m(D) - P**m H) . C, with Delta_m(D) = sum_{i<m} P**i D,
+    obey one linear recurrence with characteristic polynomial chi(x) * (x - 1):
+    the differences of the partial sums are D's orbit, which chi annihilates,
+    as it does H's.  Its seeds g_0..g_n come from the first n + 1 terms of
+    H's orbit and the first n of D's.  k = 1 holds when every g_m,
+    1 <= m <= horizon, is negative; only otherwise is H's orbit built to the
+    horizon, and k tests g_m - (k - 1) (P**m H . C).
     """
     _check_lengths(spec, divisor)
     _check_lengths(spec, ample)
-    if not _real_root_above_one(char_poly(spec.matrix)):
+    chi = char_poly(spec.matrix)
+    if not _real_root_above_one(chi):
         raise UnsupportedActionError(
             "no real eigenvalue above one; witness search needs spectral radius > 1"
         )
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    n = spec.rank
+    seeds = min(horizon, n)
+    # chi(x) * (x - 1) = x**(n+1) + sum_{j<=n} (a_{j-1} - a_j) x**j, negated
+    negated_gaps = list(map(operator.sub, chi.coeffs, (0, *chi.coeffs[:-1])))
     for curve in spec.curves:
-        deltas = delta_sequence(spec, divisor, curve, horizon)
-        orbit = orbit_pairings(spec, ample, curve, horizon)
-        k = 1
+        orbit_h = orbit_pairings(spec, ample, curve, seeds)
+        orbit_d = orbit_pairings(spec, divisor, curve, seeds - 1)
+        gaps = list(map(operator.sub, accumulate(orbit_d, initial=0), orbit_h))
+        for m in range(n + 1, horizon + 1):
+            gaps.append(sum(map(operator.mul, negated_gaps, gaps[m - n - 1 : m])))
+        del gaps[0]
+        if max(gaps) < 0:
+            return NonLeftAmpleWitness(ample, curve, horizon, 1)
+        orbit = orbit_pairings(spec, ample, curve, horizon)[1:]
+        k = 2
         while k <= MAX_WITNESS_MULTIPLIER:
-            if all(deltas[m - 1] - k * orbit[m] < 0 for m in range(1, horizon + 1)):
+            if all(g < (k - 1) * h for g, h in zip(gaps, orbit)):
                 return NonLeftAmpleWitness(ample.scaled(k), curve, horizon, k)
             k *= 2
     raise WitnessSearchExhausted(

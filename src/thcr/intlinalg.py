@@ -327,8 +327,10 @@ def _newton_char_poly(rows) -> IntPolynomial:
     return IntPolynomial(*coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def euler_phi(n: int) -> int:
+    """Euler's totient; typed cache and argument check as ``cyclotomic``'s."""
+    n = _exact_int("euler_phi argument", n)
     if n < 1:
         raise ValueError("argument must be positive")
     result = n

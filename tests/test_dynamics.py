@@ -1,4 +1,7 @@
 
+from itertools import accumulate
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,11 +16,11 @@ from thcr.dynamics import (
     WitnessSearchExhausted,
     classify_ampleness,
     degree_consistency,
-    delta_sequence,
     non_left_ample_witness,
     orbit_pairings,
     pairing,
 )
+import thcr.dynamics as dynamics
 from thcr.intlinalg import IntMatrix, IntPolynomial, RationalInterval, cyclotomic, det, euler_phi
 
 
@@ -51,18 +54,23 @@ def test_orbit_shear():
     ]
 
 
+def partial_sums(spec, divisor, curve, max_m):
+    """[(Delta_m(D) . C) for m = 1..max_m], Delta_m(D) = sum_{i<m} P**i D."""
+    return list(accumulate(orbit_pairings(spec, divisor, curve, max_m - 1)))
+
+
 def test_delta_scalar_doubling():
     # 1 + p + ... + p**(m-1) with p = 2
-    assert delta_sequence(scalar_spec(2), D1, C1, 4) == [1, 3, 7, 15]
+    assert partial_sums(scalar_spec(2), D1, C1, 4) == [1, 3, 7, 15]
 
 
 def test_delta_zero_divisor():
-    assert delta_sequence(scalar_spec(3), DivisorClass((0,)), C1, 4) == [0] * 4
+    assert partial_sums(scalar_spec(3), DivisorClass((0,)), C1, 4) == [0] * 4
 
 
 def test_delta_shear():
     spec = NumericalActionSpec([[1, 1], [0, 1]], [[1, 0]])
-    assert delta_sequence(spec, DivisorClass((0, 1)), CurveFunctional((1, 0)), 4) == [
+    assert partial_sums(spec, DivisorClass((0, 1)), CurveFunctional((1, 0)), 4) == [
         0,
         1,
         3,
@@ -124,16 +132,21 @@ def test_orbit_is_bilinear(data):
     )
 )
 def test_delta_differences_are_orbit_values(data):
+    # Delta_m(D) summed as a class, by matrix-vector products, pairs with C to
+    # the partial sums of the orbit
     rows, dvec, cvec = data
     matrix = IntMatrix(rows)
     assume(det(matrix) != 0)
     spec = NumericalActionSpec(matrix, [cvec])
     divisor, curve = DivisorClass(dvec), CurveFunctional(cvec)
     orbit = orbit_pairings(spec, divisor, curve, 6)
-    deltas = delta_sequence(spec, divisor, curve, 7)
-    assert deltas[0] == orbit[0]
-    for m in range(1, 7):
-        assert deltas[m] - deltas[m - 1] == orbit[m]
+    deltas = partial_sums(spec, divisor, curve, 7)
+    vec, total = dvec, (0,) * len(dvec)
+    for m in range(7):
+        total = tuple(a + b for a, b in zip(total, vec))
+        vec = matrix.apply(vec)
+        assert pairing(DivisorClass(total), curve) == deltas[m]
+        assert deltas[m] - (deltas[m - 1] if m else 0) == orbit[m]
 
 
 def reference_orbit_pairings(spec, divisor, curve, max_m):
@@ -237,29 +250,54 @@ def brute_force_witness(spec, divisor, ample, horizon):
 
 @st.composite
 def witness_cases(draw):
-    n = draw(st.integers(1, 3))
+    """Ranks 1..5 and a horizon from 1 to max(12, 3n + 2), so that horizons
+    at or below n + 1, where the gap recurrence takes no step, are drawn often."""
+    n = draw(st.integers(1, 5))
     rows = draw(small_matrices(n))
     curves = draw(st.lists(small_vectors(n), min_size=1, max_size=3))
-    return rows, curves, draw(small_vectors(n)), draw(small_vectors(n))
+    horizon = draw(st.one_of(st.integers(1, n + 1), st.integers(1, max(12, 3 * n + 2))))
+    return rows, curves, draw(small_vectors(n)), draw(small_vectors(n)), horizon
 
 
-@settings(deadline=None)
+@settings(deadline=None, max_examples=200)
 @given(witness_cases())
 def test_witness_matches_brute_force(case):
-    rows, curves, dvec, hvec = case
+    rows, curves, dvec, hvec, horizon = case
     matrix = IntMatrix(rows)
     assume(det(matrix) != 0)
     spec = NumericalActionSpec(matrix, curves)
     divisor, ample = DivisorClass(dvec), DivisorClass(hvec)
     try:
-        witness = non_left_ample_witness(spec, divisor, ample, horizon=12)
+        witness = non_left_ample_witness(spec, divisor, ample, horizon=horizon)
     except UnsupportedActionError:
         assume(False)
     except WitnessSearchExhausted:
-        assert brute_force_witness(spec, divisor, ample, 12) is None
+        assert brute_force_witness(spec, divisor, ample, horizon) is None
         return
-    curve, k = brute_force_witness(spec, divisor, ample, 12)
+    curve, k = brute_force_witness(spec, divisor, ample, horizon)
     assert (witness.curve, witness.multiplier, witness.h) == (curve, k, ample.scaled(k))
+    assert witness.horizon == horizon
+
+
+def test_witness_builds_the_ample_orbit_only_past_k_one():
+    # k = 1 is decided on the gap recurrence, seeded from orbit terms up to
+    # the rank; the case below needs 32 and takes H's orbit to the horizon
+    spec = scalar_spec(2)
+    with mock.patch.object(dynamics, "orbit_pairings", wraps=orbit_pairings) as orbits:
+        assert non_left_ample_witness(spec, D1, D1).multiplier == 1
+    assert [call.args[3] for call in orbits.call_args_list] == [1, 0]
+    spec = NumericalActionSpec([[-2, 1], [-2, 3]], [[2, -1], [-1, 2]])
+    with mock.patch.object(dynamics, "orbit_pairings", wraps=orbit_pairings) as orbits:
+        witness = non_left_ample_witness(spec, DivisorClass((0, 3)), DivisorClass((2, 1)), 12)
+    assert witness.multiplier == 32
+    # seeds, then one full orbit, for each curve that k = 1 fails on
+    assert [call.args[3] for call in orbits.call_args_list] == [2, 1, 12] * 2
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_witness_rejects_a_horizon_below_one(horizon):
+    with pytest.raises(ValueError, match="^horizon must be >= 1"):
+        non_left_ample_witness(scalar_spec(2), D1, D1, horizon=horizon)
 
 
 def test_witness_skips_a_failing_first_curve():
@@ -274,7 +312,7 @@ def test_witness_skips_a_failing_first_curve():
 def test_witness_scalar_double():
     witness = non_left_ample_witness(scalar_spec(2), D1, D1)
     assert witness.curve == C1
-    deltas = delta_sequence(scalar_spec(2), D1, witness.curve, 1000)
+    deltas = partial_sums(scalar_spec(2), D1, witness.curve, 1000)
     orbit = orbit_pairings(scalar_spec(2), DivisorClass(witness.h.coords), witness.curve, 1000)
     assert all(deltas[m - 1] - orbit[m] < 0 for m in range(1, 1001))
 

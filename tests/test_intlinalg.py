@@ -705,6 +705,16 @@ def test_cyclotomic_rejects_non_integers(bad):
         cyclotomic(bad)
 
 
+@pytest.mark.parametrize("bad", [True, False, 7.5, 6.0, "3", None], ids=repr)
+def test_euler_phi_rejects_non_integers(bad):
+    # the cache holds the entries of 1 and 6, which True and 6.0 compare equal to;
+    # unchecked, 7.5 and 6.0 give 6.5 and 2.0
+    assert euler_phi(1) == 1
+    assert euler_phi(6) == 2
+    with pytest.raises(TypeError, match="^euler_phi argument must be an integer"):
+        euler_phi(bad)
+
+
 def test_cyclotomic_small():
     assert cyclotomic(1) == IntPolynomial(-1, 1)
     assert cyclotomic(2) == IntPolynomial(1, 1)

@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "NumericalActionSpec", "PowerRingSpec", "RationalInterval",
     "RightScanResult", "SingularMatrixError", "Verdict", "WitnessSearchExhausted",
     "char_poly", "citations", "classify_ampleness", "cohomology", "count_real_roots_above",
-    "cyclotomic", "degree_consistency", "delta_sequence", "det", "dynamics",
+    "cyclotomic", "degree_consistency", "det", "dynamics",
     "generator_degrees", "grade_dimension", "grade_of_degree",
     "growth_class", "h", "intlinalg", "is_quasi_unipotent",
     "left_vanishing_scan", "monomials", "non_left_ample_witness", "orbit_pairings",
