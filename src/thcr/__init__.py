@@ -38,7 +38,6 @@ _EXPORTS = {
         "SingularMatrixError",
         "char_poly",
         "count_real_roots_above",
-        "cyclotomic",
         "det",
         "is_quasi_unipotent",
         "spectral_radius_interval",
@@ -55,7 +54,6 @@ _EXPORTS = {
         "grade_of_degree",
         "growth_class",
         "monomials",
-        "random_monomial",
         "twist_degree",
         "twisted_product",
     ),

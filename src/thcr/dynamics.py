@@ -205,6 +205,7 @@ def orbit_pairings(
     (chi(P) = 0, chi = x**n + sum_{j<n} a_j x**j) gives s_i = -sum_{j<n} a_j s_{i-n+j},
     so each later term costs n products instead of n**2.
     """
+    max_m = _exact_int("max_m", max_m)
     if max_m < 0:
         raise ValueError("max_m must be >= 0")
     _check_lengths(spec, divisor)
@@ -255,6 +256,7 @@ def non_left_ample_witness(
         raise UnsupportedActionError(
             "no real eigenvalue above one; witness search needs spectral radius > 1"
         )
+    horizon = _exact_int("horizon", horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     n = spec.rank

@@ -1,16 +1,19 @@
 """Exact integer and rational linear algebra for endomorphism actions.
 
 Characteristic polynomials, certified isolation of the dominant real
-eigenvalue and quasi-unipotence via cyclotomic factorization.  Everything
-runs over Z or Q, so every answer is a certificate rather than a
-floating-point estimate.
+eigenvalue and quasi-unipotence by Graeffe root squaring: the
+characteristic polynomial is replaced by the one whose roots are the squares
+of its roots until a coefficient breaks the binomial bound of a polynomial
+with every root in the unit disk (not quasi-unipotent) or the polynomial is
+its own image (quasi-unipotent).  Everything runs over Z or Q, so every
+answer is a certificate rather than a floating-point estimate.
 
 The characteristic polynomial comes from Newton's identities on the power
 sums tr(P**k), read from the diagonals of powers built on packed rows: one
 integer per row, one slot per entry (Kronecker substitution).  It is kept on
 the immutable ``IntMatrix`` with the curve rows C @ P**m, m < n, of every
-curve C an orbit is paired with, so the cyclotomic test, the radius, the
-witness search and the orbit recurrence compute each once.
+curve C an orbit is paired with, so the quasi-unipotence test, the radius,
+the witness search and the orbit recurrence compute each once.
 
 The largest real root is guessed and certified on the grid of the Sturm
 bisection, the dyadic cells from the characteristic polynomial's own Cauchy
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .ring import _exact_int, _Record, _setattr
 
@@ -327,78 +330,48 @@ def _newton_char_poly(rows) -> IntPolynomial:
     return IntPolynomial(*coeffs)
 
 
-@lru_cache(maxsize=None, typed=True)
-def euler_phi(n: int) -> int:
-    """Euler's totient; typed cache and argument check as ``cyclotomic``'s."""
-    n = _exact_int("euler_phi argument", n)
-    if n < 1:
-        raise ValueError("argument must be positive")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-@lru_cache(maxsize=None, typed=True)
-def cyclotomic(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by dividing x**n - 1 by lower ones.
-
-    The cache is typed, so a bool, float or string reaches the check
-    instead of the entry of an equal int.
-
-    >>> cyclotomic(4)
-    IntPolynomial(1, 0, 1)
-    """
-    n = _exact_int("cyclotomic index", n)
-    if n < 1:
-        raise ValueError("argument must be positive")
-    poly = IntPolynomial(*([-1] + [0] * (n - 1) + [1]))
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem, _ = poly.pseudo_divmod(cyclotomic(d))
-            assert rem.is_zero()
-    return poly
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_indices(n: int) -> tuple[int, ...]:
-    """The indices d with phi(d) <= n, all at most 2*n*n (Kronecker)."""
-    return tuple(d for d in range(1, 2 * n * n + 1) if euler_phi(d) <= n)
-
-
 def is_quasi_unipotent(matrix: IntMatrix) -> bool:
     """True iff every eigenvalue is a root of unity.
 
-    Decided exactly: the characteristic polynomial must factor into
-    cyclotomic polynomials.  Kronecker's theorem bounds the candidates,
-    since any cyclotomic factor of a degree-l polynomial has index d with
-    phi(d) <= l, hence d <= 2*l*l.  A determinant of absolute value != 1
-    rules the property out immediately.
+    Decided exactly by Graeffe root squaring (Bradford and Davenport,
+    "Effective tests for cyclotomic polynomials", ISSAC 1988).  A
+    determinant of absolute value != 1 rules the property out at once; it
+    also keeps 0 out of the roots, so x**2, which is its own Graeffe image,
+    never reaches the loop.  Each step replaces chi_j by the monic chi_{j+1}
+    with chi_{j+1}(x**2) = (-1)**n chi_j(x) chi_j(-x), whose roots are the
+    squares of chi_j's.
+
+    While every root lies in the closed unit disk, each coefficient of x**k
+    is at most C(n, k) in absolute value, so a larger one answers False.
+    A fixed point chi_{j+1} == chi_j has a root set that squaring permutes,
+    so every root is a root of unity and the answer is True.  The loop
+    always stops: if every root is on the unit circle, every root is a root
+    of unity of order d <= 2 n**2 (Kronecker), and after the 2-part of each
+    order is squared away, within floor(log2(2 n**2)) + 1 steps, squaring
+    permutes the roots.  Otherwise the Mahler measure M(chi) > 1, chi_j has
+    measure M(chi)**(2**j), and Landau's inequality M(chi_j) <= ||chi_j||_2
+    soon forces a coefficient past its binomial bound.
+
+    >>> is_quasi_unipotent(IntMatrix([[0, -1], [1, 0]]))
+    True
+    >>> is_quasi_unipotent(IntMatrix([[2, 1], [1, 1]]))
+    False
     """
     chi = char_poly(matrix)
-    n = matrix.dim
-    determinant = (-1) ** n * chi.evaluate(0)
-    if abs(determinant) != 1:
+    if abs(chi.coeffs[0]) != 1:
         return False
-    f = chi
-    for d in _cyclotomic_indices(n):
-        phi_d = cyclotomic(d)
-        while f.degree() >= phi_d.degree():
-            quot, rem, _ = f.pseudo_divmod(phi_d)
-            if not rem.is_zero():
-                break
-            f = quot
-        if f.degree() == 0:
-            break
-    return f.degree() == 0
+    n = matrix.dim
+    bounds = [math.comb(n, k) for k in range(n + 1)]
+    while True:
+        if any(abs(a) > b for a, b in zip(chi.coeffs, bounds)):
+            return False
+        mirror = IntPolynomial(*(-a if k % 2 else a for k, a in enumerate(chi.coeffs)))
+        square = (chi * mirror).coeffs[::2]
+        if n % 2:
+            square = [-a for a in square]
+        if tuple(square) == chi.coeffs:
+            return True
+        chi = IntPolynomial(*square)
 
 
 # --- Sturm machinery over Z -------------------------------------------------

@@ -23,10 +23,9 @@ import operator
 DEFAULT_BUDGET = 10**6
 
 # The annotations are strings (PEP 563), so these names are needed only by
-# type checkers; importing typing or random would cost every cold CLI call.
+# type checkers; importing typing would cost every cold CLI call.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    import random
     from collections.abc import Iterable, Iterator
 
 _setattr = object.__setattr__
@@ -424,26 +423,6 @@ def generator_degrees(
         e_a = r * e_a + 1
         ladder.append((q, e_a))
     return counts
-
-
-def random_monomial(spec: PowerRingSpec, n: int, rng: random.Random) -> Monomial:
-    """Uniform random monomial of grade n, by a stars-and-bars draw.
-
-    The bars are distinct positions drawn with ``rng.randrange``, repeats
-    rejected, so grades with e_n past sys.maxsize draw like any other.
-    """
-    total = twist_degree(spec, n)
-    parts = spec.nvars
-    bars: set[int] = set()
-    while len(bars) < parts - 1:
-        bars.add(rng.randrange(total + parts - 1))
-    exps = []
-    prev = -1
-    for bar in sorted(bars):
-        exps.append(bar - prev - 1)
-        prev = bar
-    exps.append(total + parts - 2 - prev)
-    return Monomial(tuple(exps))
 
 
 class GrowthClass(enum.Enum):

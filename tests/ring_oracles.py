@@ -1,8 +1,9 @@
 """Reference implementations for ``thcr.ring``: the exhaustive
 decomposability search that ``decompose_fast`` is checked against, the
 residue form of ``decompose_fast`` whose witnesses it must reproduce
-exactly, and the sampled associativity check of the twisted product.
-Nothing in the library uses them."""
+exactly, the uniform monomial draw the randomized tests sample from, and
+the sampled associativity check of the twisted product.  Nothing in the
+library uses them."""
 
 import random
 
@@ -11,7 +12,6 @@ from thcr.ring import (
     Monomial,
     _compositions,
     _require_grade,
-    random_monomial,
     twist_degree,
     twisted_product,
 )
@@ -74,6 +74,26 @@ def decompose_residue(spec, z, n):
         assert v.degree == twist_degree(spec, n - a)
         return DecompositionWitness(a, n - a, u, v)
     return None
+
+
+def random_monomial(spec, n, rng):
+    """Uniform random monomial of grade n, by a stars-and-bars draw.
+
+    The bars are distinct positions drawn with ``rng.randrange``, repeats
+    rejected, so grades with e_n past sys.maxsize draw like any other.
+    """
+    total = twist_degree(spec, n)
+    parts = spec.nvars
+    bars = set()
+    while len(bars) < parts - 1:
+        bars.add(rng.randrange(total + parts - 1))
+    exps = []
+    prev = -1
+    for bar in sorted(bars):
+        exps.append(bar - prev - 1)
+        prev = bar
+    exps.append(total + parts - 2 - prev)
+    return Monomial(tuple(exps))
 
 
 def associativity_check(spec, trials, seed, max_grade=4):

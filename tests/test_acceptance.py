@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from ring_oracles import decompose_brute
+from ring_oracles import decompose_brute, random_monomial
 
 from thcr.dynamics import (
     CurveFunctional,
@@ -29,7 +29,6 @@ from thcr.ring import (
     grade_dimension,
     growth_class,
     monomials,
-    random_monomial,
     twist_degree,
     twisted_product,
 )

@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from intlinalg_oracles import cyclotomic, euler_phi
 
 from thcr.dynamics import (
     MAX_WITNESS_MULTIPLIER,
@@ -21,7 +22,7 @@ from thcr.dynamics import (
     pairing,
 )
 import thcr.dynamics as dynamics
-from thcr.intlinalg import IntMatrix, IntPolynomial, RationalInterval, cyclotomic, det, euler_phi
+from thcr.intlinalg import IntMatrix, IntPolynomial, RationalInterval, det
 
 
 def scalar_spec(p, **kw):
@@ -298,6 +299,15 @@ def test_witness_builds_the_ample_orbit_only_past_k_one():
 def test_witness_rejects_a_horizon_below_one(horizon):
     with pytest.raises(ValueError, match="^horizon must be >= 1"):
         non_left_ample_witness(scalar_spec(2), D1, D1, horizon=horizon)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3"], ids=repr)
+def test_witness_and_orbit_reject_non_integer_lengths(bad):
+    # unchecked, True would run as 1 and 2.0 would fail inside a slice
+    with pytest.raises(TypeError, match="^horizon must be an integer"):
+        non_left_ample_witness(scalar_spec(2), D1, D1, horizon=bad)
+    with pytest.raises(TypeError, match="^max_m must be an integer"):
+        orbit_pairings(scalar_spec(2), D1, C1, bad)
 
 
 def test_witness_skips_a_failing_first_curve():

@@ -7,6 +7,12 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from intlinalg_oracles import (
+    cyclotomic,
+    cyclotomic_indices,
+    euler_phi,
+    is_quasi_unipotent_walk,
+)
 
 import thcr.intlinalg as intlinalg
 from thcr.dynamics import (
@@ -25,9 +31,7 @@ from thcr.intlinalg import (
     SingularMatrixError,
     char_poly,
     count_real_roots_above,
-    cyclotomic,
     det,
-    euler_phi,
     is_quasi_unipotent,
     spectral_radius_interval,
     squarefree_part,
@@ -673,6 +677,72 @@ def test_quasi_unipotent_matches_sympy_factorisation(matrix):
     assert is_quasi_unipotent(matrix) == expected
 
 
+# Salem polynomials: reciprocal, one root above 1 and the others on the unit
+# circle, none a root of unity.  The first is Lehmer's (Salem number 1.17628).
+SALEM = [
+    IntPolynomial(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1),
+    IntPolynomial(1, 0, 0, -1, -1, -1, 0, 0, 1),
+    IntPolynomial(1, 0, -1, -1, -1, 0, 1),
+    IntPolynomial(1, -1, -1, -1, 1),
+]
+
+
+@st.composite
+def graeffe_cases(draw):
+    """Companions of cyclotomic products, alone or times a Salem polynomial,
+    conjugated by a unimodular matrix, and unimodular products of shears:
+    ranks 1..12."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["cyclotomic", "salem", "unimodular"]))
+    if kind == "unimodular":
+        return _random_unimodular(rng, draw(st.integers(2, 12)))[0]
+    poly = draw(st.sampled_from(SALEM)) if kind == "salem" else IntPolynomial(1)
+    n = draw(st.integers(max(poly.degree(), 1), 12))
+    while poly.degree() < n:
+        room = n - poly.degree()
+        poly = poly * cyclotomic(draw(st.sampled_from(cyclotomic_indices(room))))
+    matrix = companion(poly)
+    if n > 1:
+        q, q_inv = _random_unimodular(rng, n)
+        matrix = q @ matrix @ q_inv
+    return matrix
+
+
+@settings(deadline=None, max_examples=200)
+@given(graeffe_cases())
+def test_quasi_unipotent_matches_the_cyclotomic_walk(matrix):
+    assert is_quasi_unipotent(matrix) == is_quasi_unipotent_walk(matrix)
+
+
+def test_quasi_unipotent_rejects_salem_companions():
+    for poly in SALEM:
+        assert not is_quasi_unipotent(companion(poly))
+
+
+def test_quasi_unipotent_nilpotent_is_not():
+    # chi = x**2 is its own Graeffe image; the determinant gate answers first
+    assert not is_quasi_unipotent(IntMatrix([[0, 1], [0, 0]]))
+
+
+def test_quasi_unipotent_determinant_gate_squares_nothing():
+    matrix = IntMatrix([[-2]])
+    char_poly(matrix)
+    with mock.patch.object(IntPolynomial, "__mul__", side_effect=AssertionError):
+        assert not is_quasi_unipotent(matrix)
+
+
+def test_quasi_unipotent_phi_16_takes_five_squarings():
+    # Phi_16 = x**8 + 1 -> Phi_8**2 -> Phi_4**4 -> Phi_2**8 -> Phi_1**8, which
+    # is its own image; (x + 1)**8 meets the binomial bound with equality
+    matrix = companion(cyclotomic(16))
+    char_poly(matrix)
+    with mock.patch.object(
+        IntPolynomial, "__mul__", autospec=True, side_effect=IntPolynomial.__mul__
+    ) as mul:
+        assert is_quasi_unipotent(matrix)
+    assert mul.call_count == 5
+
+
 def test_quasi_unipotent_with_fixed_vector_has_radius_one():
     # When 1 is an eigenvalue the largest real root of a quasi-unipotent
     # action is exactly 1.
@@ -692,7 +762,7 @@ def test_cyclotomic_indices_match_brute_force():
                 phi[k] -= phi[k] // p
     for n in range(1, 31):
         expected = tuple(d for d in range(1, limit + 1) if phi[d] <= n)
-        assert intlinalg._cyclotomic_indices(n) == expected
+        assert cyclotomic_indices(n) == expected
         assert max(expected) <= 2 * n * n
 
 

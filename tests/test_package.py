@@ -26,11 +26,11 @@ PUBLIC_NAMES = [
     "NumericalActionSpec", "PowerRingSpec", "RationalInterval",
     "RightScanResult", "SingularMatrixError", "Verdict", "WitnessSearchExhausted",
     "char_poly", "citations", "classify_ampleness", "cohomology", "count_real_roots_above",
-    "cyclotomic", "degree_consistency", "det", "dynamics",
+    "degree_consistency", "det", "dynamics",
     "generator_degrees", "grade_dimension", "grade_of_degree",
     "growth_class", "h", "intlinalg", "is_quasi_unipotent",
     "left_vanishing_scan", "monomials", "non_left_ample_witness", "orbit_pairings",
-    "pairing", "random_monomial", "right_vanishing_scan", "ring", "spectral_radius_interval",
+    "pairing", "right_vanishing_scan", "ring", "spectral_radius_interval",
     "twist_degree", "twisted_product",
 ]
 

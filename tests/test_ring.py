@@ -8,7 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from ring_oracles import associativity_check, decompose_brute, decompose_residue
+from ring_oracles import (
+    associativity_check,
+    decompose_brute,
+    decompose_residue,
+    random_monomial,
+)
 
 from thcr.cohomology import LeftScanResult, RightScanResult, ScanRow
 from thcr.dynamics import (
@@ -36,7 +41,6 @@ from thcr.ring import (
     grade_of_degree,
     growth_class,
     monomials,
-    random_monomial,
     twist_degree,
     twisted_product,
 )
