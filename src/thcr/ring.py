@@ -376,7 +376,35 @@ def generator_degrees(
 
         sum_i (z_i mod r**a) > e_a,   equivalently   sum_i z_i // r**a < e_{n-a}.
 
-    The residue form is the one tested here, and two facts shrink the walk:
+    On the line P^1 (m = 1) the count has a closed form: grade n >= 2 holds
+
+        (r - 2) * (r - 1)**(n - 2)
+
+    new generators when r >= 3, and none when r <= 2.  For r = 1 every
+    residue is 0, so every z splits; the proof for r >= 2 takes two steps.
+
+    (a) The last coordinate drops out.  The residues of z sum to
+        e_n = e_a (mod r**a), and e_a < r**a, so the sum over all m + 1
+        coordinates is <= e_a iff the sum over the first m is.  On the line
+        the sum is e_a or e_a + r**a, the larger exactly when
+        x mod r**a > e_a, where x = z_0.
+    (b) Digits.  Write x in base r.  The rung a = 1 holds iff digit 0 of x
+        is >= 2, since e_1 = 1 < r.  Given x mod r**a > e_a, the rung a + 1
+        holds iff digit a is >= 1, because e_{a+1} = e_a + r**a: a digit
+        >= 1 puts x mod r**(a+1) above r**a + e_a, a digit 0 leaves it
+        below r**a <= e_{a+1}.  So the rungs a <= n - 1 hold iff digit 0
+        is >= 2 and digits 1..n-2 are >= 1.  Then x mod r**(n-1) > e_{n-1},
+        and x <= e_n = (1...1) in base r, n ones, forces the top digit n - 1
+        and every higher one to 0.  That leaves r - 2 choices for digit 0
+        and r - 1 for each of the n - 2 others.
+
+    The case r = 2 is the corollary that P^1 with r = 2 is generated in
+    degree one in every grade: digit 0 has no choice.
+
+    >>> generator_degrees(PowerRingSpec(1, 5), 6)
+    {1: 2, 2: 3, 3: 12, 4: 48, 5: 192, 6: 768}
+
+    For m >= 2 the residue form is tested on a walk, which two facts shrink:
 
     * Cap lemma.  If some z_i >= r**(n-1), then sum_i (z_i mod r**(n-1))
       <= e_n - r**(n-1) = e_{n-1}, so z splits at grade n - 1.  Every
@@ -390,11 +418,7 @@ def generator_degrees(
     The ladder of (r**a, e_a), 1 <= a <= n - 2, grows by one rung per
     grade (q *= r, e_a = r * e_a + 1); each sorted, capped z is visited
     once, with at most n - 2 residue sums and no witness.  The budget
-    still compares the full grade dimension.
-
-    Corollary: P^1 with r = 2 is generated in degree one in every grade.
-    Under the cap, z_0 + z_1 <= 2**n - 2 < e_n = 2**n - 1, so the capped
-    walk of every grade n >= 2 is empty.
+    compares the full grade dimension for every m.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -408,6 +432,9 @@ def generator_degrees(
             raise BudgetExceededError(n, size, budget, counts)
         if n < 2:
             counts[n] = size
+            continue
+        if spec.dim == 1:
+            counts[n] = (r - 2) * (r - 1) ** (n - 2) if r > 2 else 0
             continue
         count = 0
         # q = r**(n-2) here, so the cap is r**(n-1) - 1

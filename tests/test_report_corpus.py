@@ -60,6 +60,11 @@ def _cases():
                 "cohomology", "--p", str(p), "--m", str(m), "--t", str(t),
                 "--max-n", str(max_n), "--format", fmt,
             ]
+    # P^1 with r = 5 has new generators in every grade, (r - 2)(r - 1)**(n - 2)
+    for fmt in ("json", "csv"):
+        cases[f"gens-p5-m1.{fmt}"] = [
+            "gens", "--p", "5", "--m", "1", "--max-n", "8", "--format", fmt,
+        ]
     for label, (matrix, divisor, curves) in AMPLENESS.items():
         cases[f"ampleness-{label}.json"] = [
             "ampleness", "--matrix", json.dumps(matrix),

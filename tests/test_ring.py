@@ -15,6 +15,7 @@ from ring_oracles import (
     random_monomial,
 )
 
+import thcr.ring as ring
 from thcr.cohomology import LeftScanResult, RightScanResult, ScanRow
 from thcr.dynamics import (
     AmplenessReport,
@@ -374,12 +375,12 @@ def test_generator_degrees_match_brute_route():
 
 
 def test_generator_degrees_match_decompose_fast_grid():
-    # the oracle of the capped, sorted walk: decompose_fast over every
-    # monomial of every grade from 2 that holds at most 10**4 monomials;
-    # r = 1 never outgrows that, so its grades stop where the deepest r = 2
-    # grade does
+    # the oracle of the capped, sorted walk and of the line's closed form:
+    # decompose_fast over every monomial of every grade from 2 that holds at
+    # most 10**4 monomials; r = 1 never outgrows that, so its grades stop
+    # where the deepest r = 2 grade does
     grid = [(m, r) for m in (1, 2, 3) for r in (1, 2, 3, 4, 5)]
-    for m, r in grid + [(4, r) for r in (2, 3, 4, 5)]:
+    for m, r in grid + [(1, 6), (1, 7)] + [(4, r) for r in (2, 3, 4, 5)]:
         spec = PowerRingSpec(dim=m, power=r)
         top = 1
         while top < 13 and grade_dimension(spec, top + 1) <= 10**4:
@@ -393,6 +394,37 @@ def test_generator_degrees_match_decompose_fast_grid():
             assert counts[n] == by_decompose_fast, (m, r, n)
             if r == 1:
                 assert counts[n] == 0
+
+
+def test_generator_degrees_line_closed_form_at_grade_400(monkeypatch):
+    # e_400 has 1,265 bits for r = 9: no walk could reach it, so the walk
+    # is made to fail
+    def no_walk(*args):
+        raise AssertionError("P^1 walked a grade")
+
+    monkeypatch.setattr(ring, "_sorted_parts", no_walk)
+    for r in range(1, 10):
+        counts = generator_degrees(PowerRingSpec(1, r), 400, budget=10**400)
+        want = {n: (r - 2) * (r - 1) ** (n - 2) if r > 2 else 0 for n in range(2, 401)}
+        assert counts == {1: 2, **want}, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    r=st.integers(1, 6),
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**30),
+)
+def test_residue_test_ignores_the_last_coordinate(m, r, n, seed):
+    # for r >= 2 the residues sum to e_n = e_a (mod r**a) and e_a < r**a, so
+    # the split test over all m + 1 coordinates agrees with the test over the
+    # first m; for r = 1 every residue is 0
+    spec = PowerRingSpec(m, r)
+    z = random_monomial(spec, n, random.Random(seed)).exps
+    for a in range(1, n):
+        q, e = r**a, twist_degree(spec, a)
+        assert (sum(x % q for x in z) <= e) == (sum(x % q for x in z[:-1]) <= e), (z, a)
 
 
 def test_generator_degrees_budget():
