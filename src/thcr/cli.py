@@ -6,14 +6,12 @@ nothing outside Python and thcr.  ``main(argv)`` parses one subcommand,
 runs it and returns the exit code: 0 success, 2 invalid configuration,
 3 enumeration budget exhausted.  An invalid configuration prints the
 subcommand's usage line and ``thcr <cmd>: error: <message>`` on stderr.
-The environment variable TWISTED_BUDGET overrides --budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__, citations
@@ -52,22 +50,6 @@ def _key(dest: str) -> str:
     return head + "".join(word.title() for word in rest)
 
 
-def resolve_budget(flag_value: int | None) -> int:
-    env = os.environ.get("TWISTED_BUDGET")
-    if env is not None:
-        try:
-            budget = int(env)
-        except ValueError:
-            raise UsageError(f"TWISTED_BUDGET is not an integer: {env!r}")
-    elif flag_value is not None:
-        budget = flag_value
-    else:
-        budget = DEFAULT_BUDGET
-    if budget < 1:
-        raise UsageError(f"budget must be >= 1, got {budget}")
-    return budget
-
-
 def _interval_json(interval: RationalInterval | None) -> dict | None:
     if interval is None:
         return None
@@ -99,7 +81,9 @@ def _run_dims(config: argparse.Namespace) -> tuple:
 def _run_gens(config: argparse.Namespace) -> tuple:
     spec = PowerRingSpec(dim=config.m, power=config.power)
     max_n = config.max_n
-    budget = resolve_budget(config.budget)
+    budget = DEFAULT_BUDGET if config.budget is None else config.budget
+    if budget < 1:
+        raise UsageError(f"budget must be >= 1, got {budget}")
     counts = generator_degrees(spec, max_n, budget=budget)
     generated = all(counts[n] == 0 for n in range(2, max_n + 1))
     cites = []
@@ -358,7 +342,6 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         sub.add_argument("--format", choices=["json", "csv"], default="json",
                          help="Report format; JSON is canonical, CSV covers tables.")
         sub.add_argument("--out", default=None, help="Write the report here.")
-        sub.add_argument("--seed", type=int, default=0, help="Sampling seed (echoed).")
     return parser, commands
 
 

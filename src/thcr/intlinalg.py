@@ -114,9 +114,6 @@ class IntPolynomial(_Record):
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(*(-c for c in self.coeffs))
 
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero() or other.is_zero():
             return IntPolynomial()
@@ -272,24 +269,12 @@ DEFAULT_RADIUS_WIDTH = Fraction(1, 10**9)
 
 
 def det(matrix: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = matrix.dim
-    a = [list(row) for row in matrix.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant, (-1)**n * chi(0) from the cached characteristic polynomial.
+
+    >>> det(IntMatrix([[2, 1], [1, 1]]))
+    1
+    """
+    return (-1) ** matrix.dim * char_poly(matrix).coeffs[0]
 
 
 def char_poly(matrix: IntMatrix) -> IntPolynomial:

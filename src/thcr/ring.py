@@ -17,6 +17,7 @@ classifier.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 
@@ -245,18 +246,11 @@ def grade_dimension(spec: PowerRingSpec, n: int) -> int:
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Every ``parts``-tuple of nonnegative ints summing to ``total``, lexicographically.
 
-    The last two coordinates come from one flat loop, not from a one-part
-    generator per tuple.
+    Stars and bars: the ``parts - 1`` bars are a non-decreasing choice of
+    cuts in 0..total, and each part is the gap between two cuts.
     """
-    if parts == 1:
-        yield (total,)
-    elif parts == 2:
-        for head in range(total + 1):
-            yield (head, total - head)
-    else:
-        for head in range(total + 1):
-            for rest in _compositions(total - head, parts - 1):
-                yield (head, *rest)
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
 
 
 def _sorted_parts(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:

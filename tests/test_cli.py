@@ -86,7 +86,7 @@ def test_flags_override_document_fields_and_inputs_echo_parsed_options():
     # every parsed option but the command and --out, under its camelCase key
     doc = json.loads(invoke("gens", "--p", "2", "--m", "1", "--max-n", "2",
                             "--budget", "100").output)
-    assert set(doc["inputs"]) == {"power", "m", "maxN", "budget", "format", "seed"}
+    assert set(doc["inputs"]) == {"power", "m", "maxN", "budget", "format"}
 
 
 def test_ampleness_rejects_singular():
@@ -135,7 +135,7 @@ def test_growth_flags_non_noetherian():
 
 
 def test_reports_are_byte_identical():
-    args = ["gens", "--p", "3", "--m", "1", "--max-n", "4", "--seed", "0"]
+    args = ["gens", "--p", "3", "--m", "1", "--max-n", "4"]
     first = invoke(*args)
     second = invoke(*args)
     assert first.output == second.output
@@ -193,13 +193,25 @@ def test_budget_stop_reports_partial_counts():
     assert partial == json.loads(full.stdout)["results"]["counts"]
 
 
-def test_env_budget_overrides_flag():
-    # the generous flag would let the run finish; the environment wins
-    result = invoke(
-        "gens", "--p", "2", "--m", "2", "--max-n", "9", "--budget", "1000000000",
-        env={"TWISTED_BUDGET": "100"},
-    )
-    assert result.exit_code == 3
+def test_environment_does_not_set_the_budget():
+    args = ("gens", "--p", "5", "--m", "1", "--max-n", "8")
+    plain = invoke(*args)
+    assert plain.exit_code == 0
+    assert invoke(*args, env={"TWISTED_BUDGET": "1"}).stdout == plain.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ("dims", "--p", "2", "--m", "1"),
+    ("gens", "--p", "2", "--m", "1"),
+    ("growth", "--p", "2", "--m", "1"),
+    ("cohomology", "--p", "2", "--m", "1", "--t", "-2"),
+    ("ampleness", "--matrix", "[[2]]", "--divisor", "[1]", "--curves", "[[1]]"),
+], ids=lambda args: args[0])
+def test_seed_is_not_an_option(args):
+    assert invoke(*args).exit_code == 0
+    result = invoke(*args, "--seed", "0")
+    assert result.exit_code == 2
+    assert "unrecognized arguments: --seed 0" in result.stderr
 
 
 def test_cohomology_rejects_power_one():
@@ -227,8 +239,7 @@ def test_non_integer_json_exits_two():
 
 def test_nonpositive_budget_exits_two():
     args = ["gens", "--p", "2", "--m", "1", "--max-n", "2"]
-    assert invoke(*args, env={"TWISTED_BUDGET": "-5"}).exit_code == 2
-    assert invoke(*args, env={"TWISTED_BUDGET": "0"}).exit_code == 2
+    assert invoke(*args, "--budget", "-5").exit_code == 2
     assert invoke(*args, "--budget", "0").exit_code == 2
     assert invoke(*args, "--budget", "1").exit_code == 3
 
@@ -357,12 +368,12 @@ def cli_arguments(draw):
         **RING_OPTIONS,
         **ampleness_options(draw(st.integers(1, 3))),
         "--format": st.sampled_from(["json", "csv"]),
-        "--seed": int_text(-2, 2),
     }
     # sampled_from draws near-uniformly; integers() would favour its edges
     mostly = st.sampled_from([True] * 9 + [False])
     flags = [f for f in COMMAND_FLAGS[command] if draw(mostly)]
-    flags += [f for f in ("--format", "--seed") if draw(st.booleans())]
+    if draw(st.booleans()):
+        flags.append("--format")
     if not draw(mostly):
         flags.append(draw(st.sampled_from(sorted(options))))
     args = [command]

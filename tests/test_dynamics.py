@@ -440,6 +440,34 @@ def test_degree_consistency_cases():
     assert not degree_consistency(scalar_spec(2, dim_x=2, deg_sigma=2), D1)
 
 
+def degree_consistency_by_steps(spec, divisor):
+    """The check step by step: ((P**m D)**dim_x) == deg_sigma**m * (D**dim_x), m = 1..5."""
+    d = divisor.coords[0]
+    vec = divisor.coords
+    for m in range(1, 6):
+        vec = spec.matrix.apply(vec)
+        if vec[0] ** spec.dim_x != spec.deg_sigma**m * d**spec.dim_x:
+            return False
+    return True
+
+
+@st.composite
+def rank_one_degree_cases(draw):
+    p = draw(st.integers(-4, 4).filter(bool))
+    dim_x = draw(st.integers(1, 4))
+    # p**dim_x itself half the time, so that both verdicts are common
+    deg_sigma = draw(st.one_of(st.integers(1, 300), st.just(max(1, p**dim_x))))
+    divisor = DivisorClass((draw(st.integers(-3, 3)),))
+    return scalar_spec(p, dim_x=dim_x, deg_sigma=deg_sigma), divisor
+
+
+@settings(deadline=None, max_examples=200)
+@given(rank_one_degree_cases())
+def test_degree_consistency_matches_the_stepwise_check(case):
+    spec, divisor = case
+    assert degree_consistency(spec, divisor) == degree_consistency_by_steps(spec, divisor)
+
+
 def test_degree_consistency_requires_degree():
     with pytest.raises(ValueError):
         degree_consistency(scalar_spec(2), D1)

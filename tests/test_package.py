@@ -165,7 +165,7 @@ def test_subcommands_run_without_site_packages(args):
 
 def test_version():
     result = invoke("--version")
-    assert (result.exit_code, result.stdout) == (0, "thcr, version 0.1.0\n")
+    assert (result.exit_code, result.stdout) == (0, "thcr, version 0.2.0\n")
 
 
 @pytest.mark.parametrize("spelling, value", [
