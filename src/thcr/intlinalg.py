@@ -15,32 +15,11 @@ the immutable ``IntMatrix`` with the curve rows C @ P**m, m < n, of every
 curve C an orbit is paired with, so the quasi-unipotence test, the radius,
 the witness search and the orbit recurrence compute each once.
 
-The largest real root is guessed and certified on the grid of the Sturm
-bisection, the dyadic cells from the characteristic polynomial's own Cauchy
-bound.  A float Laguerre iteration from a Fujiwara root bound guesses the
-root, integer signs at the ends of the grid cell around the guess show a
-root inside (a bracket widened and halved back on exact signs when the guess
-is off, as it is near a multiple root), and one Taylor shift to the upper
-end with no sign variation shows, by Descartes' rule of signs, no root above
-it.  That proves the largest real root in the cell whatever its
-multiplicity, so no squarefree test comes first.  Perron-Frobenius puts
-every other eigenvalue of a cone-preserving action at real part below the
-largest, so for such an action the certificate holds, and no Sturm chain is
-built, unless that root has even multiplicity or the float guess overflows.
-The cell is the one the Sturm bisection would return, so both paths give
-the same interval.  Each ``IntPolynomial`` keeps its default-width
-enclosure, which the radius and the witness guard share.
-
-When the certificate fails the bisection runs.  Each ``IntPolynomial``
-keeps its squarefree part and Sturm chain, so the bisection and
-``count_real_roots_above`` build one chain per polynomial.  The bisection
-runs on integers: every endpoint is a dyadic ``j / 2**k`` (the
-characteristic polynomial is monic, so its Cauchy bound is an integer), and
-widths, floors and signs are read from the pair ``(j, 2**k)``; Fractions are
-built only for the returned interval.  It decides midpoints above a
-power-of-two Fujiwara root bound without a Sturm count, and once a count
-isolates the largest root it decides each midpoint by the sign of the
-squarefree part alone.
+The largest real root, which the radius and the witness guard share, is
+found on one dyadic grid by a certificate from a float guess or, when that
+declines, a Sturm bisection of the same cells (``_largest_root_interval``).
+Each ``IntPolynomial`` keeps that enclosure and the Sturm chain of its
+squarefree part, so at most one chain is built per polynomial.
 """
 
 from __future__ import annotations
@@ -170,9 +149,8 @@ class IntPolynomial(_Record):
 
     @cached_property
     def _largest_root(self) -> RationalInterval | None:
-        """The ``DEFAULT_RADIUS_WIDTH`` enclosure of a monic polynomial's
-        largest real root, None without one; the radius and the witness
-        guard share it."""
+        """The enclosure of a monic polynomial's largest real root, None
+        without one; the radius and the witness guard share it."""
         return _largest_root_interval(self)
 
     def __repr__(self):
@@ -465,19 +443,8 @@ def spectral_radius_interval(matrix: IntMatrix) -> RationalInterval:
 
     For an action preserving a full-dimensional cone (every numerical
     pullback action does) the largest real eigenvalue is the spectral
-    radius, which is the intended use.  The enclosure is the final cell of a
-    dyadic bisection from the characteristic polynomial's Cauchy bound, or a
-    point for an exact rational root.  It is first guessed and certified: a
-    float estimate picks the cell, integer signs at its ends show a root
-    inside, and one Taylor shift with no sign variation shows, by Descartes'
-    rule of signs, no root above it, whatever the root's multiplicity.
-    Perron-Frobenius puts every other eigenvalue of a cone-preserving action
-    at real part below the radius, so the shift has no variation there.
-    When the guess is not certified (a largest root of even multiplicity, a
-    float overflow, a complex pair to the right of the largest real root)
-    Sturm sign counts of the squarefree part drive the bisection itself; both
-    give the same interval.  The enclosure, of width at most
-    ``DEFAULT_RADIUS_WIDTH``, is kept on the characteristic polynomial.
+    radius, which is the intended use.  ``_largest_root_interval`` gives the
+    enclosure, a point or a cell of width at most ``DEFAULT_RADIUS_WIDTH``.
 
     Raises ``SingularMatrixError`` for singular input and
     ``NoRealEigenvalueError`` when no real eigenvalue exists, which cannot
@@ -493,15 +460,41 @@ def spectral_radius_interval(matrix: IntMatrix) -> RationalInterval:
 
 
 def _largest_root_interval(chi: IntPolynomial) -> RationalInterval | None:
-    """The monic ``chi``'s largest real root in a cell of width at most
-    ``DEFAULT_RADIUS_WIDTH`` on the dyadic grid from chi's Cauchy bound.
+    """The monic ``chi``'s largest real root: a point for an integer root, a
+    cell of width at most ``DEFAULT_RADIUS_WIDTH`` otherwise, None without one.
 
-    A point for a rational root, None when there is no real root.  On the
-    radius path only this fallback, after the certificate declines, builds a
-    Sturm chain.
+    The grid.  chi is monic, so its Cauchy bound ``bound = 1 + max |a_i|``
+    (i < n) is an integer.  With ``step = 2 * bound`` and ``scale`` the least
+    power of two with ``step / scale <= DEFAULT_RADIUS_WIDTH``, the cells
+    are ``(lo, lo + step] / scale`` for ``lo = -bound * scale + i * step``,
+    0 <= i < scale.  A cell is narrower than 1/2, so it holds at most one
+    integer, ``hi // scale``.  A rational root of a monic integer polynomial
+    is an integer, so the answer is that integer when it is the largest root
+    and otherwise the cell with the largest root inside.
+
+    The certificate, ``_certified_largest_root``, builds no Sturm chain: it
+    tests ``round`` of a float guess as an integer root, or chi's signs at
+    the ends of the guess's cell show a root inside (a bracket galloped out
+    and halved back mends a guess a cell off, as near a multiple root) and
+    one Taylor shift to the upper end with no sign variation shows, by
+    Descartes' rule of signs, no root above it, whatever the multiplicity.
+    Perron-Frobenius puts every other eigenvalue of a cone-preserving action
+    at real part below the largest, so the certificate declines only a
+    largest root of even multiplicity, a float overflow or a complex pair to
+    the right of the largest real root.
+
+    The fallback bisects the same grid from ``(lo, hi] = (-bound, bound] *
+    scale`` to one cell by the certificate's midpoint rule, on Sturm counts
+    of chi's squarefree part ``sf``.  Midpoints above a power-of-two
+    Fujiwara root bound need no count, and once a count isolates the largest
+    root the sign of ``sf`` decides each midpoint.
     """
+    bound = 1 + max(abs(c) for c in chi.coeffs[:-1])
+    step = 2 * bound
     width = DEFAULT_RADIUS_WIDTH
-    certified = _certified_largest_root(chi)
+    cells = -(-step * width.denominator // width.numerator)
+    scale = 1 << (cells - 1).bit_length()
+    certified = _certified_largest_root(chi, bound, step, scale)
     if certified is not None:
         return certified
     sf, chain = chi._sturm
@@ -509,64 +502,35 @@ def _largest_root_interval(chi: IntPolynomial) -> RationalInterval | None:
     above_lo = _variations_at_infinity(chain, positive=False) - at_infinity
     if above_lo == 0:
         return None
-
-    # The grid is chi's: chi is monic, so its Cauchy bound is an integer and
-    # the endpoints are lo = jl / scale and hi = jh / scale with scale a power
-    # of two.  Counts and signs are sf's, whose roots are chi's.  Signs at an
-    # unreduced pair equal those at the reduced fraction, so Fractions are
-    # built only for the result.
-    bound = 1 + max(abs(c) for c in chi.coeffs[:-1])
-    cap = _root_cap(sf)
-    jl, jh, scale = -bound, bound, 1
+    cap = _root_cap(sf) * scale
+    lo, hi = -bound * scale, bound * scale
     # invariant: the largest real root lies in (lo, hi] and above_lo distinct
     # roots lie above lo; once above_lo == 1 that root is the only one in
     # (lo, hi], and sf (positive leading coefficient) is negative left of it
-    while (jh - jl) * width.denominator > width.numerator * scale:
-        if jh - jl < scale:
-            candidate = jh // scale
-            if jl < candidate * scale <= jh and sf.evaluate(candidate) == 0:
-                if above_lo == 1 or _variations_at(chain, candidate, 1) == at_infinity:
-                    return RationalInterval(candidate, candidate)
-        mid = jl + jh
-        jl, jh, scale = 2 * jl, 2 * jh, 2 * scale
-        if mid >= cap * scale:
-            jh = mid
+    while hi - lo > step:
+        mid = lo + (hi - lo) // (2 * step) * step
+        if mid >= cap:
+            hi = mid
             continue
-        value = _homogeneous_value(sf, mid, scale)
         if above_lo == 1:
-            above = 1 if value < 0 else 0
+            above = 1 if _homogeneous_value(sf, mid, scale) < 0 else 0
         else:
             above = _variations_at(chain, mid, scale) - at_infinity
         if above:
-            jl, above_lo = mid, above
-        elif value == 0:
-            return RationalInterval.point(Fraction(mid, scale))
+            lo, above_lo = mid, above
         else:
-            jh = mid
-    return RationalInterval(Fraction(jl, scale), Fraction(jh, scale))
+            hi = mid
+    candidate = hi // scale
+    if lo < candidate * scale and sf.evaluate(candidate) == 0:
+        if above_lo == 1 or _variations_at(chain, candidate, 1) == at_infinity:
+            return RationalInterval(candidate, candidate)
+    return RationalInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 
-# --- guess and certify ------------------------------------------------------
-#
-# The bisection above is determined by its input: it stops at the least
-# power-of-two scale S with 2 * bound / S <= width, and its cells are
-# (-bound + i * 2 * bound / S, -bound + (i + 1) * 2 * bound / S], with bound
-# chi's Cauchy bound.  At the width 10**-9 those cells are narrower than 1/2,
-# so its answer is known in advance: the cell above it was narrower than 1
-# and still wider than the width, so an integer largest root is returned as
-# a point; any other is irrational (a rational root of a monic integer
-# polynomial is an integer), never a cell end, and the answer is the open
-# final cell around it.  A sign change of chi across such a cell and no root
-# at or above its upper end prove the largest root inside, whatever its
-# multiplicity, so the certificate needs no squarefree test.
-
-def _certified_largest_root(chi: IntPolynomial) -> RationalInterval | None:
-    """The bisection's answer for ``chi``, certified from a float guess, or None."""
-    bound = 1 + max(abs(c) for c in chi.coeffs[:-1])
-    step = 2 * bound
-    width = DEFAULT_RADIUS_WIDTH
-    cells = -(-step * width.denominator // width.numerator)
-    scale = 1 << (cells - 1).bit_length()
+def _certified_largest_root(
+    chi: IntPolynomial, bound: int, step: int, scale: int
+) -> RationalInterval | None:
+    """``_largest_root_interval``'s answer, certified from a float guess, or None."""
     guess = _float_largest_root(chi)
     if guess is None:
         return None
@@ -603,8 +567,7 @@ def _certified_largest_root(chi: IntPolynomial) -> RationalInterval | None:
             lo = mid
         else:
             hi = mid
-    # a root in (lo, hi), none at or above hi; an integer root inside the
-    # cell might be the largest, which the bisection returns as a point
+    # an integer root in the cell may be the largest: the fallback's point
     candidate = hi // scale
     if lo < candidate * scale and chi.evaluate(candidate) == 0:
         return None

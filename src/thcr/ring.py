@@ -209,7 +209,11 @@ class DecompositionWitness(_Record):
 
 
 def twist_degree(spec: PowerRingSpec, n: int) -> int:
-    """e_n = (r**n - 1)/(r - 1); satisfies e_{a+b} = e_a + r**a * e_b."""
+    """e_n = (r**n - 1)/(r - 1); satisfies e_{a+b} = e_a + r**a * e_b.
+
+    ``n`` must be an integer: bools and non-integral values raise ``TypeError``.
+    """
+    n = _exact_int("n", n)
     if n < 0:
         raise ValueError("grade must be nonnegative")
     r = spec.power
@@ -412,27 +416,31 @@ def generator_degrees(
     The ladder of (r**a, e_a), 1 <= a <= n - 2, grows by one rung per
     grade (q *= r, e_a = r * e_a + 1); each sorted, capped z is visited
     once, with at most n - 2 residue sums and no witness.  The budget
-    compares the full grade dimension for every m.
+    compares the full grade dimension C(e_n + m, m) for every m, with e_n
+    carried as r * e_{n-1} + 1.  ``max_n`` and ``budget`` must be integers.
     """
+    max_n = _exact_int("max_n", max_n)
+    budget = _exact_int("budget", budget)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    r = spec.power
+    r, m = spec.power, spec.dim
     counts: dict[int, int] = {}
     ladder: list[tuple[int, int]] = []
-    q, e_a = 1, 0
+    q, e_a, e_n = 1, 0, 0
     for n in range(1, max_n + 1):
-        size = grade_dimension(spec, n)
+        e_n = r * e_n + 1
+        size = math.comb(e_n + m, m)
         if size > budget:
             raise BudgetExceededError(n, size, budget, counts)
         if n < 2:
             counts[n] = size
             continue
-        if spec.dim == 1:
+        if m == 1:
             counts[n] = (r - 2) * (r - 1) ** (n - 2) if r > 2 else 0
             continue
         count = 0
         # q = r**(n-2) here, so the cap is r**(n-1) - 1
-        for z in _sorted_parts(twist_degree(spec, n), spec.nvars, q * r - 1):
+        for z in _sorted_parts(e_n, m + 1, q * r - 1):
             for q_a, e in ladder:
                 if sum([x % q_a for x in z]) <= e:
                     break

@@ -86,11 +86,12 @@ def charpoly_by_interpolation(rows):
 def reference_radius_interval(matrix):
     """The radius bisection with a full Sturm count at every midpoint.
 
-    Same schedule as ``spectral_radius_interval``: the grid from the Cauchy
-    bound of the characteristic polynomial itself, midpoints, the
-    floor-candidate check and the same endpoints; every side is decided by
-    ``count_real_roots_above`` and exact Fraction evaluation of the
-    squarefree part.
+    The cells of ``spectral_radius_interval``, the grid from the Cauchy
+    bound of the characteristic polynomial itself, reached on Fractions by
+    halving the width and returning a root as soon as it is known to be the
+    largest: at a midpoint, or as the integer in a cell narrower than 1.
+    Every side is decided by ``count_real_roots_above`` and exact Fraction
+    evaluation of the squarefree part.
     """
     chi = char_poly(matrix)
     sf = squarefree_part(chi)
@@ -279,8 +280,8 @@ def test_repeated_integer_root_is_certified_as_a_point():
     chi = char_poly(matrix)
     assert chi == IntPolynomial(-2, 1) * IntPolynomial(-2, 1) * IntPolynomial(-5, 1)
     # chi(x + 5) = x (x + 3)**2 has no sign variation, whatever the double
-    # root below 5, so the point needs no squarefree test and no chain
-    assert intlinalg._certified_largest_root(chi) == RationalInterval(5, 5)
+    # root below 5, so the certificate gives the point with no squarefree
+    # test and no chain
     assert spectral_radius_interval(matrix) == RationalInterval(5, 5)
     assert "_sturm" not in vars(chi)
     assert reference_radius_interval(matrix) == (5, 5)
@@ -453,11 +454,63 @@ def test_spectral_radius_matches_full_sturm_bisection_on_action_shapes(matrix):
     assert (interval.lo, interval.hi) == expected
 
 
-def assert_bisection_fallback(matrix):
-    """The certificate declines ``matrix``; the bisection gives the reference."""
+def diagonal_matrix(entries):
+    n = len(entries)
+    return IntMatrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(
+    radius_matrices(),
+    action_matrices(),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=5).map(diagonal_matrix),
+))
+# integer largest roots, with smaller integer roots on the bisection's midpoints
+@example(diagonal_matrix((1, 3, 5)))
+@example(diagonal_matrix((-5, -3, -1)))
+# the root 1 and an irrational root about 1e-11 above or below it share the
+# final cell, so a point needs the Sturm count at 1
+@example(companion(IntPolynomial(-1, 1) * IntPolynomial(-(10**11 + 2), 10**11, 1)))
+@example(companion(IntPolynomial(-1, 1) * IntPolynomial(-(10**11), 10**11, 1)))
+def test_sturm_fallback_matches_full_sturm_bisection(matrix):
+    # with no float guess the certificate declines every input, so the
+    # bisection and its integer-root check on the final cell answer each shape
+    assume(det(matrix) != 0)
+    matrix = IntMatrix(matrix.rows)  # no cell cached from an earlier example
+    with mock.patch.object(intlinalg, "_float_largest_root", return_value=None):
+        try:
+            expected = reference_radius_interval(matrix)
+        except NoRealEigenvalueError:
+            with pytest.raises(NoRealEigenvalueError):
+                spectral_radius_interval(matrix)
+            return
+        interval = spectral_radius_interval(matrix)
+    assert (interval.lo, interval.hi) == expected
+    assert "_sturm" in vars(char_poly(matrix))
+
+
+def test_certificate_gallops_one_cell_to_the_root():
+    # the float guess lies just below the largest root's cell, so the
+    # certificate's bracket steps one cell up; no Sturm chain is built
+    matrix = IntMatrix([[996383, 113231], [957651, 943229]])
     chi = char_poly(matrix)
-    assert intlinalg._certified_largest_root(chi) is None
+    guess = Fraction(intlinalg._float_largest_root(chi))
     interval = spectral_radius_interval(matrix)
+    assert interval.lo - interval.width < guess < interval.lo
+    assert (interval.lo, interval.hi) == reference_radius_interval(matrix)
+    assert "_sturm" not in vars(chi)
+
+
+def assert_bisection_fallback(matrix):
+    """The certificate declines ``matrix``; the bisection gives the reference.
+
+    On the radius path only the bisection builds a Sturm chain, so a chain
+    kept on a fresh matrix's characteristic polynomial shows the decline.
+    """
+    chi = char_poly(matrix)
+    assert "_sturm" not in vars(chi)
+    interval = spectral_radius_interval(matrix)
+    assert "_sturm" in vars(chi)
     assert (interval.lo, interval.hi) == reference_radius_interval(matrix)
     return interval
 
@@ -567,8 +620,7 @@ def test_witness_guard_counts_only_when_one_is_inside_the_cell():
 def test_spectral_radius_midpoint_on_smaller_root(diagonal, root):
     # a bisection midpoint lands exactly on a smaller root of the
     # squarefree part before the largest root is isolated
-    n = len(diagonal)
-    matrix = IntMatrix([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    matrix = diagonal_matrix(diagonal)
     assert reference_radius_interval(matrix) == (root, root)
     assert spectral_radius_interval(matrix) == intlinalg.RationalInterval(root, root)
 

@@ -755,6 +755,27 @@ def test_spec_takes_integer_likes_as_ints():
     assert type(spec.dim) is int and type(spec.power) is int
 
 
+# twist_degree(spec, 2.5) once returned the floored 4.0 and 2.0 the float
+# 3.0, generator_degrees(spec, True) counted grade 1, and a float or bool
+# budget was compared as given
+@pytest.mark.parametrize("value", [True, 2.0, 2.5, "3"], ids=repr)
+@pytest.mark.parametrize("call, name", [
+    (lambda v: ring.twist_degree(PowerRingSpec(1, 2), v), "n"),
+    (lambda v: ring.generator_degrees(PowerRingSpec(2, 2), v), "max_n"),
+    (lambda v: ring.generator_degrees(PowerRingSpec(2, 2), 3, budget=v), "budget"),
+], ids=["twist_degree", "generator_degrees", "budget"])
+def test_grade_arguments_reject_non_integers(call, name, value):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+        call(value)
+
+
+def test_grade_arguments_take_integer_likes_as_ints():
+    spec = PowerRingSpec(2, 2)
+    assert ring.twist_degree(spec, _Index(3)) == 7
+    assert ring.generator_degrees(spec, _Index(3), budget=_Index(100)) == (
+        ring.generator_degrees(spec, 3, budget=100))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         PowerRingSpec(dim=0, power=2)
