@@ -7,11 +7,12 @@ every supplied curve.  That convention is faithful when the curve list is
 a full dual description of the nef cone (as for toric inputs) and an
 approximation otherwise.
 
-The witness search for the failure of left ampleness runs one linear
-recurrence per curve, with characteristic polynomial chi(x) * (x - 1), on
-the gaps between the partial sums of D's orbit and H's orbit; H's orbit is
-built past the rank only when the multiplier k = 1 fails.  Next to it this
-module builds the left/right ampleness classifier.  Its exact certificates:
+The witness search for the failure of left ampleness reads the gaps
+between the partial sums of D's orbit and H's orbit from one orbit per
+curve, that of u = D + H - P H, whose partial sums telescope to them; H's
+orbit is built to the horizon only when the multiplier k = 1 fails.  Next
+to it this module builds the left/right ampleness classifier.  Its exact
+certificates:
 
 * an invertible integer action whose eigenvalues do not all lie on the
   unit circle has spectral radius strictly above one (unit-circle algebraic
@@ -242,40 +243,34 @@ def non_left_ample_witness(
     below the orbit pairing of k * ample over the whole horizon.
 
     The gaps g_m = (Delta_m(D) - P**m H) . C, with Delta_m(D) = sum_{i<m} P**i D,
-    obey one linear recurrence with characteristic polynomial chi(x) * (x - 1):
-    the differences of the partial sums are D's orbit, which chi annihilates,
-    as it does H's.  Its seeds g_0..g_n come from the first n + 1 terms of
-    H's orbit and the first n of D's.  k = 1 holds when every g_m,
-    1 <= m <= horizon, is negative; only otherwise is H's orbit built to the
+    come from one orbit: for u = D + H - P H the sum telescopes,
+    Delta_m(u) = Delta_m(D) + sum_{i<m} (P**i H - P**(i+1) H) = Delta_m(D) + H - P**m H,
+    so g_m = Delta_m(u) . C - H . C, and the gaps for 1 <= m <= horizon are
+    the partial sums of u's orbit to horizon - 1 (past the rank by chi's
+    recurrence, as ``orbit_pairings`` runs it), less H . C.  k = 1 holds
+    when every gap is negative; only otherwise is H's orbit built to the
     horizon, and k tests g_m - (k - 1) (P**m H . C).
     """
     _check_lengths(spec, divisor)
     _check_lengths(spec, ample)
-    chi = char_poly(spec.matrix)
-    if not _real_root_above_one(chi):
-        raise UnsupportedActionError(
-            "no real eigenvalue above one; witness search needs spectral radius > 1"
-        )
     horizon = _exact_int("horizon", horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    n = spec.rank
-    seeds = min(horizon, n)
-    # chi(x) * (x - 1) = x**(n+1) + sum_{j<=n} (a_{j-1} - a_j) x**j, negated
-    negated_gaps = list(map(operator.sub, chi.coeffs, (0, *chi.coeffs[:-1])))
+    if not _real_root_above_one(char_poly(spec.matrix)):
+        raise UnsupportedActionError(
+            "no real eigenvalue above one; witness search needs spectral radius > 1"
+        )
+    image = spec.matrix.apply(ample.coords)
+    u = DivisorClass(tuple([d + h - p for d, h, p in zip(divisor.coords, ample.coords, image)]))
     for curve in spec.curves:
-        orbit_h = orbit_pairings(spec, ample, curve, seeds)
-        orbit_d = orbit_pairings(spec, divisor, curve, seeds - 1)
-        gaps = list(map(operator.sub, accumulate(orbit_d, initial=0), orbit_h))
-        for m in range(n + 1, horizon + 1):
-            gaps.append(sum(map(operator.mul, negated_gaps, gaps[m - n - 1 : m])))
-        del gaps[0]
-        if max(gaps) < 0:
+        sums = list(accumulate(orbit_pairings(spec, u, curve, horizon - 1)))
+        if max(sums) < pairing(ample, curve):
             return NonLeftAmpleWitness(ample, curve, horizon, 1)
-        orbit = orbit_pairings(spec, ample, curve, horizon)[1:]
+        orbit = orbit_pairings(spec, ample, curve, horizon)
+        gaps = [s - orbit[0] for s in sums]
         k = 2
         while k <= MAX_WITNESS_MULTIPLIER:
-            if all(g < (k - 1) * h for g, h in zip(gaps, orbit)):
+            if all(g < (k - 1) * h for g, h in zip(gaps, orbit[1:])):
                 return NonLeftAmpleWitness(ample.scaled(k), curve, horizon, k)
             k *= 2
     raise WitnessSearchExhausted(

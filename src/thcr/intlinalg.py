@@ -10,10 +10,13 @@ answer is a certificate rather than a floating-point estimate.
 
 The characteristic polynomial comes from Newton's identities on the power
 sums tr(P**k), read from the diagonals of powers built on packed rows: one
-integer per row, one slot per entry (Kronecker substitution).  It is kept on
-the immutable ``IntMatrix`` with the curve rows C @ P**m, m < n, of every
-curve C an orbit is paired with, so the quasi-unipotence test, the radius,
-the witness search and the orbit recurrence compute each once.
+integer per row, one w-bit slot per entry, w = n * bitlen(||P||_inf) + 2
+(Kronecker substitution).  It is kept on the immutable ``IntMatrix`` with
+the packed rows of P**1..P**(n-1), n(n - 1) integers (about 50 KB at rank 12
+with 16-bit entries), and with the curve rows C @ P**m, m < n, of every
+curve C an orbit is paired with, each one weighted sum of that table's rows
+(``IntMatrix._curve_rows``), so the quasi-unipotence test, the radius, the
+witness search and the orbit recurrence compute each once.
 
 The largest real root, which the radius and the witness guard share, is
 found on one dyadic grid by a certificate from a float guess or, when that
@@ -160,7 +163,7 @@ class IntPolynomial(_Record):
 class IntMatrix(_Record):
     """Square matrix with arbitrary-precision integer entries."""
 
-    __slots__ = ("rows", "__dict__")  # the dict holds the cached characteristic polynomial
+    __slots__ = ("rows", "__dict__")  # the dict holds chi, its power table and curve rows
     _fields = ("rows",)
 
     def __init__(self, rows):
@@ -179,19 +182,47 @@ class IntMatrix(_Record):
 
     @cached_property
     def _char_poly(self) -> "IntPolynomial":
-        return _newton_char_poly(self.rows)
+        chi, self.__dict__["_power_table"] = _newton_char_poly(self.rows)
+        return chi
+
+    @cached_property
+    def _power_table(self) -> tuple[int, int, list[list[int]]]:
+        """``(bits, w, powers)``: the rows of P**1..P**(n-1) packed at slot
+        width w, with bits = bitlen(||P||_inf).  ``_char_poly`` stores it
+        with chi, so this runs only to build chi first."""
+        self._char_poly
+        return self.__dict__["_power_table"]
 
     @cached_property
     def _curve_row_cache(self) -> dict:
         return {}
 
     def _curve_rows(self, curve: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The row vectors ``curve @ P**m`` for m < n, computed once per curve."""
+        """The row vectors ``curve @ P**m`` for m < n, computed once per curve.
+
+        Each is one sum of the packed rows of P**m weighted by the curve's
+        entries, unpacked slot by slot.  Its entries are below
+        ||curve||_1 * ||P||_inf**(n-1) < 2**top in absolute value, with
+        top = bitlen(||curve||_1) + (n - 1) * bits, so they fit the table's
+        slots when top < w; a wider curve first rebuilds the table at
+        w = top + 2, which later curves reuse.
+        """
         rows = self._curve_row_cache.get(curve)
         if rows is None:
-            rows, cols = [curve], list(zip(*self.rows))
-            for _ in range(self.dim - 1):
-                rows.append(tuple([sum(map(operator.mul, rows[-1], col)) for col in cols]))
+            n = self.dim
+            bits, w, powers = self._power_table
+            top = sum(map(abs, curve)).bit_length() + (n - 1) * bits
+            if top >= w:
+                w = top + 2
+                powers = _packed_powers(self.rows, w, n - 1)
+                self.__dict__["_power_table"] = bits, w, powers
+            half, mask = 1 << (w - 1), (1 << w) - 1
+            shifts = range(0, n * w, w)
+            bias = sum([half << s for s in shifts])
+            rows = [curve]
+            for power in powers:
+                packed = sum(map(operator.mul, curve, power)) + bias
+                rows.append(tuple([(packed >> s & mask) - half for s in shifts]))
             rows = self._curve_row_cache[curve] = tuple(rows)
         return rows
 
@@ -268,20 +299,20 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
     return matrix._char_poly
 
 
-def _newton_char_poly(rows) -> IntPolynomial:
+def _newton_char_poly(rows) -> tuple[IntPolynomial, tuple[int, int, list[list[int]]]]:
+    """chi, and the power table ``(bits, w, powers)`` that ``IntMatrix`` keeps."""
     n = len(rows)
     # Row i of P**k is packed into one integer, entry j in the w-bit slot j.
     # |(P**k)_ij| <= ||P||_inf**k < 2**(n * bits) for k <= n, so an entry
     # plus the slot bias 2**(w-1) fits its slot and never borrows from the next.
-    w = n * max(sum(map(abs, row)) for row in rows).bit_length() + 2
-    power = [sum([x << j * w for j, x in enumerate(row)]) for row in rows]
+    bits = max(sum(map(abs, row)) for row in rows).bit_length()
+    w = n * bits + 2
+    powers = _packed_powers(rows, w, n)
     half, mask = 1 << (w - 1), (1 << w) - 1
     bias = sum([half << j * w for j in range(n)])
-    # p_k = tr(P**k), each row of P @ P**k one sum of packed rows
+    # p_k = tr(P**k), the sum of the diagonal slots
     sums = [0]
-    for k in range(1, n + 1):
-        if k > 1:
-            power = [sum(map(operator.mul, row, power)) for row in rows]
+    for power in powers:
         sums.append(sum([(r + bias) >> i * w & mask for i, r in enumerate(power)]) - n * half)
     # k * a_{n-k} = -(p_k + sum_{i<k} a_{n-i} p_{k-i})
     coeffs = [0] * n + [1]
@@ -290,7 +321,19 @@ def _newton_char_poly(rows) -> IntPolynomial:
         if t % k:
             raise ArithmeticError("Newton identity sum not divisible")
         coeffs[n - k] = -(t // k)
-    return IntPolynomial(*coeffs)
+    del powers[-1]  # P**n serves only its trace
+    return IntPolynomial(*coeffs), (bits, w, powers)
+
+
+def _packed_powers(rows, w: int, count: int) -> list[list[int]]:
+    """The rows of P**k for k = 1..count, each packed into one integer with
+    entry j in the w-bit slot j; a row of P @ P**k is one sum of packed rows."""
+    power = [1 << i * w for i in range(len(rows))]
+    powers = []
+    for _ in range(count):
+        power = [sum(map(operator.mul, row, power)) for row in rows]
+        powers.append(power)
+    return powers
 
 
 def is_quasi_unipotent(matrix: IntMatrix) -> bool:

@@ -22,7 +22,7 @@ from thcr.dynamics import (
     pairing,
 )
 import thcr.dynamics as dynamics
-from thcr.intlinalg import IntMatrix, IntPolynomial, RationalInterval, det
+from thcr.intlinalg import IntMatrix, IntPolynomial, RationalInterval, char_poly, det
 
 
 def scalar_spec(p, **kw):
@@ -81,6 +81,12 @@ def test_delta_shear():
 
 def small_vectors(dim):
     return st.tuples(*([st.integers(-4, 4)] * dim))
+
+
+def curve_vectors(dim):
+    """Small curves, or curves with entries up to 2**40, wider than the
+    packed power table's slots, so the table is rebuilt for them."""
+    return st.one_of(small_vectors(dim), st.tuples(*([st.integers(-(2**40), 2**40)] * dim)))
 
 
 def small_matrices(dim):
@@ -164,7 +170,8 @@ def reference_orbit_pairings(spec, divisor, curve, max_m):
 def orbit_cases(draw):
     """Signed actions of rank 1..8, or companions of cyclotomic products
     (every eigenvalue a root of unity, repeated factors allowed), with
-    max_m from 0 to 3n and the recurrence's edges n - 1 and n drawn often."""
+    max_m from 0 to 3n and the recurrence's edges n - 1 and n drawn often,
+    and a small or a wide curve."""
     n = draw(st.integers(1, 8))
     if draw(st.booleans()):
         rows = draw(
@@ -181,7 +188,7 @@ def orbit_cases(draw):
         for i in range(n):
             rows[i][n - 1] = -poly.coeffs[i]
     max_m = draw(st.one_of(st.sampled_from([n - 1, n]), st.integers(0, 3 * n)))
-    return rows, draw(small_vectors(n)), draw(small_vectors(n)), max_m
+    return rows, draw(small_vectors(n)), draw(curve_vectors(n)), max_m
 
 
 @settings(deadline=None, max_examples=200)
@@ -198,11 +205,12 @@ def test_orbit_recurrence_matches_matrix_vector_products(case):
 
 @st.composite
 def shared_curve_calls(draw):
-    """One action with several curves and divisors, and a list of orbit
-    calls (curve, divisor, max_m) over them in any order, repeats included."""
+    """One action with several curves, small or wide, and divisors, and a
+    list of orbit calls (curve, divisor, max_m) over them in any order,
+    repeats included."""
     n = draw(st.integers(1, 6))
     rows = draw(small_matrices(n))
-    curves = draw(st.lists(small_vectors(n), min_size=1, max_size=4))
+    curves = draw(st.lists(curve_vectors(n), min_size=1, max_size=4))
     divisors = draw(st.lists(small_vectors(n), min_size=1, max_size=4))
     calls = draw(st.lists(
         st.tuples(st.integers(0, len(curves) - 1), st.integers(0, len(divisors) - 1),
@@ -225,6 +233,33 @@ def test_cached_curve_rows_match_matrix_vector_products(case):
         assert orbit_pairings(spec, divisor, curve, max_m) == expected
     # one row sequence per distinct curve, kept on the matrix
     assert set(matrix._curve_row_cache) == {tuple(curves[c]) for c, _, _ in calls}
+
+
+def test_wide_curve_rebuilds_the_power_table_only():
+    # ||P||_inf = 7: the table holds curves with ||C||_1 below 2**4, so the
+    # second curve, paired after the first, rebuilds it wider
+    rows = [[3, -1, 2], [0, 2, -5], [1, 1, 1]]
+    matrix = IntMatrix(rows)
+    narrow, wide = (1, 2, 3), (2**40, -(2**39), 7)
+    spec = NumericalActionSpec(matrix, [narrow, wide])
+    chi = char_poly(matrix)
+    divisor = DivisorClass((1, -1, 2))
+    narrow_rows = matrix._curve_rows(narrow)
+    width = matrix._power_table[1]
+    orbit_pairings(spec, divisor, CurveFunctional(wide), 9)
+    assert matrix._power_table[1] > width
+    assert char_poly(matrix) is chi
+    assert chi == char_poly(IntMatrix(rows))
+    assert matrix._curve_rows(narrow) is narrow_rows
+    for curve in (narrow, wide):
+        vec = curve
+        for row in matrix._curve_rows(curve):
+            assert row == vec
+            vec = tuple(sum(c * r[j] for c, r in zip(vec, rows)) for j in range(3))
+        curve = CurveFunctional(curve)
+        assert orbit_pairings(spec, divisor, curve, 9) == reference_orbit_pairings(
+            spec, divisor, curve, 9
+        )
 
 
 def test_orbit_rejects_negative_max_m():
@@ -252,7 +287,8 @@ def brute_force_witness(spec, divisor, ample, horizon):
 @st.composite
 def witness_cases(draw):
     """Ranks 1..5 and a horizon from 1 to max(12, 3n + 2), so that horizons
-    at or below n + 1, where the gap recurrence takes no step, are drawn often."""
+    at or below n + 1, where u's orbit to horizon - 1 takes at most one
+    recurrence step, are drawn often."""
     n = draw(st.integers(1, 5))
     rows = draw(small_matrices(n))
     curves = draw(st.lists(small_vectors(n), min_size=1, max_size=3))
@@ -281,24 +317,33 @@ def test_witness_matches_brute_force(case):
 
 
 def test_witness_builds_the_ample_orbit_only_past_k_one():
-    # k = 1 is decided on the gap recurrence, seeded from orbit terms up to
-    # the rank; the case below needs 32 and takes H's orbit to the horizon
+    # k = 1 is decided on the one orbit of u = D + H - P H, to horizon - 1;
+    # the case below needs 32 and takes H's orbit to the horizon
     spec = scalar_spec(2)
     with mock.patch.object(dynamics, "orbit_pairings", wraps=orbit_pairings) as orbits:
         assert non_left_ample_witness(spec, D1, D1).multiplier == 1
-    assert [call.args[3] for call in orbits.call_args_list] == [1, 0]
+    assert [call.args[3] for call in orbits.call_args_list] == [63]
+    assert orbits.call_args_list[0].args[1] == DivisorClass((1 + 1 - 2,))
     spec = NumericalActionSpec([[-2, 1], [-2, 3]], [[2, -1], [-1, 2]])
     with mock.patch.object(dynamics, "orbit_pairings", wraps=orbit_pairings) as orbits:
         witness = non_left_ample_witness(spec, DivisorClass((0, 3)), DivisorClass((2, 1)), 12)
     assert witness.multiplier == 32
-    # seeds, then one full orbit, for each curve that k = 1 fails on
-    assert [call.args[3] for call in orbits.call_args_list] == [2, 1, 12] * 2
+    # u's orbit, then H's to the horizon, for each curve that k = 1 fails on
+    assert [call.args[3] for call in orbits.call_args_list] == [11, 12] * 2
+
+
+# a quasi-unipotent action, which the radius guard rejects: the horizon is
+# checked before it
+ROTATION = NumericalActionSpec([[0, -1], [1, 0]], [[1, 0], [0, 1]])
+D2 = DivisorClass((1, 1))
 
 
 @pytest.mark.parametrize("horizon", [0, -1])
 def test_witness_rejects_a_horizon_below_one(horizon):
     with pytest.raises(ValueError, match="^horizon must be >= 1"):
         non_left_ample_witness(scalar_spec(2), D1, D1, horizon=horizon)
+    with pytest.raises(ValueError, match="^horizon must be >= 1"):
+        non_left_ample_witness(ROTATION, D2, D2, horizon=horizon)
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, "3"], ids=repr)
@@ -306,6 +351,8 @@ def test_witness_and_orbit_reject_non_integer_lengths(bad):
     # unchecked, True would run as 1 and 2.0 would fail inside a slice
     with pytest.raises(TypeError, match="^horizon must be an integer"):
         non_left_ample_witness(scalar_spec(2), D1, D1, horizon=bad)
+    with pytest.raises(TypeError, match="^horizon must be an integer"):
+        non_left_ample_witness(ROTATION, D2, D2, horizon=bad)
     with pytest.raises(TypeError, match="^max_m must be an integer"):
         orbit_pairings(scalar_spec(2), D1, C1, bad)
 
