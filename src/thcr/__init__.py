@@ -6,7 +6,7 @@ Submodules load on first use: ``import thcr`` imports none of them, and
 ``thcr.X`` (or ``from thcr import X``) imports only the module that owns X.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 _EXPORTS = {
     "cohomology": (
@@ -25,7 +25,6 @@ _EXPORTS = {
         "Verdict",
         "WitnessSearchExhausted",
         "classify_ampleness",
-        "degree_consistency",
         "non_left_ample_witness",
         "orbit_pairings",
         "pairing",

@@ -174,17 +174,12 @@ def _require_rows(value, what: str) -> None:
 
 
 def _run_ampleness(config: argparse.Namespace) -> tuple:
-    from .dynamics import (
-        DivisorClass,
-        NumericalActionSpec,
-        classify_ampleness,
-        degree_consistency,
-    )
+    from .dynamics import DivisorClass, NumericalActionSpec, classify_ampleness
 
     in_doc = isinstance(config.matrix, dict)
     doc = dict(config.matrix) if in_doc else {"P": config.matrix}
     # flags override document fields
-    for name in ("curves", "dim_x", "deg_sigma", "ample_flag"):
+    for name in ("curves", "ample_flag"):
         if (value := getattr(config, name)) is not None:
             doc[_key(name)] = value
     if doc.get("curves") is None:
@@ -201,8 +196,6 @@ def _run_ampleness(config: argparse.Namespace) -> tuple:
         report = classify_ampleness(spec, divisor)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc))
-    degree_ok = (degree_consistency(spec, divisor)
-                 if spec.deg_sigma is not None and spec.rank == 1 else None)
     results = {
         "left": report.left.value,
         "right": report.right.value,
@@ -212,7 +205,6 @@ def _run_ampleness(config: argparse.Namespace) -> tuple:
             list(report.ample_eigenvector.coords) if report.ample_eigenvector else None
         ),
         "reasons": list(report.reasons),
-        "degreeConsistent": degree_ok,
     }
     return results, _collect_citations(report.reasons), None
 
@@ -324,10 +316,6 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
                      help="Action matrix as inline JSON rows, or a path to a spec file.")
     sub.add_argument("--divisor", required=True, help="Divisor coordinates, JSON.")
     sub.add_argument("--curves", default=None, help="Curve functionals, JSON list of lists.")
-    sub.add_argument("--dimX", dest="dim_x", type=int, default=None,
-                     help="Dimension of the space.")
-    sub.add_argument("--deg-sigma", type=int, default=None,
-                     help="Degree of the endomorphism.")
     sub.add_argument(
         "--ample-flag", type=_boolean, default=None, metavar="BOOLEAN",
         help="Assert the twist sequence is eventually ample (root-of-unity case).",

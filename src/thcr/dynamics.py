@@ -103,21 +103,19 @@ def _int_row(values, name: str) -> tuple[int, ...]:
 
 
 # the keys of a spec document, as NumericalActionSpec.from_json_dict reads them
-_SPEC_KEYS = ("P", "curves", "dimX", "degSigma", "ampleFlag")
+_SPEC_KEYS = ("P", "curves", "ampleFlag")
 
 
 class NumericalActionSpec(_Record):
-    """Invertible integer action plus curve functionals and metadata.
+    """Invertible integer action plus curve functionals and an ample flag.
 
-    ``dim_x`` is the dimension of the underlying space (used by the degree
-    bookkeeping check); ``deg_sigma`` the degree of the endomorphism, if
-    known; ``ample_flag`` a user assertion that the twist sequence is
-    eventually ample, consulted only in the root-of-unity case.
+    ``ample_flag`` is a user assertion that the twist sequence is eventually
+    ample, consulted only in the root-of-unity case.
     """
 
-    __slots__ = ("matrix", "curves", "dim_x", "deg_sigma", "ample_flag")
+    __slots__ = ("matrix", "curves", "ample_flag")
 
-    def __init__(self, matrix, curves, dim_x=1, deg_sigma=None, ample_flag=None):
+    def __init__(self, matrix, curves, ample_flag=None):
         if not isinstance(matrix, IntMatrix):
             matrix = IntMatrix(matrix)
         curves = tuple([c if isinstance(c, CurveFunctional) else CurveFunctional(c)
@@ -126,26 +124,13 @@ class NumericalActionSpec(_Record):
             raise ValueError("at least one curve functional is required")
         if any(len(c.coords) != matrix.dim for c in curves):
             raise ValueError("curve length does not match the action rank")
-        try:
-            dim_x = _exact_int("dim_x", dim_x)
-            deg_sigma = None if deg_sigma is None else _exact_int("deg_sigma", deg_sigma)
-        except TypeError:
-            raise TypeError(
-                f"dim_x and deg_sigma must be integers, got {dim_x!r} and {deg_sigma!r}"
-            ) from None
         if ample_flag is not None and type(ample_flag) is not bool:
             raise TypeError(f"ample_flag must be True, False or None, got {ample_flag!r}")
-        if dim_x < 1:
-            raise ValueError("dim_x must be >= 1")
-        if deg_sigma is not None and deg_sigma < 1:
-            raise ValueError("deg_sigma must be >= 1")
         # chi(0) = (-1)**n det(P); chi is cached on the matrix for later use
         if char_poly(matrix).evaluate(0) == 0:
             raise ValueError("action matrix must be invertible over Q")
         _setattr(self, "matrix", matrix)
         _setattr(self, "curves", curves)
-        _setattr(self, "dim_x", dim_x)
-        _setattr(self, "deg_sigma", deg_sigma)
         _setattr(self, "ample_flag", ample_flag)
 
     @property
@@ -166,13 +151,7 @@ class NumericalActionSpec(_Record):
             curves = doc["curves"]
         except KeyError as missing:
             raise ValueError(f"spec document is missing {missing}") from None
-        return cls(
-            matrix,
-            curves,
-            dim_x=doc.get("dimX", 1),
-            deg_sigma=doc.get("degSigma"),
-            ample_flag=doc.get("ampleFlag"),
-        )
+        return cls(matrix, curves, ample_flag=doc.get("ampleFlag"))
 
 
 class Verdict(enum.Enum):
@@ -364,22 +343,3 @@ def classify_ampleness(
         ample_eigenvector=eigenvector,
         reasons=tuple(reasons),
     )
-
-
-def degree_consistency(spec: NumericalActionSpec, divisor: DivisorClass) -> bool:
-    """Check ((P**m D)**dim_x) == deg_sigma**m * (D**dim_x) for every m >= 1.
-
-    Self-intersection numbers are only computed on rank-one actions, where
-    the class (d) has (D**dim_x) = d**dim_x; higher ranks would need the
-    full intersection form and are reported as unsupported.
-    """
-    _check_lengths(spec, divisor)
-    if spec.deg_sigma is None:
-        raise ValueError("deg_sigma is required for the degree check")
-    if spec.rank != 1:
-        raise UnsupportedActionError(
-            "self-intersection bookkeeping is only supported on rank-one actions"
-        )
-    d = divisor.coords[0]
-    # (p**m d)**k == s**m d**k: for d != 0, m = 1 forces p**k == s, which gives every m
-    return d == 0 or spec.matrix.rows[0][0] ** spec.dim_x == spec.deg_sigma

@@ -59,30 +59,33 @@ def test_ampleness_identity_with_flag():
 
 def test_ampleness_spec_file(tmp_path):
     spec_path = tmp_path / "action.json"
-    spec_path.write_text(
-        json.dumps(
-            {
-                "P": [[2]],
-                "curves": [[1]],
-                "dimX": 2,
-                "degSigma": 4,
-            }
-        )
-    )
+    spec_path.write_text(json.dumps({"P": [[1]], "curves": [[1]], "ampleFlag": True}))
     result = invoke("ampleness", "--matrix", str(spec_path), "--divisor", "[1]")
     doc = json.loads(result.output)
-    assert doc["results"]["left"] == "No"
-    assert doc["results"]["degreeConsistent"] is True
+    assert (doc["results"]["left"], doc["results"]["right"]) == ("Yes", "Yes")
+    assert doc["results"]["quasiUnipotent"] is True
+    doc = json.loads(invoke("ampleness", "--matrix", str(spec_path), "--divisor", "[1]",
+                            "--ample-flag", "false").output)
+    assert doc["results"]["left"] == "Undetermined"
+    assert doc["inputs"]["ampleFlag"] is False
 
 
 def test_flags_override_document_fields_and_inputs_echo_parsed_options():
-    document = json.dumps({"P": [[2]], "curves": [[1]], "dimX": 2, "degSigma": 4})
+    document = json.dumps({"P": [[1]], "curves": [[1]], "ampleFlag": False})
     args = ("ampleness", "--matrix", document, "--divisor", "[1]")
     doc = json.loads(invoke(*args).output)
-    assert doc["results"]["degreeConsistent"] is True
-    doc = json.loads(invoke(*args, "--deg-sigma", "3").output)
-    assert doc["results"]["degreeConsistent"] is False
-    assert doc["inputs"]["degSigma"] == 3
+    assert doc["results"]["left"] == "Undetermined"
+    assert "ampleFlag" not in doc["inputs"]
+    doc = json.loads(invoke(*args, "--ample-flag", "true").output)
+    assert doc["results"]["left"] == "Yes"
+    assert doc["inputs"]["ampleFlag"] is True
+    document = json.dumps({"P": [[2]], "curves": [[1]]})
+    args = ("ampleness", "--matrix", document, "--divisor", "[1]")
+    doc = json.loads(invoke(*args).output)
+    assert doc["results"]["ampleEigenvector"] == [1]
+    doc = json.loads(invoke(*args, "--curves", "[[-1]]").output)
+    assert (doc["results"]["right"], doc["results"]["ampleEigenvector"]) == ("Undetermined", None)
+    assert doc["inputs"]["curves"] == [[-1]]
     # every parsed option but the command and --out, under its camelCase key
     doc = json.loads(invoke("gens", "--p", "2", "--m", "1", "--max-n", "2",
                             "--budget", "100").output)
@@ -244,21 +247,22 @@ def test_nonpositive_budget_exits_two():
     assert invoke(*args, "--budget", "1").exit_code == 3
 
 
-def test_non_integer_spec_fields_exit_two(tmp_path):
-    for extra in ({"dimX": "a"}, {"dimX": 2.5, "degSigma": True}, {"degSigma": 2.0}):
-        spec_path = tmp_path / "action.json"
-        spec_path.write_text(json.dumps({"P": [[2]], "curves": [[1]], **extra}))
-        result = invoke("ampleness", "--matrix", str(spec_path), "--divisor", "[1]")
-        assert result.exit_code == 2, extra
-        assert "dim_x and deg_sigma must be integers" in result.output, extra
-
-
 def test_unknown_spec_key_exits_two():
-    doc = '{"P": [[2]], "curves": [[1]], "dimX": 2, "degsigma": 3}'
-    result = invoke("ampleness", "--matrix", doc, "--divisor", "[1]")
-    assert result.exit_code == 2
-    assert "unknown keys 'degsigma'" in result.stderr
-    assert result.stdout == ""
+    for extra in ('"ampleflag": true', '"dimX": 2', '"degSigma": 4'):
+        doc = '{"P": [[2]], "curves": [[1]], ' + extra + "}"
+        result = invoke("ampleness", "--matrix", doc, "--divisor", "[1]")
+        assert result.exit_code == 2, extra
+        key = extra.split(":")[0].strip('"')
+        assert f"unknown keys '{key}'; the keys are P, curves, ampleFlag" in result.stderr
+        assert result.stdout == ""
+
+
+def test_degree_flags_are_unrecognized():
+    args = ("ampleness", "--matrix", "[[2]]", "--divisor", "[1]", "--curves", "[[1]]")
+    for flag in ("--dimX", "--deg-sigma"):
+        result = invoke(*args, flag, "2")
+        assert result.exit_code == 2, flag
+        assert f"unrecognized arguments: {flag} 2" in result.stderr
 
 
 def test_dims_negative_window_exits_two():
@@ -336,8 +340,6 @@ def ampleness_options(n):
             {"P": signed_rows(n), "curves": signed_rows(n)}).map(json.dumps)),
         "--divisor": st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(json.dumps),
         "--curves": rows,
-        "--dimX": int_text(1, 4),
-        "--deg-sigma": int_text(1, 4),
         "--ample-flag": st.sampled_from(["true", "false"]),
     }
 
@@ -354,7 +356,7 @@ COMMAND_FLAGS = {
     "gens": ("--p", "--m", "--max-n", "--budget"),
     "growth": ("--p", "--m", "--max-n"),
     "cohomology": ("--p", "--m", "--t", "--max-n"),
-    "ampleness": ("--matrix", "--divisor", "--curves", "--dimX", "--deg-sigma", "--ample-flag"),
+    "ampleness": ("--matrix", "--divisor", "--curves", "--ample-flag"),
 }
 
 

@@ -16,7 +16,6 @@ from thcr.dynamics import (
     Verdict,
     WitnessSearchExhausted,
     classify_ampleness,
-    degree_consistency,
     non_left_ample_witness,
     orbit_pairings,
     pairing,
@@ -25,8 +24,8 @@ import thcr.dynamics as dynamics
 from thcr.intlinalg import IntMatrix, IntPolynomial, RationalInterval, char_poly, det
 
 
-def scalar_spec(p, **kw):
-    return NumericalActionSpec([[p]], [[1]], **kw)
+def scalar_spec(p):
+    return NumericalActionSpec([[p]], [[1]])
 
 
 D1 = DivisorClass((1,))
@@ -481,51 +480,6 @@ def test_classifier_left_never_yes_above_one(data):
         assert report.left is not Verdict.YES
 
 
-def test_degree_consistency_cases():
-    assert degree_consistency(scalar_spec(2, dim_x=1, deg_sigma=2), D1)
-    assert degree_consistency(scalar_spec(2, dim_x=2, deg_sigma=4), D1)
-    assert not degree_consistency(scalar_spec(2, dim_x=2, deg_sigma=2), D1)
-
-
-def degree_consistency_by_steps(spec, divisor):
-    """The check step by step: ((P**m D)**dim_x) == deg_sigma**m * (D**dim_x), m = 1..5."""
-    d = divisor.coords[0]
-    vec = divisor.coords
-    for m in range(1, 6):
-        vec = spec.matrix.apply(vec)
-        if vec[0] ** spec.dim_x != spec.deg_sigma**m * d**spec.dim_x:
-            return False
-    return True
-
-
-@st.composite
-def rank_one_degree_cases(draw):
-    p = draw(st.integers(-4, 4).filter(bool))
-    dim_x = draw(st.integers(1, 4))
-    # p**dim_x itself half the time, so that both verdicts are common
-    deg_sigma = draw(st.one_of(st.integers(1, 300), st.just(max(1, p**dim_x))))
-    divisor = DivisorClass((draw(st.integers(-3, 3)),))
-    return scalar_spec(p, dim_x=dim_x, deg_sigma=deg_sigma), divisor
-
-
-@settings(deadline=None, max_examples=200)
-@given(rank_one_degree_cases())
-def test_degree_consistency_matches_the_stepwise_check(case):
-    spec, divisor = case
-    assert degree_consistency(spec, divisor) == degree_consistency_by_steps(spec, divisor)
-
-
-def test_degree_consistency_requires_degree():
-    with pytest.raises(ValueError):
-        degree_consistency(scalar_spec(2), D1)
-
-
-def test_degree_consistency_unsupported_rank():
-    spec = NumericalActionSpec([[2, 0], [0, 2]], [[1, 1]], deg_sigma=4)
-    with pytest.raises(UnsupportedActionError):
-        degree_consistency(spec, DivisorClass((1, 1)))
-
-
 # --- spec plumbing ----------------------------------------------------------------------
 
 def test_spec_rejects_singular_matrix():
@@ -613,12 +567,10 @@ def test_spec_json_roundtrip():
     doc = {
         "P": [[2, 1], [0, 3]],
         "curves": [[1, 0], [0, 1]],
-        "dimX": 2,
-        "degSigma": 6,
         "ampleFlag": False,
     }
     assert NumericalActionSpec.from_json_dict(doc) == NumericalActionSpec(
-        [[2, 1], [0, 3]], [[1, 0], [0, 1]], dim_x=2, deg_sigma=6, ample_flag=False
+        [[2, 1], [0, 3]], [[1, 0], [0, 1]], ample_flag=False
     )
     with pytest.raises(ValueError):
         NumericalActionSpec.from_json_dict({"P": [[2]]})

@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "NumericalActionSpec", "PowerRingSpec", "RationalInterval",
     "RightScanResult", "SingularMatrixError", "Verdict", "WitnessSearchExhausted",
     "char_poly", "citations", "classify_ampleness", "cohomology", "count_real_roots_above",
-    "degree_consistency", "det", "dynamics",
+    "det", "dynamics",
     "generator_degrees", "grade_dimension", "grade_of_degree",
     "growth_class", "h", "intlinalg", "is_quasi_unipotent",
     "left_vanishing_scan", "monomials", "non_left_ample_witness", "orbit_pairings",
@@ -165,7 +165,7 @@ def test_subcommands_run_without_site_packages(args):
 
 def test_version():
     result = invoke("--version")
-    assert (result.exit_code, result.stdout) == (0, "thcr, version 0.2.0\n")
+    assert (result.exit_code, result.stdout) == (0, "thcr, version 0.3.0\n")
 
 
 @pytest.mark.parametrize("spelling, value", [

@@ -646,11 +646,10 @@ RECORDS = [
      "DivisorClass(coords=(1, 2))"),
     (CurveFunctional(coords=(1, 0)), CurveFunctional([1, 0]), CurveFunctional((0, 1)),
      "CurveFunctional(coords=(1, 0))"),
-    (NumericalActionSpec(matrix=IntMatrix([[2]]), curves=(_CURVE,), dim_x=2, deg_sigma=4,
-                         ample_flag=None),
-     NumericalActionSpec([[2]], [[1]], 2, 4, None), NumericalActionSpec([[2]], [[1]], 2, 4, True),
+    (NumericalActionSpec(matrix=IntMatrix([[2]]), curves=(_CURVE,), ample_flag=None),
+     NumericalActionSpec([[2]], [[1]], None), NumericalActionSpec([[2]], [[1]], True),
      "NumericalActionSpec(matrix=IntMatrix(rows=((2,),)), curves=(CurveFunctional(coords=(1,)),),"
-     " dim_x=2, deg_sigma=4, ample_flag=None)"),
+     " ample_flag=None)"),
     (AmplenessReport(left=Verdict.NO, right=Verdict.YES, spectral_radius=RationalInterval(2, 2),
                      quasi_unipotent=False, ample_eigenvector=DivisorClass((1,)),
                      reasons=_REASONS),
