@@ -308,7 +308,8 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     sub = command("gens", "Count monomials in each grade that lower grades cannot generate.")
     sub.add_argument("--max-n", type=int, default=4, help="Largest grade to inspect.")
     sub.add_argument("--budget", type=int, default=None,
-                     help=f"Monomials allowed per grade (default {DEFAULT_BUDGET}).")
+                     help=f"Monomials allowed per walked grade; only m >= 2 walks, "
+                          f"from grade 2 (default {DEFAULT_BUDGET}).")
     sub = command("ampleness",
                   "Classify left/right ampleness of the twist sequence for an action.",
                   ring=False)
@@ -335,6 +336,10 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
 
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code; usage errors exit 2."""
+    # reports hold exact integers of any length: lift Python's 4300-digit
+    # cap on int/str conversion (3.10.7 on), or a long window is a traceback
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser, commands = _parser()
     args, extra = parser.parse_known_args(argv)
     usage = commands[args.command]

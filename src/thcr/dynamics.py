@@ -42,7 +42,7 @@ from .intlinalg import (
     is_quasi_unipotent,
     spectral_radius_interval,
 )
-from .ring import _exact_int, _Record, _setattr
+from .ring import _exact_int, _int_row, _Record, _setattr
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -92,14 +92,6 @@ def pairing(divisor: DivisorClass, curve: CurveFunctional) -> int:
     if len(divisor.coords) != len(curve.coords):
         raise ValueError("divisor and curve live in different ranks")
     return sum(map(operator.mul, divisor.coords, curve.coords))
-
-
-def _int_row(values, name: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints: plain ints as they are, others by ``_exact_int``."""
-    row = tuple(values)
-    if all(type(x) is int for x in row):
-        return row
-    return tuple([_exact_int(name, x) for x in row])
 
 
 # the keys of a spec document, as NumericalActionSpec.from_json_dict reads them

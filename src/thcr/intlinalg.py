@@ -32,7 +32,7 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 
-from .ring import _exact_int, _Record, _setattr
+from .ring import _int_row, _Record, _setattr
 
 
 class SingularMatrixError(ValueError):
@@ -56,9 +56,7 @@ class IntPolynomial(_Record):
     _fields = ("coeffs",)
 
     def __init__(self, *coeffs: int):
-        coeffs = list(coeffs)
-        if not all(type(c) is int for c in coeffs):
-            coeffs = [_exact_int("coefficient", c) for c in coeffs]
+        coeffs = list(_int_row(coeffs, "coefficient"))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         _setattr(self, "coeffs", tuple(coeffs))
@@ -167,9 +165,7 @@ class IntMatrix(_Record):
     _fields = ("rows",)
 
     def __init__(self, rows):
-        data = tuple(map(tuple, rows))
-        if not all(type(x) is int for row in data for x in row):
-            data = tuple(tuple(_exact_int("entry", x) for x in row) for row in data)
+        data = tuple([_int_row(row, "entry") for row in rows])
         if not data:
             raise ValueError("matrix must be nonempty")
         if any(len(row) != len(data) for row in data):

@@ -45,6 +45,14 @@ def _exact_int(name: str, value) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _int_row(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints: plain ints as they are, others by ``_exact_int``."""
+    row = tuple(values)
+    if all(type(x) is int for x in row):
+        return row
+    return tuple([_exact_int(name, x) for x in row])
+
+
 class GradeError(ValueError):
     """A monomial's total degree does not match the claimed grade."""
 
@@ -184,11 +192,8 @@ class Monomial(_Record):
     __slots__ = ("exps",)
 
     def __init__(self, exps: Iterable[int]):
-        exps = tuple(exps)
+        exps = _int_row(exps, "exponent")
         for e in exps:
-            if type(e) is not int:
-                self.__init__([_exact_int("exponent", x) for x in exps])
-                return
             if e < 0:
                 raise ValueError("exponents must be nonnegative")
         _setattr(self, "exps", exps)
@@ -416,8 +421,10 @@ def generator_degrees(
     The ladder of (r**a, e_a), 1 <= a <= n - 2, grows by one rung per
     grade (q *= r, e_a = r * e_a + 1); each sorted, capped z is visited
     once, with at most n - 2 residue sums and no witness.  The budget
-    compares the full grade dimension C(e_n + m, m) for every m, with e_n
-    carried as r * e_{n-1} + 1.  ``max_n`` and ``budget`` must be integers.
+    bounds the walk only: before each walked grade (m >= 2, n >= 2), its
+    full dimension C(e_n + m, m), with e_n carried as r * e_{n-1} + 1, is
+    checked against the budget.  Grade 1 and the line enumerate nothing
+    and answer at any budget.  ``max_n`` and ``budget`` must be integers.
     """
     max_n = _exact_int("max_n", max_n)
     budget = _exact_int("budget", budget)
@@ -429,15 +436,15 @@ def generator_degrees(
     q, e_a, e_n = 1, 0, 0
     for n in range(1, max_n + 1):
         e_n = r * e_n + 1
-        size = math.comb(e_n + m, m)
-        if size > budget:
-            raise BudgetExceededError(n, size, budget, counts)
         if n < 2:
-            counts[n] = size
+            counts[n] = m + 1
             continue
         if m == 1:
             counts[n] = (r - 2) * (r - 1) ** (n - 2) if r > 2 else 0
             continue
+        size = math.comb(e_n + m, m)
+        if size > budget:
+            raise BudgetExceededError(n, size, budget, counts)
         count = 0
         # q = r**(n-2) here, so the cap is r**(n-1) - 1
         for z in _sorted_parts(e_n, m + 1, q * r - 1):

@@ -1,12 +1,19 @@
-"""Run ``thcr.cli.main`` in-process with captured streams, as a shell would see it."""
+"""Run the CLI two ways: ``invoke`` calls ``thcr.cli.main`` in-process with
+captured streams, as a shell would see it, and ``fresh_python`` starts a new
+interpreter, as a user's cold call does."""
 
 import contextlib
 import dataclasses
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 from thcr.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @dataclasses.dataclass
@@ -30,3 +37,11 @@ def invoke(*args, env=None) -> Result:
         except SystemExit as exc:
             code = 0 if exc.code is None else exc.code
     return Result(code, out.getvalue(), err.getvalue())
+
+
+def fresh_python(*args, text=True) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a new interpreter on the repository's ``src``,
+    writing no bytecode."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=text, timeout=60)

@@ -175,6 +175,8 @@ def test_invalid_config_exits_two():
     result = invoke("ampleness", "--matrix", "[[2]]", "--divisor", "[1]", "--curves", "[[1]]",
                     "--format", "csv")
     assert result.exit_code == 2
+    result = invoke("cohomology", "--p", "2", "--m", "1")
+    assert result.exit_code == 2
 
 
 def test_budget_exhaustion_exits_three():
@@ -196,8 +198,28 @@ def test_budget_stop_reports_partial_counts():
     assert partial == json.loads(full.stdout)["results"]["counts"]
 
 
+def test_line_answers_past_the_budget():
+    # grade 40 holds e_40 + 1 > 10**27 monomials, but the line's closed form
+    # enumerates none of them
+    result = invoke("gens", "--p", "5", "--m", "1", "--max-n", "40")
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.stdout)["results"]
+    assert doc["budget"] == 10**6
+    assert doc["counts"] == {"1": 2, **{str(n): 3 * 4 ** (n - 2) for n in range(2, 41)}}
+
+
+def test_reports_hold_integers_past_the_str_digit_cap():
+    # a 4401-digit power: Python's default cap on int/str conversion is 4300
+    result = invoke("gens", "--p", "1" + "0" * 4400, "--m", "1", "--max-n", "3")
+    assert result.exit_code == 0, result.stderr
+    r = 10**4400
+    counts = json.loads(result.stdout)["results"]["counts"]
+    assert counts == {"1": 2, "2": r - 2, "3": (r - 2) * (r - 1)}
+
+
 def test_environment_does_not_set_the_budget():
-    args = ("gens", "--p", "5", "--m", "1", "--max-n", "8")
+    # grade 2 of the plane is walked and holds 10 monomials
+    args = ("gens", "--p", "2", "--m", "2", "--max-n", "4")
     plain = invoke(*args)
     assert plain.exit_code == 0
     assert invoke(*args, env={"TWISTED_BUDGET": "1"}).stdout == plain.stdout
@@ -241,7 +263,7 @@ def test_non_integer_json_exits_two():
 
 
 def test_nonpositive_budget_exits_two():
-    args = ["gens", "--p", "2", "--m", "1", "--max-n", "2"]
+    args = ["gens", "--p", "2", "--m", "2", "--max-n", "2"]
     assert invoke(*args, "--budget", "-5").exit_code == 2
     assert invoke(*args, "--budget", "0").exit_code == 2
     assert invoke(*args, "--budget", "1").exit_code == 3

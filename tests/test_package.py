@@ -1,23 +1,21 @@
 """The package surface and its import graph: ``import thcr`` loads no
 submodule, each CLI subcommand loads only the modules it runs and nothing
 outside the standard library, the command line keeps its options and
-spellings, and the lazy exports behave like the eager ones.  Import effects
-are checked in fresh interpreters, since this test process has long since
-loaded everything."""
+spellings, the lazy exports behave like the eager ones, and every docstring
+example passes.  Import effects are checked in fresh interpreters, since
+this test process has long since loaded everything."""
 
+import doctest
+import importlib
 import json
-import os
+import pkgutil
 import re
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
-from cli_helper import invoke
+from cli_helper import ROOT, fresh_python, invoke
 
 import thcr
-
-ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
     "AmplenessReport", "BudgetExceededError", "CurveFunctional", "DecompositionWitness",
@@ -67,12 +65,6 @@ except SystemExit as exc:
 print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 sys.exit(code)
 """
-
-
-def fresh_python(*args, text=True):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=text, timeout=60)
 
 
 def loaded_modules(*args, flags=()):
@@ -218,6 +210,17 @@ def test_unknown_name_raises_attribute_error():
         thcr.nope
     with pytest.raises(ImportError):
         from thcr import nope  # noqa: F401
+
+
+def test_docstring_examples_pass():
+    modules = [thcr, *(importlib.import_module(f"thcr.{info.name}")
+                       for info in pkgutil.iter_modules(thcr.__path__))]
+    attempted = 0
+    for module in modules:
+        result = doctest.testmod(module, report=False)
+        assert result.failed == 0, module.__name__
+        attempted += result.attempted
+    assert attempted > 0
 
 
 def test_readme_library_example():

@@ -1,8 +1,9 @@
 """Byte-identical report corpus: the behavioural contract for refactors.
 
-Each case runs one configuration through the CLI and compares the report
-with the file stored under ``tests/data/reports``.  A deliberate change to
-report bytes regenerates the corpus in the same change:
+Each case runs one configuration as a user does, in a fresh
+``python -S -m thcr.cli``, and compares the report with the file stored
+under ``tests/data/reports``.  A deliberate change to report bytes
+regenerates the corpus, through the same cold call, in the same change:
 
     PYTHONPATH=src python tests/test_report_corpus.py
 """
@@ -11,7 +12,9 @@ import json
 from pathlib import Path
 
 import pytest
-from cli_helper import invoke
+from cli_helper import fresh_python
+
+from thcr import citations
 
 REPORTS = Path(__file__).parent / "data" / "reports"
 
@@ -41,6 +44,8 @@ AMPLENESS = {
         [1, 0, 0, 0, 0, 0],
         [[1 if i == j else 0 for j in range(6)] for i in range(6)],
     ),
+    # unipotent, so quasi-unipotent: the flag decides both sides
+    "ample-flag": ([[1, 1], [0, 1]], [1, 1], [[1, 0], [0, 1]], "--ample-flag", "true"),
 }
 
 
@@ -65,10 +70,10 @@ def _cases():
         cases[f"gens-p5-m1.{fmt}"] = [
             "gens", "--p", "5", "--m", "1", "--max-n", "8", "--format", fmt,
         ]
-    for label, (matrix, divisor, curves) in AMPLENESS.items():
+    for label, (matrix, divisor, curves, *flags) in AMPLENESS.items():
         cases[f"ampleness-{label}.json"] = [
             "ampleness", "--matrix", json.dumps(matrix),
-            "--divisor", json.dumps(divisor), "--curves", json.dumps(curves),
+            "--divisor", json.dumps(divisor), "--curves", json.dumps(curves), *flags,
         ]
     return cases
 
@@ -77,14 +82,23 @@ CASES = _cases()
 
 
 def _render(args) -> bytes:
-    result = invoke(*args)
-    assert result.exit_code == 0, result.output
-    return result.stdout.encode()
+    # -S: no site-packages, so nothing outside the standard library to lean on
+    proc = fresh_python("-S", "-m", "thcr.cli", *args, text=False)
+    assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_corpus(name):
     assert _render(CASES[name]) == (REPORTS / name).read_bytes()
+
+
+def test_every_citation_is_pinned_by_a_report():
+    cited = set()
+    for path in REPORTS.glob("*.json"):
+        cited.update(json.loads(path.read_bytes())["citations"])
+    ids = {value for name, value in vars(citations).items() if name.isupper()}
+    assert sorted(ids - cited) == []
 
 
 if __name__ == "__main__":

@@ -404,7 +404,7 @@ def test_generator_degrees_line_closed_form_at_grade_400(monkeypatch):
 
     monkeypatch.setattr(ring, "_sorted_parts", no_walk)
     for r in range(1, 10):
-        counts = generator_degrees(PowerRingSpec(1, r), 400, budget=10**400)
+        counts = generator_degrees(PowerRingSpec(1, r), 400)
         want = {n: (r - 2) * (r - 1) ** (n - 2) if r > 2 else 0 for n in range(2, 401)}
         assert counts == {1: 2, **want}, r
 
@@ -433,6 +433,8 @@ def test_generator_degrees_budget():
     err = info.value
     assert err.grade == 4
     assert err.partial == {1: 3, 2: 1, 3: 3}
+    # grade 1 is its dimension, never enumerated
+    assert generator_degrees(PowerRingSpec(dim=2, power=2), 1, budget=1) == {1: 3}
 
 
 @settings(max_examples=200, deadline=None)
