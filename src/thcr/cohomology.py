@@ -18,9 +18,10 @@ grade.
 
 A ``ScanRow`` is a tuple underneath.  ``_scan`` steps the degrees and
 evaluates ``_top`` once per grade in Python, then builds all m rows of
-every grade in C: ``zip`` over ``itertools`` repeats lays out the columns
-(n, d_n, q, value), and ``map`` applies ``tuple.__new__`` with the class,
-so no Python frame runs per row.
+every grade in C: ``zip`` lays out the columns (n, d_n, q, value), the
+first two from an m-fold ``zip`` of the grades and of the degrees, and
+``map`` applies ``tuple.__new__`` with the class, so no Python frame runs
+per row.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ def _scan(spec: PowerRingSpec, max_n: int, degree: int,
         degree = r * degree + step
     tops = list(map(_top, repeat(m), degrees))
     columns = zip(
-        chain.from_iterable(map(repeat, range(grades), repeat(m))),  # n, m times
-        chain.from_iterable(map(repeat, degrees, repeat(m))),  # d_n, m times
+        chain.from_iterable(zip(*[range(grades)] * m)),  # n, m times
+        chain.from_iterable(zip(*[degrees] * m)),  # d_n, m times
         chain.from_iterable(repeat(range(1, m + 1), grades)),  # q = 1..m
         chain.from_iterable(zip(*[repeat(0)] * (m - 1), tops)),  # 0, ..., 0, top
     )

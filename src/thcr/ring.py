@@ -199,6 +199,16 @@ class Monomial(_Record):
         _setattr(self, "exps", exps)
 
     @classmethod
+    def _of(cls, exps: tuple[int, ...]) -> Monomial:
+        """A monomial over ``exps``, a tuple of nonnegative ints, stored unchecked.
+
+        For results the library builds from checked monomials only.
+        """
+        self = object.__new__(cls)
+        _setattr(self, "exps", exps)
+        return self
+
+    @classmethod
     def unit(cls, nvars: int) -> Monomial:
         return cls((0,) * nvars)
 
@@ -317,13 +327,13 @@ def twisted_product(spec: PowerRingSpec, u: Monomial, v: Monomial) -> Monomial:
     q = spec.power**a
     if len(u.exps) != len(v.exps):
         raise GradeError("operands live in different ambient spaces")
-    return Monomial(tuple(x + q * y for x, y in zip(u.exps, v.exps)))
+    return Monomial._of(tuple([x + q * y for x, y in zip(u.exps, v.exps)]))
 
 
 def decompose_fast(
     spec: PowerRingSpec, z: Monomial, n: int
 ) -> DecompositionWitness | None:
-    """Decomposability test by one inequality per grade, O(n * variables).
+    """Decomposability test by the base-r carry, O(n * variables) at worst.
 
     Splitting z = u * v with u in grade a forces u's exponents to agree
     with z's modulo r**a, so v_i <= w_i = z_i // r**a, and the degrees
@@ -334,35 +344,58 @@ def decompose_fast(
     the two forms being one inequality because sum z_i = e_n =
     e_a + r**a * e_{n-a}.  The smallest split grade a is returned.
 
-    The loop carries the quotients (w_i //= r) and the target
-    (e_{n-a} = (e_{n-a+1} - 1) // r, from e_n) from one grade to the next,
-    so each grade costs one small division per coordinate.  The witness
-    removes the excess k = sum(w) - e_{n-a} from w greedily in coordinate
+    Carry form.  c_a = e_{n-a} - sum(w) = (sum_i (z_i mod r**a) - e_a) / r**a
+    is the carry into digit a when the z_i are added in base r, and z
+    splits at a iff c_a <= 0.  For r >= 2 the residues are each below r**a
+    and e_a < r**a, so c_a is an integer in 0..m and z splits iff c_a = 0.
+    Residues only grow with the modulus, and e_{a+j} = e_a + r**a * e_j, so
+
+        c_{a+j} * r**j >= c_a - e_j:
+
+    no grade before a + j splits, where j >= 1 is the least step with
+    e_j >= c_a.  The loop jumps there at once: it divides the quotients by
+    r**j in one pass (w_i //= r**j) and carries the target as
+    e_{n-a-j} = (e_{n-a} - e_j) // r**j, starting from e_n.  As c_a <= m,
+    a step is at most about log_r(m) + 1 grades long and never skips a
+    split.
+
+    The witness removes the excess k = -c_a from w greedily in coordinate
     order, giving v, and u = z - r**a * v: the same witness as the residue
     form, which fills u_i = (z_i mod r**a) + r**a * take_i with the same
-    takes.
+    takes.  For r >= 2 the excess is 0 and v = w; the greedy fill matters
+    only for r = 1, where every c_a = -a and z splits at a = 1 with k = 1.
     """
     _require_grade(spec, z, n)
     r = spec.power
     w = z.exps
     t = sum(w)  # e_n, by the grade check
-    for a in range(1, n):
-        w = [x // r for x in w]
-        t = (t - 1) // r
-        k = sum(w) - t
-        if k < 0:
-            continue
+    a, c, q_a = 0, 0, 1
+    while True:
+        # jump to a + j for the least j >= 1 with e = e_j >= c; q = r**j
+        a, e, q = a + 1, 1, r
+        while e < c:
+            a, e, q = a + 1, r * e + 1, q * r
+        if a >= n:
+            return None
+        q_a *= q
+        w = [x // q for x in w]
+        t = (t - e) // q
+        c = t - sum(w)
+        if c <= 0:
+            break
+    v = w
+    if c:  # only r = 1, with the excess k = -c = 1
+        k = -c
         v = []
         for x in w:
             take = min(x, k)
             v.append(x - take)
             k -= take
-        q = r**a
-        u = Monomial(tuple([x - q * y for x, y in zip(z.exps, v)]))
-        v = Monomial(tuple(v))
-        assert v.degree == twist_degree(spec, n - a)
-        return DecompositionWitness(a, n - a, u, v)
-    return None
+    # v_i <= w_i and u_i >= z_i mod r**a: both are nonnegative ints
+    u = Monomial._of(tuple([x - q_a * y for x, y in zip(z.exps, v)]))
+    v = Monomial._of(tuple(v))
+    assert v.degree == twist_degree(spec, n - a)
+    return DecompositionWitness(a, n - a, u, v)
 
 
 def generator_degrees(

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -334,6 +335,64 @@ def test_decompose_fast_witness_equals_residue_form_deep(m, r, n):
     for _ in range(200):
         z = random_monomial(spec, n, rng)
         assert decompose_fast(spec, z, n) == decompose_residue(spec, z, n), z
+
+
+@st.composite
+def graded_monomials(draw, powers):
+    """(spec, z, n): m in 1..8, r from ``powers``, n in 1..200, z of grade n."""
+    m, r, n = draw(st.integers(1, 8)), draw(powers), draw(st.integers(1, 200))
+    spec = PowerRingSpec(m, r)
+    total = twist_degree(spec, n)
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=m, max_size=m)))
+    exps = tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
+    return spec, Monomial(exps), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_monomials(st.integers(2, 9)))
+def test_decompose_fast_carry_lemma(case):
+    # the carry c_a into digit a of the base-r sum of z is an integer in
+    # 0..m, z splits at a iff c_a = 0, and c_{a+j} * r**j >= c_a - e_j, so
+    # decompose_fast may jump from a straight to the least a + j with e_j >= c_a
+    spec, z, n = case
+    m, r = spec.dim, spec.power
+    carries = {}
+    for a in range(1, n):
+        q = r**a
+        excess = sum(x % q for x in z.exps) - twist_degree(spec, a)
+        assert excess % q == 0, (z, a)
+        carries[a] = excess // q
+        assert 0 <= carries[a] <= m, (z, a)
+    for a, c in carries.items():
+        j = 1
+        while a + j < n and twist_degree(spec, j) < c:
+            assert carries[a + j] > 0, (z, a, j)
+            j += 1
+    grade = reference_split_grade(spec, z, n)
+    assert grade == next((a for a, c in carries.items() if c == 0), None)
+    witness = decompose_residue(spec, z, n)
+    assert decompose_fast(spec, z, n) == witness
+    if witness is not None:
+        # no excess is left to remove, so the greedy fill takes nothing
+        assert witness.a == grade
+        assert witness.v.exps == tuple(x // r**grade for x in z.exps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_monomials(st.just(1)))
+def test_decompose_fast_power_one_greedy_witness(case):
+    # for r = 1 every carry is c_a = -a, so z splits at a = 1 and the greedy
+    # fill takes the excess 1 from z's first nonzero coordinate
+    spec, z, n = case
+    witness = decompose_fast(spec, z, n)
+    assert witness == decompose_residue(spec, z, n)
+    if n < 2:
+        assert witness is None
+        return
+    first = next(i for i, x in enumerate(z.exps) if x)
+    u, v = [0] * spec.nvars, list(z.exps)
+    u[first], v[first] = 1, v[first] - 1
+    assert (witness.a, witness.u.exps, witness.v.exps) == (1, tuple(u), tuple(v))
 
 
 def test_is_decomposable_dispatch():
