@@ -19,10 +19,11 @@ curve C an orbit is paired with, each one weighted sum of that table's rows
 witness search and the orbit recurrence compute each once.
 
 The largest real root, which the radius and the witness guard share, is
-found on one dyadic grid by a certificate from a float guess or, when that
-declines, a Sturm bisection of the same cells (``_largest_root_interval``).
-Each ``IntPolynomial`` keeps that enclosure and the Sturm chain of its
-squarefree part, so at most one chain is built per polynomial.
+found on one dyadic grid by a one-cell certificate from a float guess or,
+when that declines, a plain Sturm bisection of the same cells
+(``_largest_root_interval``).  Each ``IntPolynomial`` keeps that enclosure,
+and its squarefree part with a Sturm chain for it, both from one remainder
+sequence, so at most one chain is built per polynomial.
 """
 
 from __future__ import annotations
@@ -142,11 +143,8 @@ class IntPolynomial(_Record):
 
     @cached_property
     def _sturm(self) -> tuple["IntPolynomial", tuple["IntPolynomial", ...]]:
-        """The squarefree part and its Sturm chain (empty below degree one)."""
-        if self.degree() < 1:
-            return self, ()
-        sf = squarefree_part(self)
-        return sf, tuple(_sturm_chain(sf))
+        """The squarefree part and a Sturm chain for it (``_squarefree_sturm``)."""
+        return _squarefree_sturm(self)
 
     @cached_property
     def _largest_root(self) -> RationalInterval | None:
@@ -250,7 +248,7 @@ class RationalInterval(_Record):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        if not all(isinstance(x, (int, Fraction)) and type(x) is not bool for x in (lo, hi)):
+        if not (_is_rational(lo) and _is_rational(hi)):
             raise TypeError(f"interval endpoints must be ints or Fractions, got {lo!r} and {hi!r}")
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
@@ -268,6 +266,11 @@ class RationalInterval(_Record):
 
     def __contains__(self, value) -> bool:
         return self.lo <= Fraction(value) <= self.hi
+
+
+def _is_rational(x) -> bool:
+    """True for ints and Fractions, the exact rationals; bools are not."""
+    return isinstance(x, (int, Fraction)) and type(x) is not bool
 
 
 DEFAULT_RADIUS_WIDTH = Fraction(1, 10**9)
@@ -390,48 +393,52 @@ def _primitive(poly: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(*(c // content for c in poly.coeffs))
 
 
-def _primitive_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    while not b.is_zero():
-        _, rem, _ = a.pseudo_divmod(b)
-        a, b = b, rem if rem.is_zero() else _primitive(rem)
-    return _primitive(a)
-
-
 def squarefree_part(poly: IntPolynomial) -> IntPolynomial:
     """The radical of an integer polynomial: same roots, all simple.
 
     Returned primitive with positive leading coefficient.
     """
+    return _squarefree_sturm(poly)[0]
+
+
+def _squarefree_sturm(poly: IntPolynomial) -> tuple[IntPolynomial, tuple[IntPolynomial, ...]]:
+    """``poly``'s squarefree part and a Sturm chain for its distinct roots.
+
+    The Sturm chain of ``poly`` ends in g = gcd(poly, poly').  Divided by g,
+    its members still have signs whose variations count the distinct roots
+    above a point, also at a root (Basu, Pollack and Roy, *Algorithms in
+    Real Algebraic Geometry*, ch. 2), and the first is the squarefree part.
+    g is made primitive, so by Gauss's lemma each division is exact over Z.
+    """
     if poly.degree() < 1:
-        return poly
-    g = _primitive_gcd(poly, poly.derivative())
-    quot, rem, _ = poly.pseudo_divmod(g)
-    assert rem.is_zero()
-    return _primitive(quot)
+        return poly, ()
+    chain = _sturm_chain(poly)
+    if chain[-1].degree() > 0:
+        g = _primitive(chain[-1])
+        chain = [f.pseudo_divmod(g)[0] for f in chain]
+    return _primitive(chain[0]), tuple(chain)
 
 
 def _sturm_chain(poly: IntPolynomial) -> list[IntPolynomial]:
-    chain = [poly]
-    deriv = poly.derivative()
-    if not deriv.is_zero():
-        chain.append(deriv)
-        while chain[-1].degree() > 0:
-            divisor = chain[-1]
-            _, rem, k = chain[-2].pseudo_divmod(divisor)
-            if rem.is_zero():
-                break
-            # lc**k * a = q * b + r: the remainder over Q is r / lc**k, and
-            # -r * sign(lc)**k is a positive multiple of its negation
-            if divisor.leading() > 0 or k % 2 == 0:
-                rem = -rem
-            content = math.gcd(*rem.coeffs)
-            chain.append(IntPolynomial(*(c // content for c in rem.coeffs)))
+    chain = [poly, poly.derivative()]
+    while chain[-1].degree() > 0:
+        divisor = chain[-1]
+        _, rem, k = chain[-2].pseudo_divmod(divisor)
+        if rem.is_zero():
+            break
+        # lc**k * a = q * b + r: the remainder over Q is r / lc**k, and
+        # -r * sign(lc)**k is a positive multiple of its negation
+        if divisor.leading() > 0 or k % 2 == 0:
+            rem = -rem
+        content = math.gcd(*rem.coeffs)
+        chain.append(IntPolynomial(*(c // content for c in rem.coeffs)))
     return chain
 
 
-def _variations(signs: list[int]) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _variations(values: list[int]) -> int:
+    """Sign changes between consecutive nonzero values."""
+    negative = [v < 0 for v in values if v]
+    return sum(map(operator.ne, negative, negative[1:]))
 
 
 def _homogeneous_value(poly: IntPolynomial, p: int, q: int) -> int:
@@ -446,35 +453,28 @@ def _homogeneous_value(poly: IntPolynomial, p: int, q: int) -> int:
 
 def _variations_at(chain: tuple[IntPolynomial, ...], p: int, q: int) -> int:
     """Sign variations of the chain at p/q, for any q > 0 (not only reduced)."""
-    return _variations([_sign(_homogeneous_value(f, p, q)) for f in chain])
+    return _variations([_homogeneous_value(f, p, q) for f in chain])
 
 
-def _variations_at_infinity(chain: tuple[IntPolynomial, ...], positive: bool) -> int:
-    signs = []
-    for f in chain:
-        s = _sign(f.leading())
-        if not positive and f.degree() % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
+def _variations_at_infinity(chain: tuple[IntPolynomial, ...]) -> int:
+    return _variations([f.leading() for f in chain])
 
 
 def count_real_roots_above(poly: IntPolynomial, bound) -> int:
     """Number of distinct real roots strictly greater than ``bound``.
 
-    ``bound`` may itself be a root: on a squarefree chain the variation
-    count at a root equals the count just to its right.
+    ``bound`` is an int or a Fraction and may itself be a root: on the
+    chain of ``poly._sturm`` the variation count at a root equals the count
+    just to its right.
     """
+    if not _is_rational(bound):
+        raise TypeError(f"bound must be an int or a Fraction, got {bound!r}")
     _, chain = poly._sturm
     if not chain:
         return 0
     bound = Fraction(bound)
     above = _variations_at(chain, bound.numerator, bound.denominator)
-    return above - _variations_at_infinity(chain, positive=True)
+    return above - _variations_at_infinity(chain)
 
 
 def spectral_radius_interval(matrix: IntMatrix) -> RationalInterval:
@@ -513,20 +513,21 @@ def _largest_root_interval(chi: IntPolynomial) -> RationalInterval | None:
 
     The certificate, ``_certified_largest_root``, builds no Sturm chain: it
     tests ``round`` of a float guess as an integer root, or chi's signs at
-    the ends of the guess's cell show a root inside (a bracket galloped out
-    and halved back mends a guess a cell off, as near a multiple root) and
-    one Taylor shift to the upper end with no sign variation shows, by
-    Descartes' rule of signs, no root above it, whatever the multiplicity.
-    Perron-Frobenius puts every other eigenvalue of a cone-preserving action
-    at real part below the largest, so the certificate declines only a
-    largest root of even multiplicity, a float overflow or a complex pair to
-    the right of the largest real root.
+    the ends of one cell show a root inside (the guess's cell, or the
+    neighbour its end signs point to, for a guess a rounding error past an
+    end) and one Taylor shift to the upper end with no sign variation shows,
+    by Descartes' rule of signs, no root above it, whatever the
+    multiplicity.  Perron-Frobenius puts every other eigenvalue of a
+    cone-preserving action at real part below the largest, so the
+    certificate declines only a largest root of even multiplicity, a guess
+    more than a cell off (as near a multiple root), a float overflow or a
+    complex pair to the right of the largest real root.
 
     The fallback bisects the same grid from ``(lo, hi] = (-bound, bound] *
-    scale`` to one cell by the certificate's midpoint rule, on Sturm counts
-    of chi's squarefree part ``sf``.  Midpoints above a power-of-two
-    Fujiwara root bound need no count, and once a count isolates the largest
-    root the sign of ``sf`` decides each midpoint.
+    scale`` to one cell at ``mid = lo + (hi - lo) // (2 * step) * step``,
+    which becomes the lower end when the Sturm count of ``chi._sturm``
+    shows a root of chi above it.  One check on the final cell returns its
+    integer as a point when it is a root with none above it.
     """
     bound = 1 + max(abs(c) for c in chi.coeffs[:-1])
     step = 2 * bound
@@ -537,31 +538,21 @@ def _largest_root_interval(chi: IntPolynomial) -> RationalInterval | None:
     if certified is not None:
         return certified
     sf, chain = chi._sturm
-    at_infinity = _variations_at_infinity(chain, positive=True)
-    above_lo = _variations_at_infinity(chain, positive=False) - at_infinity
-    if above_lo == 0:
+    at_infinity = _variations_at_infinity(chain)
+    # no real root when the counts at -infinity and +infinity agree
+    if _variations([(-1) ** f.degree() * f.leading() for f in chain]) == at_infinity:
         return None
-    cap = _root_cap(sf) * scale
+    # invariant: the largest real root lies in (lo, hi]
     lo, hi = -bound * scale, bound * scale
-    # invariant: the largest real root lies in (lo, hi] and above_lo distinct
-    # roots lie above lo; once above_lo == 1 that root is the only one in
-    # (lo, hi], and sf (positive leading coefficient) is negative left of it
     while hi - lo > step:
         mid = lo + (hi - lo) // (2 * step) * step
-        if mid >= cap:
-            hi = mid
-            continue
-        if above_lo == 1:
-            above = 1 if _homogeneous_value(sf, mid, scale) < 0 else 0
-        else:
-            above = _variations_at(chain, mid, scale) - at_infinity
-        if above:
-            lo, above_lo = mid, above
+        if _variations_at(chain, mid, scale) > at_infinity:
+            lo = mid
         else:
             hi = mid
     candidate = hi // scale
     if lo < candidate * scale and sf.evaluate(candidate) == 0:
-        if above_lo == 1 or _variations_at(chain, candidate, 1) == at_infinity:
+        if _variations_at(chain, candidate, 1) == at_infinity:
             return RationalInterval(candidate, candidate)
     return RationalInterval(Fraction(lo, scale), Fraction(hi, scale))
 
@@ -581,31 +572,15 @@ def _certified_largest_root(
     hi = step * -(-(num + bound * den) * scale // (step * den)) - bound * scale
     lo = hi - step
     lo_value, hi_value = _homogeneous_value(chi, lo, scale), _homogeneous_value(chi, hi, scale)
-    # A guess within rounding of a cell end may sit in a neighbouring cell,
-    # and one near a root of multiplicity k is good to about eps**(1/k) only:
-    # widen the bracket in doubling steps until chi changes sign over it
-    gap = step
-    while not lo_value < 0 < hi_value:
-        if hi_value < 0:
-            lo, lo_value, hi = hi, hi_value, hi + gap
-            hi_value = _homogeneous_value(chi, hi, scale)
-        elif lo_value > 0 and lo > -bound * scale:
-            lo, hi, hi_value = lo - gap, lo, lo_value
-            lo_value = _homogeneous_value(chi, lo, scale)
-        else:
-            return None
-        gap *= 2
-    # then halve it on chi's signs back to one cell; a grid point is never a
-    # root here unless it is an integer one
-    while hi - lo > step:
-        mid = lo + (hi - lo) // (2 * step) * step
-        value = _homogeneous_value(chi, mid, scale)
-        if value == 0:
-            return None
-        if value < 0:
-            lo = mid
-        else:
-            hi = mid
+    # a guess within rounding of a cell end may sit in the neighbouring cell
+    if hi_value < 0:
+        lo, lo_value, hi = hi, hi_value, hi + step
+        hi_value = _homogeneous_value(chi, hi, scale)
+    elif lo_value > 0:
+        lo, hi, hi_value = lo - step, lo, lo_value
+        lo_value = _homogeneous_value(chi, lo, scale)
+    if not lo_value < 0 < hi_value:
+        return None
     # an integer root in the cell may be the largest: the fallback's point
     candidate = hi // scale
     if lo < candidate * scale and chi.evaluate(candidate) == 0:

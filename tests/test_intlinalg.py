@@ -259,20 +259,29 @@ def test_sturm_chain_built_once_per_action(monkeypatch):
 
 
 def test_squarefree_chi_runs_no_gcd(monkeypatch):
-    calls = []
-    primitive_gcd = intlinalg._primitive_gcd
+    # the Sturm chain's own remainder sequence shows chi squarefree: it ends
+    # in a constant, so the chain is chi's, undivided
+    chi = char_poly(IntMatrix([[3, 1, 0], [1, 2, 1], [0, 1, 2]]))
+    assert chi._sturm == (chi, tuple(intlinalg._sturm_chain(chi)))
+    # a repeated root: one remainder sequence gives the squarefree part and
+    # the chain, divided exactly by the gcd it ends in
+    builds = []
+    sturm_chain = intlinalg._sturm_chain
 
-    def counted(a, b):
-        calls.append((a, b))
-        return primitive_gcd(a, b)
+    def counted(poly):
+        builds.append(poly)
+        return sturm_chain(poly)
 
-    monkeypatch.setattr(intlinalg, "_primitive_gcd", counted)
-    # the Sturm chain's own remainder sequence shows chi squarefree
-    spec = NumericalActionSpec([[3, 1, 0], [1, 2, 1], [0, 1, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    divisor = DivisorClass((1, 2, 1))
-    classify_ampleness(spec, divisor)
-    non_left_ample_witness(spec, divisor, DivisorClass((1, 1, 1)))
-    assert calls == []
+    monkeypatch.setattr(intlinalg, "_sturm_chain", counted)
+    chi = IntPolynomial(1, -3, 1) * IntPolynomial(1, -3, 1) * IntPolynomial(-5, 1)
+    sf, chain = chi._sturm
+    assert builds == [chi]
+    assert sf == IntPolynomial(1, -3, 1) * IntPolynomial(-5, 1)
+    assert chain[0] == sf and chain[-1].degree() == 0
+    # squarefree_part builds its own sequence and caches nothing on chi
+    other = IntPolynomial(*chi.coeffs)
+    assert squarefree_part(other) == sf
+    assert "_sturm" not in vars(other)
 
 
 def test_repeated_integer_root_is_certified_as_a_point():
@@ -298,17 +307,61 @@ def sturm_factor_lists():
     return st.lists(factor, max_size=3)
 
 
+def fraction_divmod(a, b):
+    """Quotient and remainder of a by b over Q, coefficient lists from x**0 up."""
+    a, quotient = list(a), []
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        quotient.append(c)
+        for i, x in enumerate(b):
+            a[len(a) - len(b) + i] -= c * x
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return quotient[::-1], a
+
+
+def two_sequence_sturm_chain(poly):
+    """The squarefree part's Sturm chain over Q by two remainder sequences:
+    sf = poly / gcd(poly, poly') from one Euclid, then sf, sf' and the
+    negated remainders from a second."""
+    f = [Fraction(c) for c in poly.coeffs]
+    if len(f) < 2:
+        return []
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:
+        a, b = b, fraction_divmod(a, b)[1]
+    sf, rem = fraction_divmod(f, a)
+    assert not rem
+    chain = [sf, [i * c for i, c in enumerate(sf)][1:]]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in fraction_divmod(chain[-2], chain[-1])[1]])
+    return chain
+
+
+def sign_changes(values):
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 @settings(deadline=None)
 @example([], 0)
 @example([], 7)
 @example([((3, -2), 1)], 1)
 @example([((-2, 1), 2), ((-5, 1), 1)], -1)
+@example([((1, -3, 1), 2), ((-5, 1), 3)], 2)
 @given(sturm_factor_lists(), st.sampled_from([0, -6, -2, -1, 1, 2, 6]))
 def test_sturm_matches_two_sequence_construction(factors, content):
+    # the one divided remainder sequence counts the roots above each point as
+    # the chain of the squarefree part does, also at the rational roots
     poly = expand(factors) * IntPolynomial(content)
-    sf = squarefree_part(poly)
-    expected = (sf, tuple(intlinalg._sturm_chain(sf)) if sf.degree() >= 1 else ())
-    assert poly._sturm == expected
+    reference = two_sequence_sturm_chain(poly)
+    at_infinity = sign_changes([f[-1] for f in reference])
+    points = {Fraction(-c[0], c[1]) for c, _ in factors if len(c) == 2}
+    points.update(Fraction(n, 4) for n in range(-24, 25))
+    for x in sorted(points):
+        values = [sum(c * x**i for i, c in enumerate(f)) for f in reference]
+        assert count_real_roots_above(poly, x) == sign_changes(values) - at_infinity, x
 
 
 @given(st.integers(1, 4).flatmap(square_lists))
@@ -491,7 +544,7 @@ def test_sturm_fallback_matches_full_sturm_bisection(matrix):
 
 def test_certificate_gallops_one_cell_to_the_root():
     # the float guess lies just below the largest root's cell, so the
-    # certificate's bracket steps one cell up; no Sturm chain is built
+    # certificate steps one cell up; no Sturm chain is built
     matrix = IntMatrix([[996383, 113231], [957651, 943229]])
     chi = char_poly(matrix)
     guess = Fraction(intlinalg._float_largest_root(chi))
@@ -499,6 +552,77 @@ def test_certificate_gallops_one_cell_to_the_root():
     assert interval.lo - interval.width < guess < interval.lo
     assert (interval.lo, interval.hi) == reference_radius_interval(matrix)
     assert "_sturm" not in vars(chi)
+
+
+def test_certificate_steps_one_cell_down_to_the_root():
+    matrix = IntMatrix([[821698, 242574], [115860, 431082]])
+    chi = char_poly(matrix)
+    guess = Fraction(intlinalg._float_largest_root(chi))
+    interval = spectral_radius_interval(matrix)
+    assert interval.hi < guess < interval.hi + interval.width
+    assert (interval.lo, interval.hi) == reference_radius_interval(matrix)
+    assert "_sturm" not in vars(chi)
+
+
+@pytest.mark.parametrize("chi", [
+    IntPolynomial(2, 0, 1),
+    IntPolynomial(1, -3, 1) * IntPolynomial(1, -3, 1),
+], ids=["x**2 + 2", "(x**2 - 3x + 1)**2"])
+def test_certificate_declines_a_sign_constant_chi_in_one_step(chi):
+    # chi >= 0 everywhere, so the guess's cell and the one below it show no
+    # sign change, and the certificate declines after three values of chi
+    matrix = companion(chi)
+    try:
+        expected = reference_radius_interval(matrix)
+    except NoRealEigenvalueError:
+        expected = None
+    certify = intlinalg._certified_largest_root
+    runs = []
+
+    def counted(*args):
+        with mock.patch.object(
+            intlinalg, "_homogeneous_value", wraps=intlinalg._homogeneous_value
+        ) as values:
+            result = certify(*args)
+        runs.append((result, values.call_count))
+        return result
+
+    with mock.patch.object(intlinalg, "_certified_largest_root", counted):
+        if expected is None:
+            with pytest.raises(NoRealEigenvalueError):
+                spectral_radius_interval(matrix)
+        else:
+            interval = spectral_radius_interval(matrix)
+            assert (interval.lo, interval.hi) == expected
+    [(result, evaluations)] = runs
+    assert result is None and evaluations <= 3
+
+
+def test_benchmark_shaped_actions_are_certified():
+    # nonnegative actions with a positive diagonal, ranks 2-12 and 2-16-bit
+    # entries, a third with equal row sums, as the ampleness corpus draws
+    # them: the float guess certifies each largest root, so no chain is built
+    rng = random.Random(29)
+    actions = 0
+    while actions < 100:
+        n, hi = rng.randint(2, 12), 2 ** rng.randint(2, 16) - 1
+        rows = [[rng.randint(int(i == j), hi) for j in range(n)] for i in range(n)]
+        if actions % 3 == 0:
+            total = max(map(sum, rows))
+            for i, row in enumerate(rows):
+                row[i] += total - sum(row)
+        matrix = IntMatrix(rows)
+        if det(matrix) == 0:
+            continue
+        actions += 1
+        interval = spectral_radius_interval(matrix)
+        chi = char_poly(matrix)
+        assert "_sturm" not in vars(chi), rows
+        if interval.lo == interval.hi:
+            assert chi.evaluate(interval.lo) == 0
+        else:
+            assert chi.evaluate(interval.lo) < 0 < chi.evaluate(interval.hi)
+        assert count_real_roots_above(chi, interval.hi) == 0
 
 
 def assert_bisection_fallback(matrix):
@@ -578,13 +702,11 @@ def test_spectral_radius_of_a_repeated_perron_root(case):
     assume(det(matrix) != 0)
     with mock.patch.object(intlinalg, "_sturm_chain", wraps=intlinalg._sturm_chain) as chains:
         interval = spectral_radius_interval(matrix)
-    # chi changes sign across a root of odd multiplicity, so the certificate
-    # holds; across an even one it does not, and one chain is built.  An
-    # integer root is certified as a point either way.
-    if interval.lo == interval.hi or copies % 2:
-        assert chains.call_count == 0
-    else:
-        assert chains.call_count == 1
+    # an integer root is certified as a point, since round() absorbs the float
+    # guess's error; any other repeated root leaves the guess many cells off
+    # (about eps**(1/k) for multiplicity k) or chi without a sign change, so
+    # the certificate declines and the bisection builds one chain
+    assert chains.call_count == (interval.lo != interval.hi)
     assert (interval.lo, interval.hi) == reference_radius_interval(matrix)
     root = max(sympy_poly(char_poly(matrix)).real_roots())
     lo = sympy.Rational(interval.lo.numerator, interval.lo.denominator)
@@ -959,6 +1081,16 @@ def test_interval_takes_ints_and_fractions():
     assert RationalInterval.point(-3) == RationalInterval(-3, -3)
     with pytest.raises(ValueError):
         RationalInterval(2, 1)
+
+
+@pytest.mark.parametrize("bound", [True, False, 0.5, 2.0, "1/3", None], ids=repr)
+def test_count_real_roots_above_rejects_non_rational_bounds(bound):
+    # Fraction() took all but None: a bool as 0 or 1, a float as its binary
+    # value and a string by parsing it
+    chi = IntPolynomial(-2, 0, 1)
+    with pytest.raises(TypeError, match="^bound must be an int or a Fraction"):
+        count_real_roots_above(chi, bound)
+    assert count_real_roots_above(chi, Fraction(1, 3)) == count_real_roots_above(chi, 1) == 1
 
 
 def test_doctests():
