@@ -2,8 +2,8 @@
 
 Dimensions come from the closed form: global sections count monomials,
 top cohomology is its dual, everything in between vanishes.  So of the
-H^q with q > 0 only H^m can be nonzero, and a scan evaluates one binomial
-per grade.
+H^q with q > 0 only H^m can be nonzero, and H^m(O(d)) is nonzero exactly
+when d <= -m - 1.
 
 The scanned degrees follow from e_{n+1} = r * e_n + 1.  Both start at
 d_0 = t.  The right scan's d_n = t + e_n steps as
@@ -11,24 +11,28 @@ d_{n+1} = r * d_n + 1 - (r - 1) * t, and the left scan's
 d_n = e_n + r**n * t steps as d_{n+1} = r * d_n + 1, so each grade costs
 one multiply-add rather than a power.
 
-The top-degree closed form lives in ``_top``, which ``h`` delegates to for
-q = m and which the scans call directly, once per grade: their arguments
-are checked once per scan by ``_check_scan_args``, not by ``h`` at every
-grade.
+Both degree sequences are monotone where it matters (the proof is in
+``_scan``), so H^m is nonzero on a prefix of the right scan's grades and
+on a suffix of the left scan's.  ``_scan`` finds the split by bisection,
+which is also the scan's marker, and evaluates binomials only on the
+nonzero stretch, by one C-level ``map`` of ``math.comb`` over the
+complemented degrees ~d = -d - 1.  The top-degree closed form in ``_top``
+serves only ``h``; the scans check their arguments once per scan by
+``_check_scan_args``.
 
-A ``ScanRow`` is a tuple underneath.  ``_scan`` steps the degrees and
-evaluates ``_top`` once per grade in Python, then builds all m rows of
-every grade in C: ``zip`` lays out the columns (n, d_n, q, value), the
-first two from an m-fold ``zip`` of the grades and of the degrees, and
-``map`` applies ``tuple.__new__`` with the class, so no Python frame runs
-per row.
+A ``ScanRow`` is a tuple underneath.  ``_scan`` builds all m rows of every
+grade in C: ``zip`` lays out the columns (n, d_n, q, value), the first two
+from an m-fold ``zip`` of the grades and of the degrees (one row per grade
+when m = 1), and ``map`` applies ``tuple.__new__`` with the class, so no
+Python frame runs per row.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import invert, itemgetter, neg
 
 from .ring import PowerRingSpec, _exact_int, _Record
 
@@ -104,13 +108,28 @@ class LeftScanResult(_Record):
         return self.nonvanishing_from is not None
 
 
-def _scan(spec: PowerRingSpec, max_n: int, degree: int,
-          step: int) -> tuple[tuple[ScanRow, ...], list[int]]:
-    """Rows and H^m dimensions for d_0 = ``degree``, d_{n+1} = r * d_n + ``step``.
+def _scan(spec: PowerRingSpec, max_n: int, degree: int, step: int,
+          rising: bool) -> tuple[tuple[ScanRow, ...], int | None]:
+    """Rows for d_0 = ``degree``, d_{n+1} = r * d_n + ``step``, and the split.
 
-    Only H^m can be nonzero, so each grade steps its degree and evaluates
-    ``_top`` once; its rows are (n, d_n, q, 0) for 0 < q < m, then
-    (n, d_n, m, top).
+    The rows of grade n are (n, d_n, q, 0) for 0 < q < m, then
+    (n, d_n, m, h^m(d_n)).  H^m(O(d)) is nonzero exactly when d <= -m - 1,
+    where it is C(-d - 1, m) = C(~d, m), so the scan finds the grades that
+    satisfy this and evaluates binomials only there.  The grades split at one
+    index k, returned with the rows as the marker (None when k = max_n + 1):
+
+    * ``rising`` (the right scan, d_n = t + e_n).  e_{n+1} = r * e_n + 1 >
+      e_n, so the degrees strictly rise and H^m is nonzero exactly on a
+      prefix.  k is its end, ``bisect_right(degrees, -m - 1)``: H^m
+      vanishes from k through the window's end.
+    * otherwise (the left scan, d_n = e_n + r**n * t, step 1).  Here
+      d_{n+1} - d_n = (r - 1) * d_n + 1.  When d_n <= -1 that is at most
+      2 - r <= 0, so for t <= -1 the degrees never rise; for t >= 0 they
+      stay >= 0 and H^m vanishes throughout.  Either way H^m is nonzero
+      exactly on a suffix.  k is its start, the first d_n <= -m - 1, found
+      by ``bisect_left`` on -d_n >= m + 1: bisection needs that predicate
+      false-then-true along the grades, not the values sorted, so it also
+      holds for t >= 0, where the predicate is false throughout.
     """
     m, r = spec.dim, spec.power
     grades = max_n + 1
@@ -118,14 +137,23 @@ def _scan(spec: PowerRingSpec, max_n: int, degree: int,
     for _ in range(grades):
         degrees.append(degree)
         degree = r * degree + step
-    tops = list(map(_top, repeat(m), degrees))
-    columns = zip(
-        chain.from_iterable(zip(*[range(grades)] * m)),  # n, m times
-        chain.from_iterable(zip(*[degrees] * m)),  # d_n, m times
-        chain.from_iterable(repeat(range(1, m + 1), grades)),  # q = 1..m
-        chain.from_iterable(zip(*[repeat(0)] * (m - 1), tops)),  # 0, ..., 0, top
-    )
-    return tuple(map(_new_tuple, repeat(ScanRow), columns)), tops
+    if rising:
+        k = bisect_right(degrees, -m - 1)
+        tops = chain(map(math.comb, map(invert, degrees[:k]), repeat(m)), repeat(0, grades - k))
+    else:
+        k = bisect_left(degrees, m + 1, key=neg)
+        tops = chain(repeat(0, k), map(math.comb, map(invert, degrees[k:]), repeat(m)))
+    if m == 1:
+        columns = zip(range(grades), degrees, repeat(1), tops)
+    else:
+        columns = zip(
+            chain.from_iterable(zip(*[range(grades)] * m)),  # n, m times
+            chain.from_iterable(zip(*[degrees] * m)),  # d_n, m times
+            chain.from_iterable(repeat(range(1, m + 1), grades)),  # q = 1..m
+            chain.from_iterable(zip(*[repeat(0)] * (m - 1), tops)),  # 0, ..., 0, top
+        )
+    rows = tuple(map(_new_tuple, repeat(ScanRow), columns))
+    return rows, (k if k < grades else None)
 
 
 def _check_scan_args(spec: PowerRingSpec, twist: int, max_n: int) -> tuple[int, int]:
@@ -142,22 +170,12 @@ def _check_scan_args(spec: PowerRingSpec, twist: int, max_n: int) -> tuple[int, 
 def right_vanishing_scan(spec: PowerRingSpec, twist: int, max_n: int) -> RightScanResult:
     """Smallest n0 with H^q(O(twist + e_n)) = 0 for all q > 0, n0 <= n <= max_n."""
     twist, max_n = _check_scan_args(spec, twist, max_n)
-    rows, tops = _scan(spec, max_n, twist, 1 - (spec.power - 1) * twist)
-    n0: int | None = None
-    for n in range(max_n, -1, -1):
-        if tops[n]:
-            break
-        n0 = n
+    rows, n0 = _scan(spec, max_n, twist, 1 - (spec.power - 1) * twist, True)
     return RightScanResult(twist, max_n, n0, rows)
 
 
 def left_vanishing_scan(spec: PowerRingSpec, twist: int, max_n: int) -> LeftScanResult:
     """Scan the left-twisted degrees e_n + r**n * twist for persistent cohomology."""
     twist, max_n = _check_scan_args(spec, twist, max_n)
-    rows, tops = _scan(spec, max_n, twist, 1)
-    start: int | None = None
-    for n in range(max_n, -1, -1):
-        if not tops[n]:
-            break
-        start = n
+    rows, start = _scan(spec, max_n, twist, 1, False)
     return LeftScanResult(twist, max_n, start, rows)

@@ -396,7 +396,8 @@ def _primitive(poly: IntPolynomial) -> IntPolynomial:
 def squarefree_part(poly: IntPolynomial) -> IntPolynomial:
     """The radical of an integer polynomial: same roots, all simple.
 
-    Returned primitive with positive leading coefficient.
+    Returned primitive with positive leading coefficient.  The zero
+    polynomial, of which every real number is a root, raises ``ValueError``.
     """
     return _squarefree_sturm(poly)[0]
 
@@ -410,6 +411,8 @@ def _squarefree_sturm(poly: IntPolynomial) -> tuple[IntPolynomial, tuple[IntPoly
     Real Algebraic Geometry*, ch. 2), and the first is the squarefree part.
     g is made primitive, so by Gauss's lemma each division is exact over Z.
     """
+    if poly.is_zero():
+        raise ValueError("the zero polynomial has every real number as a root")
     if poly.degree() < 1:
         return poly, ()
     chain = _sturm_chain(poly)
@@ -465,7 +468,8 @@ def count_real_roots_above(poly: IntPolynomial, bound) -> int:
 
     ``bound`` is an int or a Fraction and may itself be a root: on the
     chain of ``poly._sturm`` the variation count at a root equals the count
-    just to its right.
+    just to its right.  The zero polynomial raises ``ValueError``: every
+    real number is one of its roots.
     """
     if not _is_rational(bound):
         raise TypeError(f"bound must be an int or a Fraction, got {bound!r}")

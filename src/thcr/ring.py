@@ -310,11 +310,14 @@ def monomials(spec: PowerRingSpec, n: int) -> Iterator[Monomial]:
         yield Monomial(exps)
 
 
-def _require_grade(spec: PowerRingSpec, mono: Monomial, n: int) -> None:
+def _require_grade(spec: PowerRingSpec, mono: Monomial, n: int) -> int:
+    """e_n, once ``mono`` is checked to lie in the grade-n piece."""
     if len(mono.exps) != spec.nvars:
         raise GradeError("monomial has the wrong number of variables")
-    if mono.degree != twist_degree(spec, n):
+    e_n = twist_degree(spec, n)
+    if mono.degree != e_n:
         raise GradeError(f"degree {mono.degree} does not match grade {n}")
+    return e_n
 
 
 def twisted_product(spec: PowerRingSpec, u: Monomial, v: Monomial) -> Monomial:
@@ -365,10 +368,10 @@ def decompose_fast(
     takes.  For r >= 2 the excess is 0 and v = w; the greedy fill matters
     only for r = 1, where every c_a = -a and z splits at a = 1 with k = 1.
     """
-    _require_grade(spec, z, n)
+    e_n = _require_grade(spec, z, n)
     r = spec.power
     w = z.exps
-    t = sum(w)  # e_n, by the grade check
+    t = e_n
     a, c, q_a = 0, 0, 1
     while True:
         # jump to a + j for the least j >= 1 with e = e_j >= c; q = r**j
@@ -394,7 +397,9 @@ def decompose_fast(
     # v_i <= w_i and u_i >= z_i mod r**a: both are nonnegative ints
     u = Monomial._of(tuple([x - q_a * y for x, y in zip(z.exps, v)]))
     v = Monomial._of(tuple(v))
-    assert v.degree == twist_degree(spec, n - a)
+    # e_{n-a} = (e_n - e_a) / r**a, from e_n and q_a alone, not from t
+    e_a = (q_a - 1) // (r - 1) if r > 1 else a
+    assert v.degree == (e_n - e_a) // q_a
     return DecompositionWitness(a, n - a, u, v)
 
 

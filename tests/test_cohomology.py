@@ -222,6 +222,16 @@ def trailing_start(flags, value):
 @example(m=3, r=2, t=-7, max_n=0)
 @example(m=2, r=5, t=4, max_n=20)
 @example(m=4, r=2, t=-1, max_n=80)
+# the thresholds' edges: t = -m - 1 puts the right marker at 1, t = -m at 0
+@example(m=2, r=3, t=-3, max_n=10)
+@example(m=3, r=2, t=-3, max_n=10)
+# left degrees pinned at -1 by r = 2, t = -1 (marker None); falling for r = 3
+@example(m=2, r=2, t=-1, max_n=30)
+@example(m=1, r=3, t=-1, max_n=20)
+# t = 0: nothing on either side over the longest window
+@example(m=5, r=4, t=0, max_n=80)
+# one grade with top cohomology: right marker None, left marker 0
+@example(m=2, r=5, t=-9, max_n=0)
 def test_scans_match_reference(m, r, t, max_n):
     spec = PowerRingSpec(dim=m, power=r)
     rows, clean = reference_scan(spec, max_n, lambda n: t + twist_degree(spec, n))
