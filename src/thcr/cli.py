@@ -1,6 +1,10 @@
 """Command-line lab: dimension tables, generator counts, ampleness verdicts,
 vanishing scans, and growth classification, as reproducible JSON/CSV reports.
 
+Each subcommand calls one library function (``cohomology`` its two scans)
+and renders the record it returns: values, verdict and citation ids all
+come from the library, and this module only lays them out.
+
 The front end is the standard library's ``argparse``, so a call imports
 nothing outside Python and thcr.  ``main(argv)`` parses one subcommand,
 runs it and returns the exit code: 0 success, 2 invalid configuration,
@@ -14,15 +18,14 @@ import argparse
 import json
 import sys
 
-from . import __version__, citations
+from . import __version__
 from .ring import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    GrowthClass,
     PowerRingSpec,
-    generator_degrees,
+    generation_report,
     grade_dimension,
-    growth_class,
+    growth_report,
     twist_degree,
 )
 
@@ -34,10 +37,6 @@ if TYPE_CHECKING:
 # Each subcommand imports the modules it runs inside its runner, so a cold
 # `thcr dims` never loads intlinalg, dynamics or cohomology.  ring stays
 # here because DEFAULT_BUDGET is part of the --budget help text.
-
-_CITATION_IDS = frozenset(
-    value for name, value in vars(citations).items() if name.isupper()
-)
 
 
 class UsageError(Exception):
@@ -61,10 +60,6 @@ def _interval_json(interval: RationalInterval | None) -> dict | None:
     }
 
 
-def _collect_citations(reasons) -> list[str]:
-    return sorted(set(reasons) & _CITATION_IDS)
-
-
 def _run_dims(config: argparse.Namespace) -> tuple:
     spec = PowerRingSpec(dim=config.m, power=config.power)
     max_n = config.max_n
@@ -75,44 +70,28 @@ def _run_dims(config: argparse.Namespace) -> tuple:
         for n in range(max_n + 1)
     ]
     csv_rows = [(r["n"], r["twistDegree"], r["dim"]) for r in rows]
-    return {"rows": rows}, [], (("n", "twist_degree", "dim"), csv_rows)
+    return {"rows": rows}, (), (("n", "twist_degree", "dim"), csv_rows)
 
 
 def _run_gens(config: argparse.Namespace) -> tuple:
     spec = PowerRingSpec(dim=config.m, power=config.power)
-    max_n = config.max_n
     budget = DEFAULT_BUDGET if config.budget is None else config.budget
-    if budget < 1:
-        raise UsageError(f"budget must be >= 1, got {budget}")
-    counts = generator_degrees(spec, max_n, budget=budget)
-    generated = all(counts[n] == 0 for n in range(2, max_n + 1))
-    cites = []
-    if generated:
-        cites.append(citations.GENERATED_IN_DEGREE_ONE)
-    else:
-        cites.append(citations.NEW_GENERATORS_EVERY_DEGREE)
+    report = generation_report(spec, config.max_n, budget=budget)
+    counts = list(enumerate(report.counts, 1))
     results = {
-        "counts": {str(n): counts[n] for n in sorted(counts)},
-        "generatedInDegreeOne": generated,
-        "window": max_n,
+        "counts": {str(n): count for n, count in counts},
+        "generatedInDegreeOne": report.generated_in_degree_one,
+        "window": config.max_n,
         "budget": budget,
     }
-    csv_table = (("n", "new_generators"), [(n, counts[n]) for n in sorted(counts)])
-    return results, cites, csv_table
+    return results, report.citations, (("n", "new_generators"), counts)
 
 
 def _run_growth(config: argparse.Namespace) -> tuple:
-    spec = PowerRingSpec(dim=config.m, power=config.power)
-    dims = [grade_dimension(spec, n) for n in range(config.max_n + 1)]
-    verdict = growth_class(dims)
-    exponential = verdict is GrowthClass.EXPONENTIAL
-    cites = [citations.EXPONENTIAL_GROWTH_NOT_NOETHERIAN] if exponential else []
-    results = {
-        "dims": dims,
-        "growthClass": verdict.value,
-        "noetherian": False if exponential else None,
-    }
-    return results, cites, (("n", "dim"), list(enumerate(dims)))
+    report = growth_report(PowerRingSpec(dim=config.m, power=config.power), config.max_n)
+    results = {"dims": report.dims, "growthClass": report.growth_class.value,
+               "noetherian": report.noetherian}
+    return results, report.citations, (("n", "dim"), list(enumerate(report.dims)))
 
 
 def _run_cohomology(config: argparse.Namespace) -> tuple:
@@ -121,11 +100,6 @@ def _run_cohomology(config: argparse.Namespace) -> tuple:
     spec = PowerRingSpec(dim=config.m, power=config.power)
     right = right_vanishing_scan(spec, config.t, config.max_n)
     left = left_vanishing_scan(spec, config.t, config.max_n)
-    cites = []
-    if right.stabilized_at is not None:
-        cites.append(citations.EVENTUAL_VANISHING)
-    if left.nonvanishing:
-        cites.append(citations.PERSISTENT_TOP_COHOMOLOGY)
     table = [
         {"side": side, "n": row.n, "degree": row.degree, "q": row.q, "h": row.value}
         for side, scan in (("right", right), ("left", left))
@@ -140,11 +114,9 @@ def _run_cohomology(config: argparse.Namespace) -> tuple:
         },
         "table": table,
     }
-    csv_table = (
-        ("n", "degree", "q", "h"),
-        [(r["n"], r["degree"], r["q"], r["h"]) for r in table],
-    )
-    return results, cites, csv_table
+    # a ScanRow is the tuple (n, degree, q, value)
+    csv_table = (("n", "degree", "q", "h"), right.rows + left.rows)
+    return results, right.citations + left.citations, csv_table
 
 
 def _parse_json_argument(text: str, what: str):
@@ -206,7 +178,7 @@ def _run_ampleness(config: argparse.Namespace) -> tuple:
         ),
         "reasons": list(report.reasons),
     }
-    return results, _collect_citations(report.reasons), None
+    return results, report.citations, None
 
 
 # Each runner returns (results, citations, csv_table), csv_table None where

@@ -34,6 +34,7 @@ from bisect import bisect_left, bisect_right
 from itertools import chain, repeat
 from operator import invert, itemgetter, neg
 
+from .citations import EVENTUAL_VANISHING, PERSISTENT_TOP_COHOMOLOGY
 from .ring import PowerRingSpec, _exact_int, _Record
 
 _new_tuple = tuple.__new__
@@ -90,6 +91,11 @@ class RightScanResult(_Record):
 
     __slots__ = ("twist", "max_n", "stabilized_at", "rows")
 
+    @property
+    def citations(self) -> tuple[str, ...]:
+        """The citation id of eventual vanishing if the scan stabilized, else none."""
+        return () if self.stabilized_at is None else (EVENTUAL_VANISHING,)
+
 
 class LeftScanResult(_Record):
     """Outcome of scanning H^q(O(e_n + r**n * t)) for q > 0 over n <= max_n.
@@ -106,6 +112,11 @@ class LeftScanResult(_Record):
     @property
     def nonvanishing(self) -> bool:
         return self.nonvanishing_from is not None
+
+    @property
+    def citations(self) -> tuple[str, ...]:
+        """The citation id of persistent top cohomology if it persists, else none."""
+        return (PERSISTENT_TOP_COHOMOLOGY,) if self.nonvanishing else ()
 
 
 def _scan(spec: PowerRingSpec, max_n: int, degree: int, step: int,

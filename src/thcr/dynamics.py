@@ -50,6 +50,8 @@ if TYPE_CHECKING:
 
 # The largest multiple k of the ample class the witness search tries
 MAX_WITNESS_MULTIPLIER = 2**16
+# The one reason a report gives that is not a citation id
+NO_REAL_EIGENVALUE = "no-real-eigenvalue-action-cannot-preserve-a-cone"
 
 
 class WitnessSearchExhausted(RuntimeError):
@@ -157,6 +159,11 @@ class AmplenessReport(_Record):
 
     __slots__ = ("left", "right", "spectral_radius", "quasi_unipotent",
                  "ample_eigenvector", "reasons")
+
+    @property
+    def citations(self) -> tuple[str, ...]:
+        """The reasons that are citation ids, sorted."""
+        return tuple(sorted(set(self.reasons) - {NO_REAL_EIGENVALUE}))
 
 
 def _check_lengths(spec: NumericalActionSpec, divisor: DivisorClass) -> None:
@@ -302,10 +309,9 @@ def classify_ampleness(
             interval = spectral_radius_interval(matrix)
         except NoRealEigenvalueError:
             interval = None
-            reasons.append("no-real-eigenvalue-action-cannot-preserve-a-cone")
+            reasons.append(NO_REAL_EIGENVALUE)
 
-    left = Verdict.UNDETERMINED
-    right = Verdict.UNDETERMINED
+    left = right = Verdict.UNDETERMINED
     eigenvector: DivisorClass | None = None
 
     positive = all(pairing(divisor, c) > 0 for c in spec.curves)
@@ -327,11 +333,4 @@ def classify_ampleness(
         reasons.append(citations.RADIUS_EXCEEDS_ONE_WHEN_NOT_UNIT_CIRCLE)
         reasons.append(citations.LEFT_FAILS_ABOVE_ONE)
 
-    return AmplenessReport(
-        left=left,
-        right=right,
-        spectral_radius=interval,
-        quasi_unipotent=quasi_unipotent,
-        ample_eigenvector=eigenvector,
-        reasons=tuple(reasons),
-    )
+    return AmplenessReport(left, right, interval, quasi_unipotent, eigenvector, tuple(reasons))

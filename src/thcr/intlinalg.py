@@ -85,13 +85,6 @@ class IntPolynomial(_Record):
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(*(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return IntPolynomial(*a)
-
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(*(-c for c in self.coeffs))
 
@@ -219,22 +212,6 @@ class IntMatrix(_Record):
                 rows.append(tuple([(packed >> s & mask) - half for s in shifts]))
             rows = self._curve_row_cache[curve] = tuple(rows)
         return rows
-
-    @classmethod
-    def scalar(cls, dim: int, value: int) -> "IntMatrix":
-        return cls([[value if i == j else 0 for j in range(dim)] for i in range(dim)])
-
-    @classmethod
-    def identity(cls, dim: int) -> "IntMatrix":
-        return cls.scalar(dim, 1)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.dim != other.dim:
-            raise ValueError("matrix dimensions differ")
-        cols = list(zip(*other.rows))
-        return IntMatrix(
-            [[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows]
-        )
 
     def apply(self, vector: tuple[int, ...]) -> tuple[int, ...]:
         if len(vector) != self.dim:

@@ -11,7 +11,8 @@ base field, products of monomials are monomials, so generation questions
 reduce to exponent-vector combinatorics; this module provides the graded
 pieces, the twisted product, a decomposability test (which the tests check
 against brute-force enumeration), generator counting, and a growth
-classifier.
+classifier; ``generation_report`` and ``growth_report`` carry their
+verdicts and the citation ids those rest on.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import enum
 import itertools
 import math
 import operator
+
+from . import citations
 
 DEFAULT_BUDGET = 10**6
 
@@ -462,10 +465,13 @@ def generator_degrees(
     bounds the walk only: before each walked grade (m >= 2, n >= 2), its
     full dimension C(e_n + m, m), with e_n carried as r * e_{n-1} + 1, is
     checked against the budget.  Grade 1 and the line enumerate nothing
-    and answer at any budget.  ``max_n`` and ``budget`` must be integers.
+    and answer at any budget.  ``max_n`` and ``budget`` must be integers,
+    ``budget`` at least 1.
     """
     max_n = _exact_int("max_n", max_n)
     budget = _exact_int("budget", budget)
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     r, m = spec.power, spec.dim
@@ -499,6 +505,22 @@ def generator_degrees(
     return counts
 
 
+class GenerationReport(_Record):
+    """``generator_degrees``'s counts for grades 1..max_n in order, whether
+    grades 2..max_n need no new generator, and the citation ids of that verdict."""
+
+    __slots__ = ("counts", "generated_in_degree_one", "citations")
+
+
+def generation_report(spec: PowerRingSpec, max_n: int,
+                      budget: int = DEFAULT_BUDGET) -> GenerationReport:
+    """The counts of ``generator_degrees(spec, max_n, budget)`` with their verdict."""
+    counts = tuple(generator_degrees(spec, max_n, budget).values())
+    if any(counts[1:]):
+        return GenerationReport(counts, False, (citations.NEW_GENERATORS_EVERY_DEGREE,))
+    return GenerationReport(counts, True, (citations.GENERATED_IN_DEGREE_ONE,))
+
+
 class GrowthClass(enum.Enum):
     POLYNOMIAL_BOUNDED = "PolynomialBounded"
     EXPONENTIAL = "Exponential"
@@ -525,3 +547,19 @@ def growth_class(dims) -> GrowthClass:
     if steep and dims[last] * dims[first] >= dims[first + 1] * dims[last - 1]:
         return GrowthClass.EXPONENTIAL
     return GrowthClass.POLYNOMIAL_BOUNDED
+
+
+class GrowthReport(_Record):
+    """The dimensions of grades 0..max_n, their ``growth_class``, and
+    ``noetherian``: False, with its citation id, for exponential growth,
+    else None (undecided) with none."""
+
+    __slots__ = ("dims", "growth_class", "noetherian", "citations")
+
+
+def growth_report(spec: PowerRingSpec, max_n: int) -> GrowthReport:
+    dims = tuple([grade_dimension(spec, n) for n in range(max_n + 1)])
+    if growth_class(dims) is GrowthClass.EXPONENTIAL:
+        return GrowthReport(dims, GrowthClass.EXPONENTIAL, False,
+                            (citations.EXPONENTIAL_GROWTH_NOT_NOETHERIAN,))
+    return GrowthReport(dims, GrowthClass.POLYNOMIAL_BOUNDED, None, ())

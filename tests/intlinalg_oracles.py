@@ -1,8 +1,10 @@
 """Reference implementations for ``thcr.intlinalg``: the cyclotomic
-polynomials from which the tests build root-of-unity inputs, and the
-cyclotomic walk that the Graeffe quasi-unipotence test is checked against.
-Nothing in the library uses them."""
+polynomials from which the tests build root-of-unity inputs, the cyclotomic
+walk that the Graeffe quasi-unipotence test is checked against, and the
+plain-list matrix and polynomial helpers that build test inputs.  Nothing
+in the library uses them."""
 
+import operator
 from functools import lru_cache
 
 from thcr.intlinalg import IntPolynomial, char_poly
@@ -74,3 +76,38 @@ def is_quasi_unipotent_walk(matrix):
         if f.degree() == 0:
             break
     return f.degree() == 0
+
+
+def matmul(a, b):
+    """The product of two square matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def random_unimodular(rng, dim):
+    """Product of integer shears, as lists of rows; returns (Q, Q_inverse)."""
+    q = [[1 if a == b else 0 for b in range(dim)] for a in range(dim)]
+    q_inv = q
+    for _ in range(6):
+        i, j = rng.sample(range(dim), 2)
+        k = rng.randint(-2, 2)
+        shear = [[1 if a == b else 0 for b in range(dim)] for a in range(dim)]
+        shear[i][j] = k
+        unshear = [row[:] for row in shear]
+        unshear[i][j] = -k
+        q = matmul(q, shear)
+        q_inv = matmul(unshear, q_inv)
+    return q, q_inv
+
+
+def shifted(poly, t):
+    """poly(x - t): every root moves right by t, multiplicities kept.
+
+    Horner's rule on coefficient lists: out * (x - t) + c for each
+    coefficient c from the top down.
+    """
+    out = []
+    for c in reversed(poly.coeffs):
+        out = [a - t * b for a, b in zip([0, *out], [*out, 0])]
+        out[0] += c
+    return IntPolynomial(*out)

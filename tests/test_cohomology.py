@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thcr import citations
 from thcr.cohomology import (
     ScanRow,
     h,
@@ -120,6 +121,13 @@ def test_right_scan_reports_failure():
     # window too short for the twist to recover
     result = right_vanishing_scan(PowerRingSpec(dim=1, power=2), -100, 3)
     assert result.stabilized_at is None
+    assert result.citations == ()
+
+
+def test_right_scan_cites_eventual_vanishing_once_it_stabilizes():
+    result = right_vanishing_scan(PowerRingSpec(dim=1, power=2), -3, 12)
+    assert result.stabilized_at == 2
+    assert result.citations == (citations.EVENTUAL_VANISHING,)
 
 
 def test_right_scan_monotone():
@@ -152,6 +160,17 @@ def test_left_scan_trivial_twist_vanishes():
     result = left_vanishing_scan(PowerRingSpec(dim=1, power=2), 0, 8)
     assert not result.nonvanishing
     assert result.nonvanishing_from is None
+
+
+@pytest.mark.parametrize("m, r, t", [(1, 2, 0), (2, 3, 0), (1, 2, 5), (3, 2, 1)])
+def test_left_scan_with_nonnegative_twist_cites_nothing(m, r, t):
+    assert left_vanishing_scan(PowerRingSpec(dim=m, power=r), t, 10).citations == ()
+
+
+def test_left_scan_cites_persistent_top_cohomology():
+    result = left_vanishing_scan(PowerRingSpec(dim=1, power=2), -3, 12)
+    assert result.nonvanishing_from == 0
+    assert result.citations == (citations.PERSISTENT_TOP_COHOMOLOGY,)
 
 
 def test_left_scan_plane_ternary():

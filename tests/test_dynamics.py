@@ -7,8 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from intlinalg_oracles import cyclotomic, euler_phi
 
+from thcr import citations
 from thcr.dynamics import (
     MAX_WITNESS_MULTIPLIER,
+    NO_REAL_EIGENVALUE,
     CurveFunctional,
     DivisorClass,
     NumericalActionSpec,
@@ -455,6 +457,28 @@ def test_classifier_negative_eigenvalue_is_undetermined_on_right():
     report = classify_ampleness(spec, D1)
     assert report.left is Verdict.NO
     assert report.right is Verdict.UNDETERMINED
+
+
+def test_classifier_no_real_eigenvalue_is_a_reason_but_not_a_citation():
+    spec = NumericalActionSpec([[0, -2], [1, 0]], [[1, 0], [0, 1]])
+    report = classify_ampleness(spec, DivisorClass((1, 1)))
+    assert report.spectral_radius is None
+    assert report.reasons == (
+        NO_REAL_EIGENVALUE,
+        citations.RADIUS_EXCEEDS_ONE_WHEN_NOT_UNIT_CIRCLE,
+        citations.LEFT_FAILS_ABOVE_ONE,
+    )
+    assert report.citations == (
+        citations.RADIUS_EXCEEDS_ONE_WHEN_NOT_UNIT_CIRCLE,
+        citations.LEFT_FAILS_ABOVE_ONE,
+    )
+    assert NO_REAL_EIGENVALUE not in vars(citations).values()
+
+
+def test_classifier_citations_are_the_sorted_reasons():
+    report = classify_ampleness(scalar_spec(2), D1)
+    assert report.citations == tuple(sorted(report.reasons))
+    assert len(report.citations) == 3
 
 
 @settings(deadline=None, max_examples=60)

@@ -12,6 +12,9 @@ from intlinalg_oracles import (
     cyclotomic_indices,
     euler_phi,
     is_quasi_unipotent_walk,
+    matmul,
+    random_unimodular,
+    shifted,
 )
 
 import thcr.intlinalg as intlinalg
@@ -420,16 +423,6 @@ def test_spectral_radius_certificate_on_cone_preserving(rows):
     assert chi.evaluate(interval.lo) == 0 or count_real_roots_above(chi, interval.lo) >= 1
 
 
-def shifted(poly, t):
-    """poly(x - t): every root moves right by t, multiplicities kept."""
-    out = IntPolynomial()
-    power = IntPolynomial(1)
-    for c in poly.coeffs:
-        out = out + IntPolynomial(c) * power
-        power = power * IntPolynomial(-t, 1)
-    return out
-
-
 def radius_factor():
     """Monic factors with a multiplicity: rational roots of either sign,
     quadratics with complex or irrational roots, and close pairs
@@ -804,22 +797,6 @@ def test_quasi_unipotent_float_oracle_sample():
         assert is_quasi_unipotent(matrix) == oracle
 
 
-def _random_unimodular(rng, dim):
-    """Product of integer shears; returns (Q, Q_inverse)."""
-    q = IntMatrix.identity(dim)
-    q_inv = IntMatrix.identity(dim)
-    for _ in range(6):
-        i, j = rng.sample(range(dim), 2)
-        k = rng.randint(-2, 2)
-        shear = [[1 if a == b else 0 for b in range(dim)] for a in range(dim)]
-        shear[i][j] = k
-        unshear = [row[:] for row in shear]
-        unshear[i][j] = -k
-        q = q @ IntMatrix(shear)
-        q_inv = IntMatrix(unshear) @ q_inv
-    return q, q_inv
-
-
 @st.composite
 def near_cyclotomic_matrices(draw):
     """Block-triangular cyclotomic companions conjugated by a unimodular
@@ -844,8 +821,8 @@ def near_cyclotomic_matrices(draw):
         rows[i][draw(st.integers(0, i))] += draw(st.sampled_from([-1, 1]))
     matrix = IntMatrix(rows)
     if n > 1:
-        q, q_inv = _random_unimodular(random.Random(draw(st.integers(0, 2**32))), n)
-        matrix = q @ matrix @ q_inv
+        q, q_inv = random_unimodular(random.Random(draw(st.integers(0, 2**32))), n)
+        matrix = IntMatrix(matmul(matmul(q, matrix.rows), q_inv))
     return matrix
 
 
@@ -876,7 +853,7 @@ def graeffe_cases(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     kind = draw(st.sampled_from(["cyclotomic", "salem", "unimodular"]))
     if kind == "unimodular":
-        return _random_unimodular(rng, draw(st.integers(2, 12)))[0]
+        return IntMatrix(random_unimodular(rng, draw(st.integers(2, 12)))[0])
     poly = draw(st.sampled_from(SALEM)) if kind == "salem" else IntPolynomial(1)
     n = draw(st.integers(max(poly.degree(), 1), 12))
     while poly.degree() < n:
@@ -884,8 +861,8 @@ def graeffe_cases(draw):
         poly = poly * cyclotomic(draw(st.sampled_from(cyclotomic_indices(room))))
     matrix = companion(poly)
     if n > 1:
-        q, q_inv = _random_unimodular(rng, n)
-        matrix = q @ matrix @ q_inv
+        q, q_inv = random_unimodular(rng, n)
+        matrix = IntMatrix(matmul(matmul(q, matrix.rows), q_inv))
     return matrix
 
 

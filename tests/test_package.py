@@ -155,6 +155,23 @@ def test_subcommands_run_without_site_packages(args):
     assert proc.stdout == invoke(*args).stdout.encode()
 
 
+def test_cli_binds_no_verdict_logic():
+    # verdicts and their citation ids come from library records; the CLI renders them
+    import thcr.cli as cli
+    from thcr import citations, ring
+
+    ids = {value for name, value in vars(citations).items() if name.isupper()}
+    decisions = (citations, ring.growth_class, ring.generator_degrees, ring.GrowthClass)
+    bound = [name for name, value in vars(cli).items()
+             if any(value is d for d in decisions) or isinstance(value, str) and value in ids
+             or name in ("citations", "growth_class", "generator_degrees")
+             or name.isupper() and name in vars(citations)]
+    assert bound == []
+    source = (ROOT / "src" / "thcr" / "cli.py").read_text(encoding="utf-8")
+    assert "citations." not in source
+    assert sorted(i for i in ids if i in source) == []
+
+
 def test_version():
     result = invoke("--version")
     assert (result.exit_code, result.stdout) == (0, "thcr, version 0.3.0\n")

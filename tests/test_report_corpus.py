@@ -6,6 +6,10 @@ under ``tests/data/reports``.  A deliberate change to report bytes
 regenerates the corpus, through the same cold call, in the same change:
 
     PYTHONPATH=src python tests/test_report_corpus.py
+
+In-process, each stored JSON report's citation ids are also rebuilt from
+its ``inputs`` through the library record the CLI renders, so the library,
+not the CLI, owns every cited id.
 """
 
 import json
@@ -15,6 +19,9 @@ import pytest
 from cli_helper import fresh_python
 
 from thcr import citations
+from thcr.cohomology import left_vanishing_scan, right_vanishing_scan
+from thcr.dynamics import DivisorClass, NumericalActionSpec, classify_ampleness
+from thcr.ring import DEFAULT_BUDGET, PowerRingSpec, generation_report, growth_report
 
 REPORTS = Path(__file__).parent / "data" / "reports"
 
@@ -91,6 +98,31 @@ def _render(args) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_corpus(name):
     assert _render(CASES[name]) == (REPORTS / name).read_bytes()
+
+
+def _library_citations(command: str, inputs: dict) -> tuple:
+    """The citation ids of the library record behind a report of ``inputs``."""
+    if command == "ampleness":
+        spec = NumericalActionSpec(inputs["matrix"], inputs["curves"], inputs.get("ampleFlag"))
+        return classify_ampleness(spec, DivisorClass(inputs["divisor"])).citations
+    spec = PowerRingSpec(inputs["m"], inputs["power"])
+    max_n = inputs["maxN"]
+    if command == "gens":
+        return generation_report(spec, max_n, inputs.get("budget", DEFAULT_BUDGET)).citations
+    if command == "growth":
+        return growth_report(spec, max_n).citations
+    if command == "cohomology":
+        t = inputs["t"]
+        return (right_vanishing_scan(spec, t, max_n).citations
+                + left_vanishing_scan(spec, t, max_n).citations)
+    assert command == "dims"  # a table with no verdict
+    return ()
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in REPORTS.glob("*.json")))
+def test_library_record_cites_what_the_report_cites(name):
+    doc = json.loads((REPORTS / name).read_bytes())
+    assert list(_library_citations(doc["command"], doc["inputs"])) == doc["citations"]
 
 
 def test_every_citation_is_pinned_by_a_report():

@@ -17,6 +17,7 @@ from ring_oracles import (
 )
 
 import thcr.ring as ring
+from thcr import citations
 from thcr.cohomology import LeftScanResult, RightScanResult, ScanRow
 from thcr.dynamics import (
     AmplenessReport,
@@ -30,18 +31,22 @@ from thcr.intlinalg import IntMatrix, IntPolynomial, RationalInterval
 from thcr.ring import (
     BudgetExceededError,
     DecompositionWitness,
+    GenerationReport,
     GradeError,
     GrowthClass,
+    GrowthReport,
     Monomial,
     PowerRingSpec,
     _compositions,
     _orbit_size,
     _sorted_parts,
     decompose_fast,
+    generation_report,
     generator_degrees,
     grade_dimension,
     grade_of_degree,
     growth_class,
+    growth_report,
     monomials,
     twist_degree,
     twisted_product,
@@ -496,6 +501,29 @@ def test_generator_degrees_budget():
     assert generator_degrees(PowerRingSpec(dim=2, power=2), 1, budget=1) == {1: 3}
 
 
+@pytest.mark.parametrize("m", [1, 2], ids=["line", "plane"])
+@pytest.mark.parametrize("budget", [0, -5])
+def test_generator_degrees_rejects_a_budget_below_one(m, budget):
+    # the line and grade 1 enumerate nothing, yet a budget below 1 is no budget
+    with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+        generator_degrees(PowerRingSpec(dim=m, power=2), 3, budget=budget)
+
+
+def test_generation_report_on_the_binary_line_is_generated_in_degree_one():
+    report = generation_report(PowerRingSpec(dim=1, power=2), 4)
+    assert report == GenerationReport((2, 0, 0, 0), True, (citations.GENERATED_IN_DEGREE_ONE,))
+
+
+def test_generation_report_on_the_binary_plane_needs_new_generators():
+    spec = PowerRingSpec(dim=2, power=2)
+    report = generation_report(spec, 4)
+    assert report.counts == tuple(generator_degrees(spec, 4).values()) == (3, 1, 3, 9)
+    assert report.generated_in_degree_one is False
+    assert report.citations == (citations.NEW_GENERATORS_EVERY_DEGREE,)
+    with pytest.raises(BudgetExceededError):
+        generation_report(spec, 4, budget=100)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     total=st.integers(min_value=0, max_value=14),
@@ -672,6 +700,25 @@ def test_growth_class_validation():
         growth_class([1, 2, 0, 4])
 
 
+def test_growth_report_of_the_polynomial_ring_decides_nothing():
+    report = growth_report(PowerRingSpec(dim=1, power=1), 10)
+    assert report.dims == tuple(range(1, 12))
+    assert report.growth_class is GrowthClass.POLYNOMIAL_BOUNDED
+    assert report.noetherian is None
+    assert report.citations == ()
+
+
+def test_growth_report_of_the_binary_line_is_not_noetherian():
+    report = growth_report(PowerRingSpec(dim=1, power=2), 10)
+    assert report == GrowthReport(tuple(2**n for n in range(11)), GrowthClass.EXPONENTIAL,
+                                  False, (citations.EXPONENTIAL_GROWTH_NOT_NOETHERIAN,))
+
+
+def test_growth_report_needs_four_grades():
+    with pytest.raises(ValueError, match="four terms"):
+        growth_report(PowerRingSpec(dim=1, power=2), 2)
+
+
 # --- records ----------------------------------------------------------------------
 
 _ROW = ScanRow(n=0, degree=-3, q=1, value=1)
@@ -688,6 +735,15 @@ RECORDS = [
      DecompositionWitness(1, 1, Monomial((1, 0)), Monomial((0, 1))),
      DecompositionWitness(1, 1, Monomial((0, 1)), Monomial((1, 0))),
      "DecompositionWitness(a=1, b=1, u=Monomial(exps=(1, 0)), v=Monomial(exps=(0, 1)))"),
+    (GenerationReport(counts=(2, 0), generated_in_degree_one=True, citations=("a",)),
+     GenerationReport((2, 0), True, ("a",)), GenerationReport((3, 1), False, ("b",)),
+     "GenerationReport(counts=(2, 0), generated_in_degree_one=True, citations=('a',))"),
+    (GrowthReport(dims=(1, 2), growth_class=GrowthClass.EXPONENTIAL, noetherian=False,
+                  citations=()),
+     GrowthReport((1, 2), GrowthClass.EXPONENTIAL, False, ()),
+     GrowthReport((1, 2), GrowthClass.POLYNOMIAL_BOUNDED, None, ()),
+     "GrowthReport(dims=(1, 2), growth_class=<GrowthClass.EXPONENTIAL: 'Exponential'>, "
+     "noetherian=False, citations=())"),
     (ScanRow(n=0, degree=-3, q=1, value=1), ScanRow(0, -3, 1, 1), ScanRow(0, -3, 1, 2),
      "ScanRow(n=0, degree=-3, q=1, value=1)"),
     (RightScanResult(twist=-3, max_n=0, stabilized_at=None, rows=(_ROW,)),
