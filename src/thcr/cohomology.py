@@ -14,11 +14,12 @@ one multiply-add rather than a power.
 Both degree sequences are monotone where it matters (the proof is in
 ``_scan``), so H^m is nonzero on a prefix of the right scan's grades and
 on a suffix of the left scan's.  ``_scan`` finds the split by bisection,
-which is also the scan's marker, and evaluates binomials only on the
-nonzero stretch, by one C-level ``map`` of ``math.comb`` over the
-complemented degrees ~d = -d - 1.  The top-degree closed form in ``_top``
-serves only ``h``; the scans check their arguments once per scan by
-``_check_scan_args``.
+which is also the scan's marker, and evaluates C(~d_n, m), ~d = -d - 1,
+only on the nonzero stretch.  There it is a polynomial of degree m in
+r**n, so ``_top_column`` sums m + 1 geometric columns, one big-by-small
+product each per grade, instead of ``math.comb``'s big-by-big product
+tree.  The top-degree closed form in ``_top`` serves only ``h``; the
+scans check their arguments once per scan by ``_check_scan_args``.
 
 A ``ScanRow`` is a tuple underneath.  ``_scan`` builds all m rows of every
 grade in C: ``zip`` lays out the columns (n, d_n, q, value), the first two
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import chain, repeat
-from operator import invert, itemgetter, neg
+from itertools import accumulate, chain, repeat
+from operator import floordiv, itemgetter, mul, neg
 
 from .citations import EVENTUAL_VANISHING, PERSISTENT_TOP_COHOMOLOGY
 from .ring import PowerRingSpec, _exact_int, _Record
@@ -119,6 +120,19 @@ class LeftScanResult(_Record):
         return (PERSISTENT_TOP_COHOMOLOGY,) if self.nonvanishing else ()
 
 
+def _top_column(m: int, r: int, t: int, step: int, n0: int, count: int):
+    """C(~d_n, m), n0 <= n < n0 + ``count``, for d_0 = t, d_{n+1} = r d_n + step (``_scan``)."""
+    if not count:  # an empty column would still yield its initial value
+        return ()
+    a, b = -((r - 1) * t + step), step - (r - 1)
+    poly = [1]  # P_0, P_1, ... of prod (a R + c) over the c seen so far
+    for c in range(b, b - (r - 1) * m, 1 - r):  # c = b - (r - 1) j, j < m
+        poly = [c * lo + a * hi for lo, hi in zip(poly + [0], [0] + poly)]
+    columns = [accumulate(repeat(r**k, count - 1), mul, initial=p * r**(k * n0))
+               for k, p in enumerate(poly)]
+    return map(floordiv, map(sum, zip(*columns)), repeat(math.factorial(m) * (r - 1)**m))
+
+
 def _scan(spec: PowerRingSpec, max_n: int, degree: int, step: int,
           rising: bool) -> tuple[tuple[ScanRow, ...], int | None]:
     """Rows for d_0 = ``degree``, d_{n+1} = r * d_n + ``step``, and the split.
@@ -141,6 +155,13 @@ def _scan(spec: PowerRingSpec, max_n: int, degree: int, step: int,
       by ``bisect_left`` on -d_n >= m + 1: bisection needs that predicate
       false-then-true along the grades, not the values sorted, so it also
       holds for t >= 0, where the predicate is false throughout.
+
+    On the stretch, (r - 1) * d_n + step = g0 * r**n, g0 = (r - 1) * t + step,
+    as both sides multiply by r per grade.  So with R = r**n, a = -g0 and
+    b = step - (r - 1), (r - 1) * ~d_n = a R + b, and m! (r - 1)**m C(~d_n, m)
+    = prod_{j<m} (a R + b - (r - 1) j) = sum_k P_k R**k, with integers P_k
+    built once per scan.  The sum is m! (r - 1)**m times the integer
+    C(~d_n, m), so ``_top_column``'s floor division by it is exact.
     """
     m, r = spec.dim, spec.power
     grades = max_n + 1
@@ -150,10 +171,10 @@ def _scan(spec: PowerRingSpec, max_n: int, degree: int, step: int,
         degree = r * degree + step
     if rising:
         k = bisect_right(degrees, -m - 1)
-        tops = chain(map(math.comb, map(invert, degrees[:k]), repeat(m)), repeat(0, grades - k))
+        tops = chain(_top_column(m, r, degrees[0], step, 0, k), repeat(0, grades - k))
     else:
         k = bisect_left(degrees, m + 1, key=neg)
-        tops = chain(repeat(0, k), map(math.comb, map(invert, degrees[k:]), repeat(m)))
+        tops = chain(repeat(0, k), _top_column(m, r, degrees[0], step, k, grades - k))
     if m == 1:
         columns = zip(range(grades), degrees, repeat(1), tops)
     else:

@@ -252,6 +252,11 @@ def trailing_start(flags, value):
 # one grade with top cohomology: right marker None, left marker 0
 @example(m=2, r=5, t=-9, max_n=0)
 def test_scans_match_reference(m, r, t, max_n):
+    assert_scans_match_reference(m, r, t, max_n)
+
+
+def assert_scans_match_reference(m, r, t, max_n):
+    """Both scans' rows and markers equal ``reference_scan``'s; returns the scans."""
     spec = PowerRingSpec(dim=m, power=r)
     rows, clean = reference_scan(spec, max_n, lambda n: t + twist_degree(spec, n))
     right = right_vanishing_scan(spec, t, max_n)
@@ -261,3 +266,72 @@ def test_scans_match_reference(m, r, t, max_n):
     left = left_vanishing_scan(spec, t, max_n)
     assert left.rows == tuple(rows)
     assert left.nonvanishing_from == trailing_start(clean, False)
+    return right, left
+
+
+def stretch(result, m):
+    """The grades of ``result`` with nonzero top cohomology."""
+    return [row.n for row in result.rows if row.q == m and row.value]
+
+
+# The nonzero stretch of H^m is a prefix of the right scan's grades and a
+# suffix of the left scan's.  Each case puts a stretch of the given length
+# at each end of the window: ending inside it or filling it from grade 0
+# (right), and starting inside it or filling it from grade 0 (left).  The
+# right scan's lengths 0 and 1 are the threshold twists t = -m and -m - 1.
+@pytest.mark.parametrize("m, r", [(1, 3), (2, 2), (3, 3), (4, 5), (8, 5)])
+@pytest.mark.parametrize("stretch_len", ["0", "1", "m", "m+1", "m+2"])
+def test_scan_stretch_edges(m, r, stretch_len):
+    length = {"0": 0, "1": 1, "m": m, "m+1": m + 1, "m+2": m + 2}[stretch_len]
+    spec = PowerRingSpec(dim=m, power=r)
+    # right: d_n = t + e_n rises, so d_{length-1} = -m - 1 ends the prefix
+    t = -m - 1 - twist_degree(spec, length - 1) if length else -m
+    for max_n in (length + 2, length - 1):
+        if max_n >= 0:
+            right, _ = assert_scans_match_reference(m, r, t, max_n)
+            assert stretch(right, m) == list(range(min(length, max_n + 1)))
+    # left: t = -1 (-2 at r = 2, where -1 pins every degree at -1) starts
+    # the degrees above -m - 1, so the suffix starts at some k >= 1
+    t = -1 if r > 2 else -2
+    k = next(n for n in range(1, 64)
+             if twist_degree(spec, n) + r**n * t <= -m - 1)
+    _, left = assert_scans_match_reference(m, r, t, k + length - 1)
+    assert stretch(left, m) == list(range(k, k + length))
+    # left from grade 0: d_0 = -m - 1 and the degrees fall from there
+    if length:
+        _, left = assert_scans_match_reference(m, r, -m - 1, length - 1)
+        assert stretch(left, m) == list(range(length))
+
+
+# Deep windows: every top row is h(m, d, m), every middle row 0.  The
+# examples are the deep-queries benchmark's scan shapes.
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    r=st.integers(2, 9),
+    t=st.integers(-10**6, 10**6),
+    max_n=st.integers(0, 1200),
+)
+@example(m=1, r=2, t=-1, max_n=1000)
+@example(m=1, r=2, t=-2, max_n=1000)
+@example(m=1, r=2, t=-9, max_n=1000)
+@example(m=2, r=3, t=-1, max_n=800)
+@example(m=2, r=3, t=-2, max_n=800)
+@example(m=2, r=3, t=-9, max_n=800)
+@example(m=4, r=2, t=-1, max_n=600)
+@example(m=4, r=2, t=-2, max_n=600)
+@example(m=4, r=2, t=-9, max_n=600)
+@example(m=8, r=5, t=-1, max_n=300)
+@example(m=8, r=5, t=-2, max_n=300)
+@example(m=8, r=5, t=-9, max_n=300)
+def test_deep_scan_rows_are_closed_form_cohomology(m, r, t, max_n):
+    spec = PowerRingSpec(dim=m, power=r)
+    layout = [(n, q) for n in range(max_n + 1) for q in range(1, m + 1)]
+    for result, degree_of in (
+        (right_vanishing_scan(spec, t, max_n), lambda n: t + (r**n - 1) // (r - 1)),
+        (left_vanishing_scan(spec, t, max_n), lambda n: (r**n - 1) // (r - 1) + r**n * t),
+    ):
+        assert [(row.n, row.q) for row in result.rows] == layout
+        for row in result.rows:
+            assert row.degree == degree_of(row.n)
+            assert row.value == (h(m, row.degree, m) if row.q == m else 0)
