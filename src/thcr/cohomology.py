@@ -15,17 +15,23 @@ Both degree sequences are monotone where it matters (the proof is in
 ``_scan``), so H^m is nonzero on a prefix of the right scan's grades and
 on a suffix of the left scan's.  ``_scan`` finds the split by bisection,
 which is also the scan's marker, and evaluates C(~d_n, m), ~d = -d - 1,
-only on the nonzero stretch.  There it is a polynomial of degree m in
-r**n, so ``_top_column`` sums m + 1 geometric columns, one big-by-small
-product each per grade, instead of ``math.comb``'s big-by-big product
-tree.  The top-degree closed form in ``_top`` serves only ``h``; the
-scans check their arguments once per scan by ``_check_scan_args``.
+only on the nonzero stretch.  On P^1 that is ~d_n itself.  For m >= 2 it
+is a polynomial of degree m in r**n, so ``_top_column`` sums m + 1
+geometric columns, one big-by-small product each per grade, instead of
+``math.comb``'s big-by-big product tree, and divides each sum, a multiple
+of m! (r - 1)**m, by that constant as a shift by its power of two and a
+floor division by its odd part, skipped when the odd part is 1.  The
+top-degree closed form in ``_top`` serves only ``h``; the scans check
+their arguments once per scan by ``_check_scan_args``.
 
-A ``ScanRow`` is a tuple underneath.  ``_scan`` builds all m rows of every
-grade in C: ``zip`` lays out the columns (n, d_n, q, value), the first two
-from an m-fold ``zip`` of the grades and of the degrees (one row per grade
-when m = 1), and ``map`` applies ``tuple.__new__`` with the class, so no
-Python frame runs per row.
+A ``ScanRow`` is a tuple underneath.  ``_scan`` builds the rows one
+cohomology index q at a time, all in C: for each q, ``map`` applies
+``tuple.__new__`` with the class to a ``zip`` of the grades, the degrees,
+q and the values (zeros for q < m, the top column for q = m), and one
+extended-slice assignment puts those rows at every m-th index of one list,
+from index q - 1, so the rows come out grade by grade and, within a grade,
+by q.  Each map yields exactly one row per grade, so every slot is filled.
+No Python frame runs per row.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, repeat
-from operator import floordiv, itemgetter, mul, neg
+from operator import floordiv, invert, itemgetter, mul, neg, rshift
 
 from .citations import EVENTUAL_VANISHING, PERSISTENT_TOP_COHOMOLOGY
 from .ring import PowerRingSpec, _exact_int, _Record
@@ -121,7 +127,16 @@ class LeftScanResult(_Record):
 
 
 def _top_column(m: int, r: int, t: int, step: int, n0: int, count: int):
-    """C(~d_n, m), n0 <= n < n0 + ``count``, for d_0 = t, d_{n+1} = r d_n + step (``_scan``)."""
+    """C(~d_n, m), n0 <= n < n0 + ``count``, for d_0 = t, d_{n+1} = r d_n + step (``_scan``).
+
+    For m >= 2 (``_scan`` answers m = 1 without it).  Each grade's column
+    sum is m! (r - 1)**m C(~d_n, m), an exact multiple of that constant,
+    which is 2**s times an odd u.  So the sum shifts right by s, which is
+    exact because 2**s divides it, and the result, u C(~d_n, m), is
+    floor-divided by u only when u > 1, again exactly.  u has fewer digits
+    than the constant: for (m, r) = (2, 3) the constant 8 leaves no
+    division at all, and for (8, 5) 2**23 * 315 leaves a one-digit 315.
+    """
     if not count:  # an empty column would still yield its initial value
         return ()
     a, b = -((r - 1) * t + step), step - (r - 1)
@@ -130,7 +145,11 @@ def _top_column(m: int, r: int, t: int, step: int, n0: int, count: int):
         poly = [c * lo + a * hi for lo, hi in zip(poly + [0], [0] + poly)]
     columns = [accumulate(repeat(r**k, count - 1), mul, initial=p * r**(k * n0))
                for k, p in enumerate(poly)]
-    return map(floordiv, map(sum, zip(*columns)), repeat(math.factorial(m) * (r - 1)**m))
+    scale = math.factorial(m) * (r - 1)**m
+    shift = (scale & -scale).bit_length() - 1
+    odd = scale >> shift
+    tops = map(rshift, map(sum, zip(*columns)), repeat(shift))
+    return tops if odd == 1 else map(floordiv, tops, repeat(odd))
 
 
 def _scan(spec: PowerRingSpec, max_n: int, degree: int, step: int,
@@ -138,9 +157,13 @@ def _scan(spec: PowerRingSpec, max_n: int, degree: int, step: int,
     """Rows for d_0 = ``degree``, d_{n+1} = r * d_n + ``step``, and the split.
 
     The rows of grade n are (n, d_n, q, 0) for 0 < q < m, then
-    (n, d_n, m, h^m(d_n)).  H^m(O(d)) is nonzero exactly when d <= -m - 1,
-    where it is C(-d - 1, m) = C(~d, m), so the scan finds the grades that
-    satisfy this and evaluates binomials only there.  The grades split at one
+    (n, d_n, m, h^m(d_n)); each q's rows come from one ``map`` over all
+    grades, assigned to the list slice [q - 1::m], which puts them in that
+    order.
+    H^m(O(d)) is nonzero exactly when d <= -m - 1, where it is
+    C(-d - 1, m) = C(~d, m), so the scan finds the grades that satisfy this
+    and evaluates binomials only there; for m = 1 no binomial at all, since
+    C(~d, 1) = ~d exactly.  The grades split at one
     index k, returned with the rows as the marker (None when k = max_n + 1):
 
     * ``rising`` (the right scan, d_n = t + e_n).  e_{n+1} = r * e_n + 1 >
@@ -161,7 +184,8 @@ def _scan(spec: PowerRingSpec, max_n: int, degree: int, step: int,
     b = step - (r - 1), (r - 1) * ~d_n = a R + b, and m! (r - 1)**m C(~d_n, m)
     = prod_{j<m} (a R + b - (r - 1) j) = sum_k P_k R**k, with integers P_k
     built once per scan.  The sum is m! (r - 1)**m times the integer
-    C(~d_n, m), so ``_top_column``'s floor division by it is exact.
+    C(~d_n, m), so ``_top_column``'s shift by that constant's power of two
+    and division by its odd part are both exact.
     """
     m, r = spec.dim, spec.power
     grades = max_n + 1
@@ -171,21 +195,21 @@ def _scan(spec: PowerRingSpec, max_n: int, degree: int, step: int,
         degree = r * degree + step
     if rising:
         k = bisect_right(degrees, -m - 1)
-        tops = chain(_top_column(m, r, degrees[0], step, 0, k), repeat(0, grades - k))
+        lo, hi = 0, k
     else:
         k = bisect_left(degrees, m + 1, key=neg)
-        tops = chain(repeat(0, k), _top_column(m, r, degrees[0], step, k, grades - k))
-    if m == 1:
-        columns = zip(range(grades), degrees, repeat(1), tops)
+        lo, hi = k, grades
+    if m == 1:  # C(~d, 1) = ~d
+        stretch = map(invert, degrees[lo:hi])
     else:
-        columns = zip(
-            chain.from_iterable(zip(*[range(grades)] * m)),  # n, m times
-            chain.from_iterable(zip(*[degrees] * m)),  # d_n, m times
-            chain.from_iterable(repeat(range(1, m + 1), grades)),  # q = 1..m
-            chain.from_iterable(zip(*[repeat(0)] * (m - 1), tops)),  # 0, ..., 0, top
-        )
-    rows = tuple(map(_new_tuple, repeat(ScanRow), columns))
-    return rows, (k if k < grades else None)
+        stretch = _top_column(m, r, degrees[0], step, lo, hi - lo)
+    tops = chain(repeat(0, lo), stretch, repeat(0, grades - hi))
+    rows = [None] * (grades * m)
+    for q, values in enumerate([repeat(0)] * (m - 1) + [tops], 1):
+        # the rows (n, d_n, q, value) of every grade n, at the indices n * m + q - 1
+        rows[q - 1::m] = map(_new_tuple, repeat(ScanRow),
+                             zip(range(grades), degrees, repeat(q), values))
+    return tuple(rows), (k if k < grades else None)
 
 
 def _check_scan_args(spec: PowerRingSpec, twist: int, max_n: int) -> tuple[int, int]:

@@ -44,6 +44,14 @@ class NoRealEigenvalueError(ValueError):
     """The characteristic polynomial has no real root to isolate."""
 
 
+def _trimmed(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """``coeffs`` without its trailing zeros."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return coeffs[:end]
+
+
 class IntPolynomial(_Record):
     """Dense integer polynomial; ``coeffs[i]`` is the coefficient of x**i.
 
@@ -57,10 +65,18 @@ class IntPolynomial(_Record):
     _fields = ("coeffs",)
 
     def __init__(self, *coeffs: int):
-        coeffs = list(_int_row(coeffs, "coefficient"))
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        _setattr(self, "coeffs", tuple(coeffs))
+        _setattr(self, "coeffs", _trimmed(_int_row(coeffs, "coefficient")))
+
+    @classmethod
+    def _of(cls, coeffs) -> "IntPolynomial":
+        """The polynomial over the ints ``coeffs``, stored unchecked but with
+        trailing zeros stripped.
+
+        For results the library computes from integers only.
+        """
+        self = object.__new__(cls)
+        _setattr(self, "coeffs", _trimmed(tuple(coeffs)))
+        return self
 
     def __reduce__(self):  # the constructor takes the coefficients unpacked
         return IntPolynomial, self.coeffs
@@ -83,20 +99,20 @@ class IntPolynomial(_Record):
         return acc
 
     def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(*(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return IntPolynomial._of([i * c for i, c in enumerate(self.coeffs) if i > 0])
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(*(-c for c in self.coeffs))
+        return IntPolynomial._of([-c for c in self.coeffs])
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero() or other.is_zero():
-            return IntPolynomial()
+            return IntPolynomial._of(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, c in enumerate(self.coeffs):
             if c:
                 for j, d in enumerate(other.coeffs):
                     out[i + j] += c * d
-        return IntPolynomial(*out)
+        return IntPolynomial._of(out)
 
     def pseudo_divmod(
         self, divisor: "IntPolynomial"
@@ -132,7 +148,7 @@ class IntPolynomial(_Record):
             quot[i] = c
             for j, b in enumerate(divisor.coeffs):
                 rem[i + j] -= c * b
-        return IntPolynomial(*quot), IntPolynomial(*rem[:d]), k
+        return IntPolynomial._of(quot), IntPolynomial._of(rem[:d]), k
 
     @cached_property
     def _sturm(self) -> tuple["IntPolynomial", tuple["IntPolynomial", ...]]:
@@ -298,7 +314,7 @@ def _newton_char_poly(rows) -> tuple[IntPolynomial, tuple[int, int, list[list[in
             raise ArithmeticError("Newton identity sum not divisible")
         coeffs[n - k] = -(t // k)
     del powers[-1]  # P**n serves only its trace
-    return IntPolynomial(*coeffs), (bits, w, powers)
+    return IntPolynomial._of(coeffs), (bits, w, powers)
 
 
 def _packed_powers(rows, w: int, count: int) -> list[list[int]]:
@@ -347,13 +363,13 @@ def is_quasi_unipotent(matrix: IntMatrix) -> bool:
     while True:
         if any(abs(a) > b for a, b in zip(chi.coeffs, bounds)):
             return False
-        mirror = IntPolynomial(*(-a if k % 2 else a for k, a in enumerate(chi.coeffs)))
+        mirror = IntPolynomial._of([-a if k % 2 else a for k, a in enumerate(chi.coeffs)])
         square = (chi * mirror).coeffs[::2]
         if n % 2:
             square = [-a for a in square]
         if tuple(square) == chi.coeffs:
             return True
-        chi = IntPolynomial(*square)
+        chi = IntPolynomial._of(square)
 
 
 # --- Sturm machinery over Z -------------------------------------------------
@@ -367,7 +383,7 @@ def _primitive(poly: IntPolynomial) -> IntPolynomial:
     content = math.gcd(*poly.coeffs)
     if poly.leading() < 0:
         content = -content
-    return IntPolynomial(*(c // content for c in poly.coeffs))
+    return IntPolynomial._of([c // content for c in poly.coeffs])
 
 
 def squarefree_part(poly: IntPolynomial) -> IntPolynomial:
@@ -411,7 +427,7 @@ def _sturm_chain(poly: IntPolynomial) -> list[IntPolynomial]:
         if divisor.leading() > 0 or k % 2 == 0:
             rem = -rem
         content = math.gcd(*rem.coeffs)
-        chain.append(IntPolynomial(*(c // content for c in rem.coeffs)))
+        chain.append(IntPolynomial._of([c // content for c in rem.coeffs]))
     return chain
 
 

@@ -251,6 +251,16 @@ def trailing_start(flags, value):
 @example(m=5, r=4, t=0, max_n=80)
 # one grade with top cohomology: right marker None, left marker 0
 @example(m=2, r=5, t=-9, max_n=0)
+# top cohomology on both sides where m! (r - 1)**m has odd part 1 (a shift
+# alone, or C(~d, 1) = ~d at m = 1), one digit (3, 315) and two 30-bit
+# digits (467775 * 3**12)
+@example(m=1, r=2, t=-6, max_n=12)
+@example(m=1, r=3, t=-4, max_n=12)
+@example(m=2, r=3, t=-7, max_n=12)
+@example(m=2, r=5, t=-7, max_n=12)
+@example(m=4, r=2, t=-9, max_n=12)
+@example(m=8, r=5, t=-12, max_n=12)
+@example(m=12, r=7, t=-20, max_n=12)
 def test_scans_match_reference(m, r, t, max_n):
     assert_scans_match_reference(m, r, t, max_n)
 
@@ -279,7 +289,7 @@ def stretch(result, m):
 # at each end of the window: ending inside it or filling it from grade 0
 # (right), and starting inside it or filling it from grade 0 (left).  The
 # right scan's lengths 0 and 1 are the threshold twists t = -m and -m - 1.
-@pytest.mark.parametrize("m, r", [(1, 3), (2, 2), (3, 3), (4, 5), (8, 5)])
+@pytest.mark.parametrize("m, r", [(1, 2), (1, 3), (2, 2), (3, 3), (4, 5), (8, 5)])
 @pytest.mark.parametrize("stretch_len", ["0", "1", "m", "m+1", "m+2"])
 def test_scan_stretch_edges(m, r, stretch_len):
     length = {"0": 0, "1": 1, "m": m, "m+1": m + 1, "m+2": m + 2}[stretch_len]
@@ -291,12 +301,16 @@ def test_scan_stretch_edges(m, r, stretch_len):
             right, _ = assert_scans_match_reference(m, r, t, max_n)
             assert stretch(right, m) == list(range(min(length, max_n + 1)))
     # left: t = -1 (-2 at r = 2, where -1 pins every degree at -1) starts
-    # the degrees above -m - 1, so the suffix starts at some k >= 1
+    # the degrees above -m - 1, so the suffix starts at some k >= 1; except
+    # at (m, r) = (1, 2), where d_n = 2**n (t + 1) - 1 and d_0 = t = -2 is
+    # already -m - 1, so no suffix starts inside a window
     t = -1 if r > 2 else -2
-    k = next(n for n in range(1, 64)
+    k = next(n for n in range(64)
              if twist_degree(spec, n) + r**n * t <= -m - 1)
-    _, left = assert_scans_match_reference(m, r, t, k + length - 1)
-    assert stretch(left, m) == list(range(k, k + length))
+    assert k or (m, r) == (1, 2)
+    if k:
+        _, left = assert_scans_match_reference(m, r, t, k + length - 1)
+        assert stretch(left, m) == list(range(k, k + length))
     # left from grade 0: d_0 = -m - 1 and the degrees fall from there
     if length:
         _, left = assert_scans_match_reference(m, r, -m - 1, length - 1)
@@ -324,6 +338,17 @@ def test_scan_stretch_edges(m, r, stretch_len):
 @example(m=8, r=5, t=-1, max_n=300)
 @example(m=8, r=5, t=-2, max_n=300)
 @example(m=8, r=5, t=-9, max_n=300)
+# odd parts of m! (r - 1)**m: 1 at (1, 2), (1, 3), (2, 3) and (2, 5); 3 at
+# (4, 2); 315 at (8, 5); 467775 * 3**12, two 30-bit digits, at (12, 7);
+# t = -10**6 gives the right scans a nonzero prefix
+@example(m=1, r=2, t=-10**6, max_n=1000)
+@example(m=1, r=3, t=-9, max_n=600)
+@example(m=2, r=3, t=-10**6, max_n=800)
+@example(m=2, r=5, t=-9, max_n=400)
+@example(m=4, r=2, t=-10**6, max_n=600)
+@example(m=8, r=5, t=-10**6, max_n=300)
+@example(m=12, r=7, t=-9, max_n=300)
+@example(m=12, r=7, t=-10**6, max_n=300)
 def test_deep_scan_rows_are_closed_form_cohomology(m, r, t, max_n):
     spec = PowerRingSpec(dim=m, power=r)
     layout = [(n, q) for n in range(max_n + 1) for q in range(1, m + 1)]
