@@ -11,6 +11,7 @@ UNIT_CIRCLE_FLAG_NEEDED = "root-of-unity-action-needs-eventual-ampleness-flag"
 RADIUS_EXCEEDS_ONE_WHEN_NOT_UNIT_CIRCLE = (
     "invertible-integer-action-off-unit-circle-has-radius-above-one"
 )
+POLYNOMIAL_RING = "identity-power-ring-is-the-noetherian-polynomial-ring"
 GENERATED_IN_DEGREE_ONE = "binary-power-ring-on-the-line-generated-in-degree-one"
 NEW_GENERATORS_EVERY_DEGREE = "power-ring-needs-new-generators-in-every-degree"
 EXPONENTIAL_GROWTH_NOT_NOETHERIAN = "exponential-section-growth-rules-out-noetherian"

@@ -81,6 +81,7 @@ def _run_gens(config: argparse.Namespace) -> tuple:
     results = {
         "counts": {str(n): count for n, count in counts},
         "generatedInDegreeOne": report.generated_in_degree_one,
+        "witnesses": {str(n): z for n, z in enumerate(report.witnesses, 2)},
         "window": config.max_n,
         "budget": budget,
     }

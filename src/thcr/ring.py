@@ -11,8 +11,9 @@ base field, products of monomials are monomials, so generation questions
 reduce to exponent-vector combinatorics; this module provides the graded
 pieces, the twisted product, a decomposability test (which the tests check
 against brute-force enumeration), generator counting, and a growth
-classifier; ``generation_report`` and ``growth_report`` carry their
-verdicts and the citation ids those rest on.
+classifier; ``generation_report`` and ``growth_report`` carry verdicts
+that hold in every grade, from (m, r) alone, and the citation ids those
+rest on.
 """
 
 from __future__ import annotations
@@ -328,11 +329,11 @@ def twisted_product(spec: PowerRingSpec, u: Monomial, v: Monomial) -> Monomial:
 
     Grades are inferred from total degrees, which determine them uniquely.
     """
+    if not len(u.exps) == len(v.exps) == spec.nvars:
+        raise GradeError(f"operands must have {spec.nvars} variables")
     a = grade_of_degree(spec, u.degree)
     grade_of_degree(spec, v.degree)
     q = spec.power**a
-    if len(u.exps) != len(v.exps):
-        raise GradeError("operands live in different ambient spaces")
     return Monomial._of(tuple([x + q * y for x, y in zip(u.exps, v.exps)]))
 
 
@@ -506,19 +507,55 @@ def generator_degrees(
 
 
 class GenerationReport(_Record):
-    """``generator_degrees``'s counts for grades 1..max_n in order, whether
-    grades 2..max_n need no new generator, and the citation ids of that verdict."""
+    """``generator_degrees``'s counts for grades 1..max_n in order, whether the
+    ring is generated in degree one, the citation id of that verdict, and one
+    new generator's exponents for each grade 2..max_n where it is not."""
 
-    __slots__ = ("counts", "generated_in_degree_one", "citations")
+    __slots__ = ("counts", "generated_in_degree_one", "citations", "witnesses")
+
+
+def _new_generators(spec: PowerRingSpec, max_n: int) -> tuple[tuple[int, ...], ...]:
+    """One new generator's exponents for each grade 2..max_n, for r >= 3, or
+    for r = 2 with m >= 2.
+
+    z is new in grade n iff it splits at no grade a < n, i.e.
+    sum_i (z_i mod r**a) > e_a for each such a:
+
+    * r >= 3: z = (e_{n-1} + 1, r**(n-1) - 1, 0, ...).  As e_{n-1} = e_a
+      (mod r**a) and e_a + 1 < r**a, the residues sum to e_a + r**a.
+    * r = 2, m >= 2: z = (2**(n-1) - 1, 2**(n-1) - 1, 1, 0, ...), whose
+      residues sum to 2**(a+1) - 1 > e_a = 2**a - 1.
+
+    Both are (e_{n-1} + lead, r**(n-1) - 1, *rest), as e_{n-1} = 2**(n-1) - 1
+    for r = 2.
+    """
+    m, r = spec.dim, spec.power
+    lead, rest = (1, (0,) * (m - 1)) if r > 2 else (0, (1,) + (0,) * (m - 2))
+    witnesses = []
+    q, e = 1, 0
+    for _ in range(2, max_n + 1):
+        q, e = q * r, r * e + 1  # r**(n-1), e_{n-1}
+        witnesses.append((e + lead, q - 1, *rest))
+    return tuple(witnesses)
 
 
 def generation_report(spec: PowerRingSpec, max_n: int,
                       budget: int = DEFAULT_BUDGET) -> GenerationReport:
-    """The counts of ``generator_degrees(spec, max_n, budget)`` with their verdict."""
+    """The counts of ``generator_degrees(spec, max_n, budget)`` beside a verdict
+    that holds in every grade and rests on (m, r) alone.
+
+    The ring is generated in degree one iff r = 1, where it is k[x_0..x_m],
+    or (m, r) = (1, 2), where the line's closed form has the factor r - 2 = 0.
+    Otherwise every grade n >= 2 needs a new generator, and the report
+    carries one for each grade 2..max_n (``_new_generators``).
+    """
     counts = tuple(generator_degrees(spec, max_n, budget).values())
-    if any(counts[1:]):
-        return GenerationReport(counts, False, (citations.NEW_GENERATORS_EVERY_DEGREE,))
-    return GenerationReport(counts, True, (citations.GENERATED_IN_DEGREE_ONE,))
+    if spec.power == 1:
+        return GenerationReport(counts, True, (citations.POLYNOMIAL_RING,), ())
+    if (spec.dim, spec.power) == (1, 2):
+        return GenerationReport(counts, True, (citations.GENERATED_IN_DEGREE_ONE,), ())
+    return GenerationReport(counts, False, (citations.NEW_GENERATORS_EVERY_DEGREE,),
+                            _new_generators(spec, max_n))
 
 
 class GrowthClass(enum.Enum):
@@ -550,16 +587,32 @@ def growth_class(dims) -> GrowthClass:
 
 
 class GrowthReport(_Record):
-    """The dimensions of grades 0..max_n, their ``growth_class``, and
-    ``noetherian``: False, with its citation id, for exponential growth,
-    else None (undecided) with none."""
+    """The dimensions of grades 0..max_n, the ring's ``growth_class`` and
+    whether it is ``noetherian``, both in every grade, and the citation id
+    of that verdict."""
 
     __slots__ = ("dims", "growth_class", "noetherian", "citations")
 
 
 def growth_report(spec: PowerRingSpec, max_n: int) -> GrowthReport:
+    """The dimensions of grades 0..max_n beside a verdict that rests on r alone.
+
+    For r = 1 the ring is k[x_0..x_m]: polynomially bounded and noetherian.
+    For r >= 2 each grade multiplies the dimension by
+
+        dim_{n+1} / dim_n = prod_{i=1..m} (r e_n + 1 + i) / (e_n + i),
+
+    and no factor falls as e_n grows, since (r - 1) i >= 1; at e_0 = 0 the
+    factors are (1 + i) / i.  So the ratio is at least m + 1 in every grade: the growth is
+    exponential, and a graded noetherian algebra grows subexponentially
+    (Stephenson-Zhang 1997).  ``max_n`` must be an integer >= 0.
+    """
+    max_n = _exact_int("max_n", max_n)
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
     dims = tuple([grade_dimension(spec, n) for n in range(max_n + 1)])
-    if growth_class(dims) is GrowthClass.EXPONENTIAL:
-        return GrowthReport(dims, GrowthClass.EXPONENTIAL, False,
-                            (citations.EXPONENTIAL_GROWTH_NOT_NOETHERIAN,))
-    return GrowthReport(dims, GrowthClass.POLYNOMIAL_BOUNDED, None, ())
+    if spec.power == 1:
+        return GrowthReport(dims, GrowthClass.POLYNOMIAL_BOUNDED, True,
+                            (citations.POLYNOMIAL_RING,))
+    return GrowthReport(dims, GrowthClass.EXPONENTIAL, False,
+                        (citations.EXPONENTIAL_GROWTH_NOT_NOETHERIAN,))

@@ -246,7 +246,14 @@ def test_cohomology_rejects_power_one():
 
 def test_bad_windows_exit_two():
     assert invoke("gens", "--p", "2", "--m", "1", "--max-n", "0").exit_code == 2
-    assert invoke("growth", "--p", "2", "--m", "1", "--max-n", "2").exit_code == 2
+    assert invoke("growth", "--p", "2", "--m", "1", "--max-n", "-1").exit_code == 2
+
+
+def test_growth_states_its_verdict_on_a_short_window():
+    result = invoke("growth", "--p", "2", "--m", "2", "--max-n", "0")
+    assert result.exit_code == 0, result.stderr
+    doc = json.loads(result.stdout)["results"]
+    assert doc == {"dims": [1], "growthClass": "Exponential", "noetherian": False}
 
 
 def test_non_integer_json_exits_two():

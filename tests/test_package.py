@@ -174,7 +174,7 @@ def test_cli_binds_no_verdict_logic():
 
 def test_version():
     result = invoke("--version")
-    assert (result.exit_code, result.stdout) == (0, "thcr, version 0.3.0\n")
+    assert (result.exit_code, result.stdout) == (0, "thcr, version 0.4.0\n")
 
 
 @pytest.mark.parametrize("spelling, value", [

@@ -77,6 +77,14 @@ def _cases():
         cases[f"gens-p5-m1.{fmt}"] = [
             "gens", "--p", "5", "--m", "1", "--max-n", "8", "--format", fmt,
         ]
+    # r = 1 is the polynomial ring, and a window of grade 1 alone still
+    # states the all-grades verdict
+    for command in ("gens", "growth"):
+        for fmt in ("json", "csv"):
+            cases[f"{command}-p1-m2.{fmt}"] = [command, "--p", "1", "--m", "2", "--format", fmt]
+    cases["gens-p3-m2-n1.json"] = [
+        "gens", "--p", "3", "--m", "2", "--max-n", "1", "--format", "json",
+    ]
     for label, (matrix, divisor, curves, *flags) in AMPLENESS.items():
         cases[f"ampleness-{label}.json"] = [
             "ampleness", "--matrix", json.dumps(matrix),

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from ring_oracles import (
     associativity_check,
@@ -198,6 +198,18 @@ def test_product_ternary_example():
     result = twisted_product(spec, Monomial((1, 0)), Monomial((1, 3)))
     assert result == Monomial((4, 9))
     assert result.degree == twist_degree(spec, 3)
+
+
+def test_product_rejects_operands_from_another_ambient_space():
+    spec = PowerRingSpec(dim=2, power=2)
+    x = Monomial((1, 0, 0, 0, 0))
+    with pytest.raises(GradeError, match="operands must have 3 variables"):
+        twisted_product(spec, x, x)
+    # equal lengths are not enough: each must match the spec
+    with pytest.raises(GradeError):
+        twisted_product(spec, Monomial((1, 0)), Monomial((1, 0)))
+    with pytest.raises(GradeError):
+        twisted_product(spec, Monomial((1, 0, 0)), Monomial((1, 0)))
 
 
 def test_product_rejects_off_ladder_degrees():
@@ -511,7 +523,19 @@ def test_generator_degrees_rejects_a_budget_below_one(m, budget):
 
 def test_generation_report_on_the_binary_line_is_generated_in_degree_one():
     report = generation_report(PowerRingSpec(dim=1, power=2), 4)
-    assert report == GenerationReport((2, 0, 0, 0), True, (citations.GENERATED_IN_DEGREE_ONE,))
+    assert report == GenerationReport((2, 0, 0, 0), True, (citations.GENERATED_IN_DEGREE_ONE,),
+                                      ())
+
+
+def test_generation_report_of_the_polynomial_ring_cites_it():
+    report = generation_report(PowerRingSpec(dim=2, power=1), 4)
+    assert report == GenerationReport((3, 0, 0, 0), True, (citations.POLYNOMIAL_RING,), ())
+
+
+def test_generation_report_states_its_verdict_without_a_window():
+    # grade 1 alone shows no count past it; the verdict is about every grade
+    report = generation_report(PowerRingSpec(dim=2, power=3), 1)
+    assert report == GenerationReport((3,), False, (citations.NEW_GENERATORS_EVERY_DEGREE,), ())
 
 
 def test_generation_report_on_the_binary_plane_needs_new_generators():
@@ -520,8 +544,38 @@ def test_generation_report_on_the_binary_plane_needs_new_generators():
     assert report.counts == tuple(generator_degrees(spec, 4).values()) == (3, 1, 3, 9)
     assert report.generated_in_degree_one is False
     assert report.citations == (citations.NEW_GENERATORS_EVERY_DEGREE,)
+    assert report.witnesses == ((1, 1, 1), (3, 3, 1), (7, 7, 1))
     with pytest.raises(BudgetExceededError):
         generation_report(spec, 4, budget=100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 6), r=st.integers(2, 8), n=st.integers(2, 200))
+def test_new_generators_split_at_no_grade(m, r, n):
+    assume((m, r) != (1, 2))
+    spec = PowerRingSpec(dim=m, power=r)
+    witnesses = ring._new_generators(spec, n)
+    assert len(witnesses) == n - 1
+    # decompose_residue checks the grade first: z has m + 1 entries summing to e_n
+    assert decompose_residue(spec, Monomial(witnesses[-1]), n) is None
+
+
+def test_generation_verdict_matches_the_walk():
+    # every grade 2..12 the walk reaches within the budget: no count is zero
+    # unless the ring is generated in degree one, and then every count is
+    grades = 0
+    for m in range(1, 5):
+        for r in range(1, 7):
+            spec = PowerRingSpec(dim=m, power=r)
+            try:
+                counts = generator_degrees(spec, 12, budget=2 * 10**5)
+            except BudgetExceededError as exc:
+                counts = exc.partial
+            verdict = generation_report(spec, 1).generated_in_degree_one
+            window = [counts[n] for n in range(2, len(counts) + 1)]
+            assert window and [count == 0 for count in window] == [verdict] * len(window)
+            grades += len(window)
+    assert grades == 150
 
 
 @settings(max_examples=200, deadline=None)
@@ -700,12 +754,10 @@ def test_growth_class_validation():
         growth_class([1, 2, 0, 4])
 
 
-def test_growth_report_of_the_polynomial_ring_decides_nothing():
+def test_growth_report_of_the_polynomial_ring_is_noetherian():
     report = growth_report(PowerRingSpec(dim=1, power=1), 10)
-    assert report.dims == tuple(range(1, 12))
-    assert report.growth_class is GrowthClass.POLYNOMIAL_BOUNDED
-    assert report.noetherian is None
-    assert report.citations == ()
+    assert report == GrowthReport(tuple(range(1, 12)), GrowthClass.POLYNOMIAL_BOUNDED, True,
+                                  (citations.POLYNOMIAL_RING,))
 
 
 def test_growth_report_of_the_binary_line_is_not_noetherian():
@@ -714,9 +766,28 @@ def test_growth_report_of_the_binary_line_is_not_noetherian():
                                   False, (citations.EXPONENTIAL_GROWTH_NOT_NOETHERIAN,))
 
 
-def test_growth_report_needs_four_grades():
-    with pytest.raises(ValueError, match="four terms"):
-        growth_report(PowerRingSpec(dim=1, power=2), 2)
+def test_growth_report_takes_short_windows():
+    spec = PowerRingSpec(dim=1, power=2)
+    for max_n in range(3):
+        assert growth_report(spec, max_n) == GrowthReport(
+            (1, 2, 4)[:max_n + 1], GrowthClass.EXPONENTIAL, False,
+            (citations.EXPONENTIAL_GROWTH_NOT_NOETHERIAN,))
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        growth_report(spec, -1)
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(TypeError, match="max_n must be an integer"):
+            growth_report(spec, bad)
+
+
+def test_growth_class_agrees_with_the_growth_report():
+    # the 17/16 window classifier, which benchmarks compare reports with,
+    # gives the theorem's class on every window of four grades or more
+    for m in range(1, 9):
+        for r in range(1, 8):
+            spec = PowerRingSpec(dim=m, power=r)
+            report = growth_report(spec, 59)
+            for max_n in range(3, 60):
+                assert growth_class(report.dims[:max_n + 1]) is report.growth_class, (m, r, max_n)
 
 
 # --- records ----------------------------------------------------------------------
@@ -735,13 +806,16 @@ RECORDS = [
      DecompositionWitness(1, 1, Monomial((1, 0)), Monomial((0, 1))),
      DecompositionWitness(1, 1, Monomial((0, 1)), Monomial((1, 0))),
      "DecompositionWitness(a=1, b=1, u=Monomial(exps=(1, 0)), v=Monomial(exps=(0, 1)))"),
-    (GenerationReport(counts=(2, 0), generated_in_degree_one=True, citations=("a",)),
-     GenerationReport((2, 0), True, ("a",)), GenerationReport((3, 1), False, ("b",)),
-     "GenerationReport(counts=(2, 0), generated_in_degree_one=True, citations=('a',))"),
+    (GenerationReport(counts=(3, 1), generated_in_degree_one=False, citations=("a",),
+                      witnesses=((1, 1, 1),)),
+     GenerationReport((3, 1), False, ("a",), ((1, 1, 1),)),
+     GenerationReport((3, 1), False, ("a",), ((2, 0, 1),)),
+     "GenerationReport(counts=(3, 1), generated_in_degree_one=False, citations=('a',), "
+     "witnesses=((1, 1, 1),))"),
     (GrowthReport(dims=(1, 2), growth_class=GrowthClass.EXPONENTIAL, noetherian=False,
                   citations=()),
      GrowthReport((1, 2), GrowthClass.EXPONENTIAL, False, ()),
-     GrowthReport((1, 2), GrowthClass.POLYNOMIAL_BOUNDED, None, ()),
+     GrowthReport((1, 2), GrowthClass.POLYNOMIAL_BOUNDED, True, ()),
      "GrowthReport(dims=(1, 2), growth_class=<GrowthClass.EXPONENTIAL: 'Exponential'>, "
      "noetherian=False, citations=())"),
     (ScanRow(n=0, degree=-3, q=1, value=1), ScanRow(0, -3, 1, 1), ScanRow(0, -3, 1, 2),
