@@ -257,9 +257,6 @@ class RationalInterval(_Record):
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def __contains__(self, value) -> bool:
-        return self.lo <= Fraction(value) <= self.hi
-
 
 def _is_rational(x) -> bool:
     """True for ints and Fractions, the exact rationals; bools are not."""
@@ -391,8 +388,9 @@ def squarefree_part(poly: IntPolynomial) -> IntPolynomial:
 
     Returned primitive with positive leading coefficient.  The zero
     polynomial, of which every real number is a root, raises ``ValueError``.
+    It is the first member of ``poly._sturm``, computed once per polynomial.
     """
-    return _squarefree_sturm(poly)[0]
+    return poly._sturm[0]
 
 
 def _squarefree_sturm(poly: IntPolynomial) -> tuple[IntPolynomial, tuple[IntPolynomial, ...]]:

@@ -19,6 +19,7 @@ rest on.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import operator
@@ -337,6 +338,19 @@ def twisted_product(spec: PowerRingSpec, u: Monomial, v: Monomial) -> Monomial:
     return Monomial._of(tuple([x + q * y for x, y in zip(u.exps, v.exps)]))
 
 
+@functools.lru_cache
+def _carry_jumps(r: int, m: int) -> tuple[tuple[int, int, int], ...]:
+    """For each carry c in 0..m, the jump (j, e_j, r**j) of ``decompose_fast``,
+    where j is the least j >= 1 with e_j >= c; one table per ring (r, m)."""
+    jumps = []
+    j, e, q = 1, 1, r
+    for c in range(m + 1):
+        while e < c:
+            j, e, q = j + 1, r * e + 1, q * r
+        jumps.append((j, e, q))
+    return tuple(jumps)
+
+
 def decompose_fast(
     spec: PowerRingSpec, z: Monomial, n: int
 ) -> DecompositionWitness | None:
@@ -364,7 +378,9 @@ def decompose_fast(
     r**j in one pass (w_i //= r**j) and carries the target as
     e_{n-a-j} = (e_{n-a} - e_j) // r**j, starting from e_n.  As c_a <= m,
     a step is at most about log_r(m) + 1 grades long and never skips a
-    split.
+    split.  The jump depends on the ring and c_a alone, so each ring keeps
+    a table of (j, e_j, r**j) for c = 0..m (``_carry_jumps``, cached by
+    (r, m)), and each jump is one lookup; r**a is formed once, at the split.
 
     The witness removes the excess k = -c_a from w greedily in coordinate
     order, giving v, and u = z - r**a * v: the same witness as the residue
@@ -374,17 +390,16 @@ def decompose_fast(
     """
     e_n = _require_grade(spec, z, n)
     r = spec.power
+    jumps = _carry_jumps(r, spec.dim)
     w = z.exps
     t = e_n
-    a, c, q_a = 0, 0, 1
+    a = c = 0
     while True:
         # jump to a + j for the least j >= 1 with e = e_j >= c; q = r**j
-        a, e, q = a + 1, 1, r
-        while e < c:
-            a, e, q = a + 1, r * e + 1, q * r
+        j, e, q = jumps[c]
+        a += j
         if a >= n:
             return None
-        q_a *= q
         w = [x // q for x in w]
         t = (t - e) // q
         c = t - sum(w)
@@ -398,10 +413,11 @@ def decompose_fast(
             take = min(x, k)
             v.append(x - take)
             k -= take
+    q_a = r**a
     # v_i <= w_i and u_i >= z_i mod r**a: both are nonnegative ints
     u = Monomial._of(tuple([x - q_a * y for x, y in zip(z.exps, v)]))
     v = Monomial._of(tuple(v))
-    # e_{n-a} = (e_n - e_a) / r**a, from e_n and q_a alone, not from t
+    # e_{n-a} = (e_n - e_a) / r**a, from e_n and r**a alone, not from t
     e_a = (q_a - 1) // (r - 1) if r > 1 else a
     assert v.degree == (e_n - e_a) // q_a
     return DecompositionWitness(a, n - a, u, v)

@@ -1,8 +1,9 @@
 """Reference implementations for ``thcr.ring``: the exhaustive
 decomposability search that ``decompose_fast`` is checked against, the
 residue form of ``decompose_fast`` whose witnesses it must reproduce
-exactly, the uniform monomial draw the randomized tests sample from, and
-the sampled associativity check of the twisted product.  Nothing in the
+exactly, the base-r carry automaton that counts new generators without a
+walk, the uniform monomial draw the randomized tests sample from, and the
+sampled associativity check of the twisted product.  Nothing in the
 library uses them."""
 
 import random
@@ -74,6 +75,36 @@ def decompose_residue(spec, z, n):
         assert v.degree == twist_degree(spec, n - a)
         return DecompositionWitness(a, n - a, u, v)
     return None
+
+
+def automaton_counts(m, r, max_n):
+    """New generators in each grade 1..max_n of P^m with power r >= 2, by the
+    base-r carry automaton, as ``generator_degrees`` reports them.
+
+    Add the m + 1 exponents of z digit by digit in base r: digit a holds
+    D_a, the sum of the coordinates' digits a, which w(D) tuples of m + 1
+    base-r digits give.  The sum is e_n, n ones, so with t_0 = 0 the carry
+    steps by t_{a+1} = (t_a + D_a - 1) / r, which must be a nonnegative
+    integer (it never exceeds m), and the sum ends after n digits iff
+    t_n = 0.  z splits at a iff the carry t_a into digit a is 0, so z is
+    new iff t_a >= 1 for 1 <= a <= n - 1.  Grade 1 counts all its m + 1
+    monomials, as there.
+    """
+    weights = [1]
+    for _ in range(m + 1):  # the coefficients of (1 + x + ... + x**(r-1))**(m+1)
+        weights = [sum(weights[max(0, d - r + 1):d + 1]) for d in range(len(weights) + r - 1)]
+    counts = {}
+    states = {0: 1}  # carry t_a -> the digit paths that reach it
+    for a in range(max_n):
+        step = {}
+        for t, paths in states.items():
+            for d, w in enumerate(weights):
+                nxt, rem = divmod(t + d - 1, r)
+                if rem == 0 and nxt >= 0:
+                    step[nxt] = step.get(nxt, 0) + paths * w
+        counts[a + 1] = step.pop(0, 0)
+        states = step
+    return counts
 
 
 def random_monomial(spec, n, rng):

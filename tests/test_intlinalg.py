@@ -97,7 +97,8 @@ def reference_radius_interval(matrix):
     evaluation of the squarefree part.
     """
     chi = char_poly(matrix)
-    sf = squarefree_part(chi)
+    # a copy, so that the library's chi caches no Sturm chain from here
+    sf = squarefree_part(IntPolynomial(*chi.coeffs))
     bound = 1 + max(abs(Fraction(c, chi.leading())) for c in chi.coeffs[:-1])
     if count_real_roots_above(sf, -bound) == 0:
         raise NoRealEigenvalueError("no real eigenvalue")
@@ -281,10 +282,17 @@ def test_squarefree_chi_runs_no_gcd(monkeypatch):
     assert builds == [chi]
     assert sf == IntPolynomial(1, -3, 1) * IntPolynomial(-5, 1)
     assert chain[0] == sf and chain[-1].degree() == 0
-    # squarefree_part builds its own sequence and caches nothing on chi
+    # squarefree_part reads the cached pair, building it once per polynomial
+    assert squarefree_part(chi) is sf
+    assert builds == [chi]
     other = IntPolynomial(*chi.coeffs)
+    assert squarefree_part(other) is other._sturm[0]
     assert squarefree_part(other) == sf
-    assert "_sturm" not in vars(other)
+    assert builds == [chi, other]
+    zero = IntPolynomial()
+    with pytest.raises(ValueError, match="zero polynomial"):
+        squarefree_part(zero)
+    assert "_sturm" not in vars(zero)
 
 
 def test_repeated_integer_root_is_certified_as_a_point():
@@ -907,7 +915,7 @@ def test_quasi_unipotent_with_fixed_vector_has_radius_one():
     for rows in ([[1]], [[1, 1], [0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]):
         matrix = IntMatrix(rows)
         assert is_quasi_unipotent(matrix)
-        assert 1 in spectral_radius_interval(matrix)
+        assert spectral_radius_interval(matrix) == RationalInterval.point(1)
 
 
 def test_cyclotomic_indices_match_brute_force():

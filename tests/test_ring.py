@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from ring_oracles import (
     associativity_check,
+    automaton_counts,
     decompose_brute,
     decompose_residue,
     random_monomial,
@@ -37,6 +38,7 @@ from thcr.ring import (
     GrowthReport,
     Monomial,
     PowerRingSpec,
+    _carry_jumps,
     _compositions,
     _orbit_size,
     _sorted_parts,
@@ -354,10 +356,23 @@ def test_decompose_fast_witness_equals_residue_form_deep(m, r, n):
         assert decompose_fast(spec, z, n) == decompose_residue(spec, z, n), z
 
 
+@pytest.mark.parametrize("m", [*range(1, 9), 40])
+@pytest.mark.parametrize("r", [*range(1, 10), 10**6])
+def test_carry_jumps_table(r, m):
+    # entry c is the least j >= 1 with e_j >= c, with e_j and r**j
+    spec = PowerRingSpec(m, r)
+    table = _carry_jumps(r, m)
+    assert len(table) == m + 1
+    for c, (j, e, q) in enumerate(table):
+        least = next(k for k in itertools.count(1) if twist_degree(spec, k) >= c)
+        assert (j, e, q) == (least, twist_degree(spec, least), r**least), c
+    assert _carry_jumps(r, m) is table
+
+
 @st.composite
 def graded_monomials(draw, powers):
-    """(spec, z, n): m in 1..8, r from ``powers``, n in 1..200, z of grade n."""
-    m, r, n = draw(st.integers(1, 8)), draw(powers), draw(st.integers(1, 200))
+    """(spec, z, n): m in 1..24, r from ``powers``, n in 1..200, z of grade n."""
+    m, r, n = draw(st.integers(1, 24)), draw(powers), draw(st.integers(1, 200))
     spec = PowerRingSpec(m, r)
     total = twist_degree(spec, n)
     cuts = sorted(draw(st.lists(st.integers(0, total), min_size=m, max_size=m)))
@@ -366,7 +381,7 @@ def graded_monomials(draw, powers):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graded_monomials(st.integers(2, 9)))
+@given(graded_monomials(st.integers(2, 64)))
 def test_decompose_fast_carry_lemma(case):
     # the carry c_a into digit a of the base-r sum of z is an integer in
     # 0..m, z splits at a iff c_a = 0, and c_{a+j} * r**j >= c_a - e_j, so
@@ -470,6 +485,22 @@ def test_generator_degrees_match_decompose_fast_grid():
             assert counts[n] == by_decompose_fast, (m, r, n)
             if r == 1:
                 assert counts[n] == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_generator_degrees_match_carry_automaton(m, r):
+    # the walk in every grade of at most 10**4.5 monomials, and the line's
+    # closed form up to grade 60, against the carry automaton
+    spec = PowerRingSpec(dim=m, power=r)
+    top = 60
+    if m > 1:
+        top = 1
+        while grade_dimension(spec, top + 1) <= 10**4.5:
+            top += 1
+    assert generator_degrees(spec, top) == automaton_counts(m, r, top)
+    if (m, r) == (2, 2):
+        assert automaton_counts(m, r, 9) == {1: 3, **{n: 3 ** (n - 2) for n in range(2, 10)}}
 
 
 def test_generator_degrees_line_closed_form_at_grade_400(monkeypatch):
