@@ -101,9 +101,6 @@ class IntPolynomial(_Record):
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial._of([i * c for i, c in enumerate(self.coeffs) if i > 0])
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial._of([-c for c in self.coeffs])
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero() or other.is_zero():
             return IntPolynomial._of(())
@@ -421,10 +418,11 @@ def _sturm_chain(poly: IntPolynomial) -> list[IntPolynomial]:
         if rem.is_zero():
             break
         # lc**k * a = q * b + r: the remainder over Q is r / lc**k, and
-        # -r * sign(lc)**k is a positive multiple of its negation
-        if divisor.leading() > 0 or k % 2 == 0:
-            rem = -rem
+        # -r * sign(lc)**k is a positive multiple of its negation; the sign
+        # rides on the content that divides r
         content = math.gcd(*rem.coeffs)
+        if divisor.leading() > 0 or k % 2 == 0:
+            content = -content
         chain.append(IntPolynomial._of([c // content for c in rem.coeffs]))
     return chain
 

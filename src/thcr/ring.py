@@ -369,7 +369,22 @@ def decompose_fast(
     is the carry into digit a when the z_i are added in base r, and z
     splits at a iff c_a <= 0.  For r >= 2 the residues are each below r**a
     and e_a < r**a, so c_a is an integer in 0..m and z splits iff c_a = 0.
-    Residues only grow with the modulus, and e_{a+j} = e_a + r**a * e_j, so
+
+    Carry vector, for r = 2**k.  Base-r digit a is bits k*a .. k*a + k - 1,
+    so r**a = 2**(k*a).  Add the z_j one at a time, with partial sums
+    P_j = z_0 + ... + z_j (P_{-1} = 0): the residues mod 2**(k*a) sum to
+    P_m mod 2**(k*a) = e_a plus 2**(k*a) for each partial sum
+    P_{j-1} + z_j that carries into bit k*a, so c_a counts those sums.
+    The carry-in bits of x + y are (x + y) ^ x ^ y, and their union over
+    the partial sums, C = OR_j (P_j ^ P_{j-1} ^ z_j), has bit k*a clear iff
+    c_a = 0.  As e_n - 1 = r + ... + r**(n-1) has a one at exactly the bits
+    k*a for 1 <= a < n, the first split is the lowest set bit of
+    (e_n - 1) & ~C, over k; there is none when that is 0.  Grades below 2
+    have no split (and e_0 - 1 = -1 has every bit set), so they return
+    None first.  Only a power of two lines its digits up with bits.
+
+    Carry jumps, for every other r.  Residues only grow with the modulus,
+    and e_{a+j} = e_a + r**a * e_j, so
 
         c_{a+j} * r**j >= c_a - e_j:
 
@@ -382,39 +397,48 @@ def decompose_fast(
     a table of (j, e_j, r**j) for c = 0..m (``_carry_jumps``, cached by
     (r, m)), and each jump is one lookup; r**a is formed once, at the split.
 
-    The witness removes the excess k = -c_a from w greedily in coordinate
-    order, giving v, and u = z - r**a * v: the same witness as the residue
+    The witness is v = w less the excess k = -c_a, removed greedily in
+    coordinate order, and u = z - r**a * v: the same witness as the residue
     form, which fills u_i = (z_i mod r**a) + r**a * take_i with the same
     takes.  For r >= 2 the excess is 0 and v = w; the greedy fill matters
     only for r = 1, where every c_a = -a and z splits at a = 1 with k = 1.
     """
     e_n = _require_grade(spec, z, n)
+    if n < 2:
+        return None
     r = spec.power
-    jumps = _carry_jumps(r, spec.dim)
-    w = z.exps
-    t = e_n
-    a = c = 0
-    while True:
-        # jump to a + j for the least j >= 1 with e = e_j >= c; q = r**j
-        j, e, q = jumps[c]
-        a += j
-        if a >= n:
+    if r & (r - 1) == 0 and r > 1:
+        carries = p = 0
+        for x in z.exps:
+            s = p + x
+            carries |= s ^ p ^ x
+            p = s
+        free = (e_n - 1) & ~carries
+        if not free:
             return None
-        w = [x // q for x in w]
-        t = (t - e) // q
-        c = t - sum(w)
-        if c <= 0:
-            break
-    v = w
-    if c:  # only r = 1, with the excess k = -c = 1
-        k = -c
-        v = []
-        for x in w:
-            take = min(x, k)
-            v.append(x - take)
-            k -= take
+        shift = (free & -free).bit_length() - 1
+        a = shift // (r.bit_length() - 1)
+        v = [x >> shift for x in z.exps]
+    else:
+        jumps = _carry_jumps(r, spec.dim)
+        v = z.exps
+        t = e_n
+        a = c = 0
+        while True:
+            # jump to a + j for the least j >= 1 with e = e_j >= c; q = r**j
+            j, e, q = jumps[c]
+            a += j
+            if a >= n:
+                return None
+            v = [x // q for x in v]
+            t = (t - e) // q
+            c = t - sum(v)
+            if c <= 0:
+                break
+        if c:  # only r = 1, with the excess -c = 1
+            v[next(i for i, x in enumerate(v) if x)] -= 1
     q_a = r**a
-    # v_i <= w_i and u_i >= z_i mod r**a: both are nonnegative ints
+    # v_i <= z_i // r**a, so u_i >= z_i mod r**a: both are nonnegative ints
     u = Monomial._of(tuple([x - q_a * y for x, y in zip(z.exps, v)]))
     v = Monomial._of(tuple(v))
     # e_{n-a} = (e_n - e_a) / r**a, from e_n and r**a alone, not from t

@@ -328,9 +328,22 @@ def test_decompose_fast_deep_grades_match_criterion(m, r, n):
     assert splits > 0
 
 
-# the eight (m, r, n) shapes of the deep-queries benchmark workload, and r = 1
+# the eight (m, r, n) shapes of the deep-queries benchmark workload, r = 1,
+# and three more powers of two whose exponents also run past 2**64
 DEEP_SHAPES = [(8, 2, 62), (4, 3, 40), (1, 2, 64), (2, 5, 27), (8, 5, 27),
-               (3, 2, 63), (6, 3, 40), (2, 7, 23), (3, 1, 50)]
+               (3, 2, 63), (6, 3, 40), (2, 7, 23), (3, 1, 50),
+               (5, 4, 40), (2, 8, 30), (8, 16, 20)]
+
+
+@pytest.mark.parametrize("r", [*range(1, 10), 16, 2**20])
+def test_decompose_fast_grades_zero_and_one_never_split(r):
+    # no grade lies strictly between 0 and n < 2; at n = 0, e_n - 1 = -1
+    # has every bit set, so the carry vector alone would find a split
+    for m in (1, 2, 3):
+        spec = PowerRingSpec(dim=m, power=r)
+        for n in (0, 1):
+            for z in monomials(spec, n):
+                assert decompose_fast(spec, z, n) is None, (spec, z, n)
 
 
 def test_decompose_fast_witness_equals_residue_form_on_small_grades():
@@ -408,6 +421,26 @@ def test_decompose_fast_carry_lemma(case):
         # no excess is left to remove, so the greedy fill takes nothing
         assert witness.a == grade
         assert witness.v.exps == tuple(x // r**grade for x in z.exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_monomials(st.sampled_from([2**k for k in range(1, 17)])))
+def test_decompose_fast_power_of_two_carry_vector(case):
+    # for r = 2**k the carry c_a into digit a is the number of partial sums
+    # z_0 + ... + z_j that carry into bit k*a, so c_a = 0 iff bit k*a of
+    # C = OR_j (P_j ^ P_{j-1} ^ z_j) is clear
+    spec, z, n = case
+    r = spec.power
+    k = r.bit_length() - 1
+    carries = total = 0
+    for x in z.exps:
+        carries |= (total + x) ^ total ^ x
+        total += x
+    for a in range(1, n):
+        q = r**a
+        c = (sum(x % q for x in z.exps) - twist_degree(spec, a)) // q
+        assert (c == 0) == (not carries >> (k * a) & 1), (z, a)
+    assert decompose_fast(spec, z, n) == decompose_residue(spec, z, n)
 
 
 @settings(max_examples=100, deadline=None)
