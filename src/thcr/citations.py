@@ -6,8 +6,7 @@ justifies it.
 
 LEFT_FAILS_ABOVE_ONE = "spectral-radius-above-one-blocks-left-ampleness"
 RIGHT_FROM_AMPLE_EIGENVECTOR = "ample-eigenvector-divisor-gives-right-ampleness"
-UNIT_CIRCLE_EQUIVALENCE = "root-of-unity-action-left-right-ampleness-equivalent"
-UNIT_CIRCLE_FLAG_NEEDED = "root-of-unity-action-needs-eventual-ampleness-flag"
+UNIT_CIRCLE_LEFT_UNDECIDED = "root-of-unity-action-left-ampleness-undecided"
 RADIUS_EXCEEDS_ONE_WHEN_NOT_UNIT_CIRCLE = (
     "invertible-integer-action-off-unit-circle-has-radius-above-one"
 )

@@ -82,7 +82,6 @@ def _run_gens(config: argparse.Namespace) -> tuple:
         "counts": {str(n): count for n, count in counts},
         "generatedInDegreeOne": report.generated_in_degree_one,
         "witnesses": {str(n): z for n, z in enumerate(report.witnesses, 2)},
-        "window": config.max_n,
         "budget": budget,
     }
     return results, report.citations, (("n", "new_generators"), counts)
@@ -107,11 +106,10 @@ def _run_cohomology(config: argparse.Namespace) -> tuple:
         for row in scan.rows
     ]
     results = {
-        "rightScan": {"stabilizedAt": right.stabilized_at, "maxN": right.max_n},
+        "rightScan": {"stabilizedAt": right.stabilized_at},
         "leftScan": {
             "nonVanishing": left.nonvanishing,
             "nonVanishingFrom": left.nonvanishing_from,
-            "maxN": left.max_n,
         },
         "table": table,
     }
@@ -149,22 +147,12 @@ def _require_rows(value, what: str) -> None:
 def _run_ampleness(config: argparse.Namespace) -> tuple:
     from .dynamics import DivisorClass, NumericalActionSpec, classify_ampleness
 
-    in_doc = isinstance(config.matrix, dict)
-    doc = dict(config.matrix) if in_doc else {"P": config.matrix}
-    # flags override document fields
-    for name in ("curves", "ample_flag"):
-        if (value := getattr(config, name)) is not None:
-            doc[_key(name)] = value
-    if doc.get("curves") is None:
-        raise UsageError("--curves is required (or supply them in the spec file)")
-    if "P" in doc:
-        _require_rows(doc["P"], '"P" in the --matrix document' if in_doc else "--matrix")
-    _require_rows(doc["curves"], "--curves" if config.curves is not None
-                  else '"curves" in the --matrix document')
+    _require_rows(config.matrix, "--matrix")
+    _require_rows(config.curves, "--curves")
     if not _is_int_list(config.divisor):
         raise UsageError("--divisor must be a JSON list of integers")
     try:
-        spec = NumericalActionSpec.from_json_dict(doc)
+        spec = NumericalActionSpec(config.matrix, config.curves)
         divisor = DivisorClass(tuple(config.divisor))
         report = classify_ampleness(spec, divisor)
     except (ValueError, TypeError) as exc:
@@ -238,23 +226,6 @@ def _execute(config: argparse.Namespace) -> int:
     return 0
 
 
-# the boolean spellings --ample-flag accepted when this CLI was built on click
-_BOOLEANS = {
-    **dict.fromkeys(("1", "true", "t", "yes", "y", "on"), True),
-    **dict.fromkeys(("0", "false", "f", "no", "n", "off", ""), False),
-}
-
-
-def _boolean(text: str) -> bool:
-    try:
-        return _BOOLEANS[text.strip().lower()]
-    except KeyError:
-        spellings = ", ".join(repr(k) for k in _BOOLEANS)
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a valid boolean; use one of {spellings}"
-        ) from None
-
-
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="thcr", allow_abbrev=False,
@@ -287,13 +258,11 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
                   "Classify left/right ampleness of the twist sequence for an action.",
                   ring=False)
     sub.add_argument("--matrix", required=True,
-                     help="Action matrix as inline JSON rows, or a path to a spec file.")
-    sub.add_argument("--divisor", required=True, help="Divisor coordinates, JSON.")
-    sub.add_argument("--curves", default=None, help="Curve functionals, JSON list of lists.")
-    sub.add_argument(
-        "--ample-flag", type=_boolean, default=None, metavar="BOOLEAN",
-        help="Assert the twist sequence is eventually ample (root-of-unity case).",
-    )
+                     help="Action matrix: JSON rows, inline or in a file.")
+    sub.add_argument("--divisor", required=True,
+                     help="Divisor coordinates: a JSON list, inline or in a file.")
+    sub.add_argument("--curves", required=True,
+                     help="Curve functionals: JSON rows, inline or in a file.")
     sub = command("cohomology", "Run the right/left vanishing scans for a twist degree.")
     sub.add_argument("--t", type=int, required=True, help="Twisting degree to scan.")
     sub.add_argument("--max-n", type=int, default=12, help="Scan window end.")
@@ -320,10 +289,8 @@ def main(argv=None) -> int:
         usage.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.command == "ampleness":
-            args.matrix = _parse_json_argument(args.matrix, "--matrix")
-            args.divisor = _parse_json_argument(args.divisor, "--divisor")
-            args.curves = (_parse_json_argument(args.curves, "--curves")
-                           if args.curves else None)
+            for name in ("matrix", "divisor", "curves"):
+                setattr(args, name, _parse_json_argument(getattr(args, name), f"--{name}"))
         return _execute(args)
     except UsageError as exc:
         usage.error(str(exc))

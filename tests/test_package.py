@@ -50,8 +50,6 @@ SUBCOMMANDS = [
     ["cohomology", "--p", "2", "--m", "1", "--t", "-2", "--max-n", "6"],
     AMPLENESS,
 ]
-IDENTITY = ["ampleness", "--matrix", "[[1, 0], [0, 1]]", "--divisor", "[1, 1]",
-            "--curves", "[[1, 0], [0, 1]]"]
 
 # Runs the CLI as `python -m thcr.cli ARGS` does, then prints the names of
 # all loaded modules as the last line of stderr.
@@ -174,25 +172,7 @@ def test_cli_binds_no_verdict_logic():
 
 def test_version():
     result = invoke("--version")
-    assert (result.exit_code, result.stdout) == (0, "thcr, version 0.4.0\n")
-
-
-@pytest.mark.parametrize("spelling, value", [
-    *((spelling, True) for spelling in ("1", "true", "T", "Yes", "y", " ON ")),
-    *((spelling, False) for spelling in ("0", "False", "f", "NO", "n", "off", "")),
-])
-def test_ample_flag_accepts_the_click_spellings(spelling, value):
-    canonical = invoke(*IDENTITY, "--ample-flag", "true" if value else "false")
-    doc = json.loads(canonical.stdout)
-    assert doc["inputs"]["ampleFlag"] is value
-    assert doc["results"]["left"] == ("Yes" if value else "Undetermined")
-    assert invoke(*IDENTITY, "--ample-flag", spelling).stdout == canonical.stdout
-
-
-def test_ample_flag_rejects_other_words():
-    result = invoke(*IDENTITY, "--ample-flag", "maybe")
-    assert result.exit_code == 2
-    assert "argument --ample-flag: 'maybe' is not a valid boolean" in result.stderr
+    assert (result.exit_code, result.stdout) == (0, "thcr, version 0.5.0\n")
 
 
 def test_option_prefixes_are_not_abbreviations():

@@ -51,8 +51,8 @@ AMPLENESS = {
         [1, 0, 0, 0, 0, 0],
         [[1 if i == j else 0 for j in range(6)] for i in range(6)],
     ),
-    # unipotent, so quasi-unipotent: the flag decides both sides
-    "ample-flag": ([[1, 1], [0, 1]], [1, 1], [[1, 0], [0, 1]], "--ample-flag", "true"),
+    # the identity, with an ample eigenvector: right Yes, left Undetermined
+    "identity-eigenvector": ([[1, 0], [0, 1]], [1, 1], [[1, 0], [0, 1]]),
 }
 
 
@@ -85,10 +85,10 @@ def _cases():
     cases["gens-p3-m2-n1.json"] = [
         "gens", "--p", "3", "--m", "2", "--max-n", "1", "--format", "json",
     ]
-    for label, (matrix, divisor, curves, *flags) in AMPLENESS.items():
+    for label, (matrix, divisor, curves) in AMPLENESS.items():
         cases[f"ampleness-{label}.json"] = [
             "ampleness", "--matrix", json.dumps(matrix),
-            "--divisor", json.dumps(divisor), "--curves", json.dumps(curves), *flags,
+            "--divisor", json.dumps(divisor), "--curves", json.dumps(curves),
         ]
     return cases
 
@@ -111,7 +111,7 @@ def test_report_matches_corpus(name):
 def _library_citations(command: str, inputs: dict) -> tuple:
     """The citation ids of the library record behind a report of ``inputs``."""
     if command == "ampleness":
-        spec = NumericalActionSpec(inputs["matrix"], inputs["curves"], inputs.get("ampleFlag"))
+        spec = NumericalActionSpec(inputs["matrix"], inputs["curves"])
         return classify_ampleness(spec, DivisorClass(inputs["divisor"])).citations
     spec = PowerRingSpec(inputs["m"], inputs["power"])
     max_n = inputs["maxN"]

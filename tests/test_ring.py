@@ -901,10 +901,9 @@ RECORDS = [
      "DivisorClass(coords=(1, 2))"),
     (CurveFunctional(coords=(1, 0)), CurveFunctional([1, 0]), CurveFunctional((0, 1)),
      "CurveFunctional(coords=(1, 0))"),
-    (NumericalActionSpec(matrix=IntMatrix([[2]]), curves=(_CURVE,), ample_flag=None),
-     NumericalActionSpec([[2]], [[1]], None), NumericalActionSpec([[2]], [[1]], True),
-     "NumericalActionSpec(matrix=IntMatrix(rows=((2,),)), curves=(CurveFunctional(coords=(1,)),),"
-     " ample_flag=None)"),
+    (NumericalActionSpec(matrix=IntMatrix([[2]]), curves=(_CURVE,)),
+     NumericalActionSpec([[2]], [[1]]), NumericalActionSpec([[3]], [[1]]),
+     "NumericalActionSpec(matrix=IntMatrix(rows=((2,),)), curves=(CurveFunctional(coords=(1,)),))"),
     (AmplenessReport(left=Verdict.NO, right=Verdict.YES, spectral_radius=RationalInterval(2, 2),
                      quasi_unipotent=False, ample_eigenvector=DivisorClass((1,)),
                      reasons=_REASONS),
@@ -972,6 +971,7 @@ BAD_CALLS = [
     (PowerRingSpec, (), {"dim": 1, "r": 2}),
     (DivisorClass, (), {}),
     (CurveFunctional, (), {"coord": (1,)}),
+    (NumericalActionSpec, ([[2]], [[1]]), {"ample_flag": True}),
     (RationalInterval, (1, 2, 3), {}),
     (IntMatrix, (), {}),
     (IntPolynomial, (), {"coeffs": (1,)}),
