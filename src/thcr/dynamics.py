@@ -7,12 +7,14 @@ every supplied curve.  That convention is faithful when the curve list is
 a full dual description of the nef cone (as for toric inputs) and an
 approximation otherwise.
 
-The witness search for the failure of left ampleness reads the gaps
-between the partial sums of D's orbit and H's orbit from one orbit per
-curve, that of u = D + H - P H, whose partial sums telescope to them; H's
-orbit is built to the horizon only when the multiplier k = 1 fails.  Next
-to it this module builds the left/right ampleness classifier.  Its exact
-certificates:
+Orbit pairings (P**m D . C) below the rank n pair D with the curve rows
+C @ P**m, built per call from the packed powers that the matrix keeps with
+chi; past the rank chi's recurrence gives them.  The witness search for
+the failure of left ampleness reads the gaps between the partial sums of
+D's orbit and H's orbit from one orbit per curve, that of u = D + H - P H,
+whose partial sums telescope to them; H's orbit is built to the horizon
+only when the multiplier k = 1 fails.  Next to it this module builds the
+left/right ampleness classifier.  Its exact certificates:
 
 * an invertible integer action whose eigenvalues do not all lie on the
   unit circle has spectral radius strictly above one (unit-circle algebraic
@@ -37,6 +39,7 @@ from .intlinalg import (
     IntPolynomial,
     NoRealEigenvalueError,
     RationalInterval,
+    _packed_powers,
     char_poly,
     count_real_roots_above,
     is_quasi_unipotent,
@@ -144,6 +147,32 @@ def _check_lengths(spec: NumericalActionSpec, divisor: DivisorClass) -> None:
         raise ValueError("divisor length does not match the action rank")
 
 
+def _curve_rows(matrix: IntMatrix, curve: tuple[int, ...], max_m: int) -> list[tuple[int, ...]]:
+    """The row vectors ``curve @ P**m`` for m <= min(max_m, n - 1).
+
+    Each is one sum of the packed rows of P**m that the matrix keeps with
+    chi, weighted by the curve's entries, unpacked slot by slot.  Its
+    entries are below ||curve||_1 * ||P||_inf**(n-1) < 2**top in absolute
+    value, with top = bitlen(||curve||_1) + (n - 1) * bits, so they fit the
+    kept slots when top < w; a wider curve repacks the powers at
+    w = top + 2 for this call only.
+    """
+    n = matrix.dim
+    _, bits, w, powers = matrix._chi_and_powers
+    top = sum(map(abs, curve)).bit_length() + (n - 1) * bits
+    if top >= w:
+        w = top + 2
+        powers = _packed_powers(matrix.rows, w, min(max_m, n - 1))
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    shifts = range(0, n * w, w)
+    bias = sum([half << s for s in shifts])
+    rows = [curve]
+    for power in powers[:max_m]:
+        packed = sum(map(operator.mul, curve, power)) + bias
+        rows.append(tuple([(packed >> s & mask) - half for s in shifts]))
+    return rows
+
+
 def orbit_pairings(
     spec: NumericalActionSpec,
     divisor: DivisorClass,
@@ -152,9 +181,9 @@ def orbit_pairings(
 ) -> list[int]:
     """[(P**m D . C) for m = 0..max_m], exactly.
 
-    The terms below the rank n pair D with the curve rows C @ P**m, which
-    the matrix computes once per curve and keeps.  Past them Cayley-Hamilton
-    (chi(P) = 0, chi = x**n + sum_{j<n} a_j x**j) gives s_i = -sum_{j<n} a_j s_{i-n+j},
+    The terms below the rank n pair D with the curve rows C @ P**m
+    (``_curve_rows``).  Past them Cayley-Hamilton (chi(P) = 0,
+    chi = x**n + sum_{j<n} a_j x**j) gives s_i = -sum_{j<n} a_j s_{i-n+j},
     so each later term costs n products instead of n**2.
     """
     max_m = _exact_int("max_m", max_m)
@@ -164,7 +193,7 @@ def orbit_pairings(
     if len(curve.coords) != spec.rank:
         raise ValueError("curve length does not match the action rank")
     n = spec.rank
-    rows = spec.matrix._curve_rows(curve.coords)[: max_m + 1]
+    rows = _curve_rows(spec.matrix, curve.coords, max_m)
     out = [sum(map(operator.mul, divisor.coords, row)) for row in rows]
     if max_m >= n:
         negated = [-a for a in char_poly(spec.matrix).coeffs[:-1]]
@@ -189,9 +218,9 @@ def non_left_ample_witness(
 
     Requires a real eigenvalue strictly above one, read from the cached
     radius enclosure; Sturm counts decide only when one lies strictly inside
-    it.  Tries each curve with multipliers k = 1, 2, 4, ... of the
-    supplied ample class until the partial-sum pairing stays strictly
-    below the orbit pairing of k * ample over the whole horizon.
+    it.  Finds, curve by curve, the least multiplier k among 1, 2, 4, ...
+    of the supplied ample class for which the partial-sum pairing stays
+    strictly below the orbit pairing of k * ample over the whole horizon.
 
     The gaps g_m = (Delta_m(D) - P**m H) . C, with Delta_m(D) = sum_{i<m} P**i D,
     come from one orbit: for u = D + H - P H the sum telescopes,
@@ -200,7 +229,10 @@ def non_left_ample_witness(
     the partial sums of u's orbit to horizon - 1 (past the rank by chi's
     recurrence, as ``orbit_pairings`` runs it), less H . C.  k = 1 holds
     when every gap is negative; only otherwise is H's orbit built to the
-    horizon, and k tests g_m - (k - 1) (P**m H . C).
+    horizon, and k > 1 holds when g_m < (k - 1) h_m for every m, with
+    h_m = P**m H . C.  Where h_m > 0 that asks k >= g_m // h_m + 2; where
+    h_m <= 0 a larger k only tightens it.  So the least power of two that
+    meets the first bounds is the one candidate, checked in one scan.
     """
     _check_lengths(spec, divisor)
     _check_lengths(spec, ample)
@@ -218,12 +250,11 @@ def non_left_ample_witness(
         if max(sums) < pairing(ample, curve):
             return NonLeftAmpleWitness(ample, curve, horizon, 1)
         orbit = orbit_pairings(spec, ample, curve, horizon)
-        gaps = [s - orbit[0] for s in sums]
-        k = 2
-        while k <= MAX_WITNESS_MULTIPLIER:
-            if all(g < (k - 1) * h for g, h in zip(gaps, orbit[1:])):
-                return NonLeftAmpleWitness(ample.scaled(k), curve, horizon, k)
-            k *= 2
+        pairs = [(s - orbit[0], h) for s, h in zip(sums, orbit[1:])]
+        need = max([2] + [g // h + 2 for g, h in pairs if h > 0])
+        k = 1 << (need - 1).bit_length()
+        if k <= MAX_WITNESS_MULTIPLIER and all(g < (k - 1) * h for g, h in pairs):
+            return NonLeftAmpleWitness(ample.scaled(k), curve, horizon, k)
     raise WitnessSearchExhausted(
         f"no witness with multiplier <= {MAX_WITNESS_MULTIPLIER} over horizon {horizon}"
     )

@@ -11,12 +11,10 @@ answer is a certificate rather than a floating-point estimate.
 The characteristic polynomial comes from Newton's identities on the power
 sums tr(P**k), read from the diagonals of powers built on packed rows: one
 integer per row, one w-bit slot per entry, w = n * bitlen(||P||_inf) + 2
-(Kronecker substitution).  It is kept on the immutable ``IntMatrix`` with
-the packed rows of P**1..P**(n-1), n(n - 1) integers (about 50 KB at rank 12
-with 16-bit entries), and with the curve rows C @ P**m, m < n, of every
-curve C an orbit is paired with, each one weighted sum of that table's rows
-(``IntMatrix._curve_rows``), so the quasi-unipotence test, the radius, the
-witness search and the orbit recurrence compute each once.
+(Kronecker substitution).  It is kept on the immutable ``IntMatrix`` in
+one cached property with the packed rows of P**1..P**(n-1), n(n - 1)
+integers (about 50 KB at rank 12 with 16-bit entries), so the
+quasi-unipotence test, the radius and the orbit pairings compute it once.
 
 The largest real root, which the radius and the witness guard share, is
 found on one dyadic grid by a one-cell certificate from a float guess or,
@@ -165,7 +163,7 @@ class IntPolynomial(_Record):
 class IntMatrix(_Record):
     """Square matrix with arbitrary-precision integer entries."""
 
-    __slots__ = ("rows", "__dict__")  # the dict holds chi, its power table and curve rows
+    __slots__ = ("rows", "__dict__")  # the dict holds chi and its packed powers
     _fields = ("rows",)
 
     def __init__(self, rows):
@@ -181,50 +179,10 @@ class IntMatrix(_Record):
         return len(self.rows)
 
     @cached_property
-    def _char_poly(self) -> "IntPolynomial":
-        chi, self.__dict__["_power_table"] = _newton_char_poly(self.rows)
-        return chi
-
-    @cached_property
-    def _power_table(self) -> tuple[int, int, list[list[int]]]:
-        """``(bits, w, powers)``: the rows of P**1..P**(n-1) packed at slot
-        width w, with bits = bitlen(||P||_inf).  ``_char_poly`` stores it
-        with chi, so this runs only to build chi first."""
-        self._char_poly
-        return self.__dict__["_power_table"]
-
-    @cached_property
-    def _curve_row_cache(self) -> dict:
-        return {}
-
-    def _curve_rows(self, curve: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The row vectors ``curve @ P**m`` for m < n, computed once per curve.
-
-        Each is one sum of the packed rows of P**m weighted by the curve's
-        entries, unpacked slot by slot.  Its entries are below
-        ||curve||_1 * ||P||_inf**(n-1) < 2**top in absolute value, with
-        top = bitlen(||curve||_1) + (n - 1) * bits, so they fit the table's
-        slots when top < w; a wider curve first rebuilds the table at
-        w = top + 2, which later curves reuse.
-        """
-        rows = self._curve_row_cache.get(curve)
-        if rows is None:
-            n = self.dim
-            bits, w, powers = self._power_table
-            top = sum(map(abs, curve)).bit_length() + (n - 1) * bits
-            if top >= w:
-                w = top + 2
-                powers = _packed_powers(self.rows, w, n - 1)
-                self.__dict__["_power_table"] = bits, w, powers
-            half, mask = 1 << (w - 1), (1 << w) - 1
-            shifts = range(0, n * w, w)
-            bias = sum([half << s for s in shifts])
-            rows = [curve]
-            for power in powers:
-                packed = sum(map(operator.mul, curve, power)) + bias
-                rows.append(tuple([(packed >> s & mask) - half for s in shifts]))
-            rows = self._curve_row_cache[curve] = tuple(rows)
-        return rows
+    def _chi_and_powers(self) -> tuple["IntPolynomial", int, int, list[list[int]]]:
+        """``(chi, bits, w, powers)``: chi, and the rows of P**1..P**(n-1)
+        packed at slot width w, with bits = bitlen(||P||_inf)."""
+        return _newton_char_poly(self.rows)
 
     def apply(self, vector: tuple[int, ...]) -> tuple[int, ...]:
         if len(vector) != self.dim:
@@ -282,11 +240,11 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
     >>> char_poly(IntMatrix([[0, -1], [1, 0]]))
     IntPolynomial(1, 0, 1)
     """
-    return matrix._char_poly
+    return matrix._chi_and_powers[0]
 
 
-def _newton_char_poly(rows) -> tuple[IntPolynomial, tuple[int, int, list[list[int]]]]:
-    """chi, and the power table ``(bits, w, powers)`` that ``IntMatrix`` keeps."""
+def _newton_char_poly(rows) -> tuple[IntPolynomial, int, int, list[list[int]]]:
+    """``IntMatrix._chi_and_powers``: chi, ``bits``, ``w`` and the packed powers."""
     n = len(rows)
     # Row i of P**k is packed into one integer, entry j in the w-bit slot j.
     # |(P**k)_ij| <= ||P||_inf**k < 2**(n * bits) for k <= n, so an entry
@@ -308,7 +266,7 @@ def _newton_char_poly(rows) -> tuple[IntPolynomial, tuple[int, int, list[list[in
             raise ArithmeticError("Newton identity sum not divisible")
         coeffs[n - k] = -(t // k)
     del powers[-1]  # P**n serves only its trace
-    return IntPolynomial._of(coeffs), (bits, w, powers)
+    return IntPolynomial._of(coeffs), bits, w, powers
 
 
 def _packed_powers(rows, w: int, count: int) -> list[list[int]]:
@@ -443,13 +401,12 @@ def _homogeneous_value(poly: IntPolynomial, p: int, q: int) -> int:
     return acc
 
 
-def _variations_at(chain: tuple[IntPolynomial, ...], p: int, q: int) -> int:
-    """Sign variations of the chain at p/q, for any q > 0 (not only reduced)."""
-    return _variations([_homogeneous_value(f, p, q) for f in chain])
-
-
-def _variations_at_infinity(chain: tuple[IntPolynomial, ...]) -> int:
-    return _variations([f.leading() for f in chain])
+def _roots_above(chain: tuple[IntPolynomial, ...], p: int, q: int) -> int:
+    """Distinct real roots above p/q, for any q > 0 (not only reduced), of
+    the polynomial whose ``_sturm`` chain this is: the sign variations at
+    p/q less those at +infinity, the leading coefficients' signs."""
+    at_p = _variations([_homogeneous_value(f, p, q) for f in chain])
+    return at_p - _variations([f.leading() for f in chain])
 
 
 def count_real_roots_above(poly: IntPolynomial, bound) -> int:
@@ -462,12 +419,8 @@ def count_real_roots_above(poly: IntPolynomial, bound) -> int:
     """
     if not _is_rational(bound):
         raise TypeError(f"bound must be an int or a Fraction, got {bound!r}")
-    _, chain = poly._sturm
-    if not chain:
-        return 0
     bound = Fraction(bound)
-    above = _variations_at(chain, bound.numerator, bound.denominator)
-    return above - _variations_at_infinity(chain)
+    return _roots_above(poly._sturm[1], bound.numerator, bound.denominator)
 
 
 def spectral_radius_interval(matrix: IntMatrix) -> RationalInterval:
@@ -516,11 +469,13 @@ def _largest_root_interval(chi: IntPolynomial) -> RationalInterval | None:
     more than a cell off (as near a multiple root), a float overflow or a
     complex pair to the right of the largest real root.
 
-    The fallback bisects the same grid from ``(lo, hi] = (-bound, bound] *
+    The fallback reads one Sturm count on the chain of ``chi._sturm``,
+    ``_roots_above``, three ways.  No root above -bound means no real root.
+    Then it bisects the same grid from ``(lo, hi] = (-bound, bound] *
     scale`` to one cell at ``mid = lo + (hi - lo) // (2 * step) * step``,
-    which becomes the lower end when the Sturm count of ``chi._sturm``
-    shows a root of chi above it.  One check on the final cell returns its
-    integer as a point when it is a root with none above it.
+    which becomes the lower end when a root lies above it.  One check on
+    the final cell returns its integer as a point when it is a root with
+    none above it.
     """
     bound = 1 + max(abs(c) for c in chi.coeffs[:-1])
     step = 2 * bound
@@ -531,21 +486,20 @@ def _largest_root_interval(chi: IntPolynomial) -> RationalInterval | None:
     if certified is not None:
         return certified
     sf, chain = chi._sturm
-    at_infinity = _variations_at_infinity(chain)
-    # no real root when the counts at -infinity and +infinity agree
-    if _variations([(-1) ** f.degree() * f.leading() for f in chain]) == at_infinity:
+    # every real root lies above -bound, so no root above it means none at all
+    if not _roots_above(chain, -bound, 1):
         return None
     # invariant: the largest real root lies in (lo, hi]
     lo, hi = -bound * scale, bound * scale
     while hi - lo > step:
         mid = lo + (hi - lo) // (2 * step) * step
-        if _variations_at(chain, mid, scale) > at_infinity:
+        if _roots_above(chain, mid, scale):
             lo = mid
         else:
             hi = mid
     candidate = hi // scale
     if lo < candidate * scale and sf.evaluate(candidate) == 0:
-        if _variations_at(chain, candidate, 1) == at_infinity:
+        if not _roots_above(chain, candidate, 1):
             return RationalInterval(candidate, candidate)
     return RationalInterval(Fraction(lo, scale), Fraction(hi, scale))
 

@@ -86,7 +86,7 @@ def small_vectors(dim):
 
 def curve_vectors(dim):
     """Small curves, or curves with entries up to 2**40, wider than the
-    packed power table's slots, so the table is rebuilt for them."""
+    slots of the packed powers kept with chi, so those are repacked."""
     return st.one_of(small_vectors(dim), st.tuples(*([st.integers(-(2**40), 2**40)] * dim)))
 
 
@@ -223,44 +223,45 @@ def shared_curve_calls(draw):
 
 @settings(deadline=None)
 @given(shared_curve_calls())
-def test_cached_curve_rows_match_matrix_vector_products(case):
+def test_curve_rows_match_matrix_vector_products(case):
     rows, curves, divisors, calls = case
     matrix = IntMatrix(rows)
     assume(det(matrix) != 0)
     spec = NumericalActionSpec(matrix, curves)
+    n = matrix.dim
+    for curve in curves:
+        vec, want = curve, []
+        for _ in range(n):
+            want.append(vec)
+            vec = tuple(sum(c * r[j] for c, r in zip(vec, rows)) for j in range(n))
+        for max_m in range(n):
+            assert dynamics._curve_rows(matrix, curve, max_m) == want[: max_m + 1]
     for c, d, max_m in calls:
         divisor, curve = DivisorClass(divisors[d]), CurveFunctional(curves[c])
         expected = reference_orbit_pairings(spec, divisor, curve, max_m)
         assert orbit_pairings(spec, divisor, curve, max_m) == expected
-    # one row sequence per distinct curve, kept on the matrix
-    assert set(matrix._curve_row_cache) == {tuple(curves[c]) for c, _, _ in calls}
 
 
-def test_wide_curve_rebuilds_the_power_table_only():
-    # ||P||_inf = 7: the table holds curves with ||C||_1 below 2**4, so the
-    # second curve, paired after the first, rebuilds it wider
+def test_pairing_a_wide_curve_leaves_the_matrix_cache_alone():
+    # ||P||_inf = 7: the kept slots hold curves with ||C||_1 below 2**4, so
+    # the wide curve's rows come from powers repacked for that call only
     rows = [[3, -1, 2], [0, 2, -5], [1, 1, 1]]
     matrix = IntMatrix(rows)
     narrow, wide = (1, 2, 3), (2**40, -(2**39), 7)
     spec = NumericalActionSpec(matrix, [narrow, wide])
-    chi = char_poly(matrix)
     divisor = DivisorClass((1, -1, 2))
-    narrow_rows = matrix._curve_rows(narrow)
-    width = matrix._power_table[1]
-    orbit_pairings(spec, divisor, CurveFunctional(wide), 9)
-    assert matrix._power_table[1] > width
-    assert char_poly(matrix) is chi
-    assert chi == char_poly(IntMatrix(rows))
-    assert matrix._curve_rows(narrow) is narrow_rows
-    for curve in (narrow, wide):
-        vec = curve
-        for row in matrix._curve_rows(curve):
-            assert row == vec
-            vec = tuple(sum(c * r[j] for c, r in zip(vec, rows)) for j in range(3))
+    cached = matrix._chi_and_powers
+    chi, _, _, powers = cached
+    packed = [list(power) for power in powers]
+    for curve in (wide, narrow, wide):
         curve = CurveFunctional(curve)
         assert orbit_pairings(spec, divisor, curve, 9) == reference_orbit_pairings(
             spec, divisor, curve, 9
         )
+    assert matrix._chi_and_powers is cached
+    assert char_poly(matrix) is chi and powers == packed
+    assert chi == char_poly(IntMatrix(rows))
+    assert list(vars(matrix)) == ["_chi_and_powers"]
 
 
 def test_orbit_rejects_negative_max_m():
