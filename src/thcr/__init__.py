@@ -52,7 +52,6 @@ _EXPORTS = {
         "grade_dimension",
         "grade_of_degree",
         "growth_class",
-        "monomials",
         "twist_degree",
         "twisted_product",
     ),

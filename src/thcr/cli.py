@@ -151,12 +151,8 @@ def _run_ampleness(config: argparse.Namespace) -> tuple:
     _require_rows(config.curves, "--curves")
     if not _is_int_list(config.divisor):
         raise UsageError("--divisor must be a JSON list of integers")
-    try:
-        spec = NumericalActionSpec(config.matrix, config.curves)
-        divisor = DivisorClass(tuple(config.divisor))
-        report = classify_ampleness(spec, divisor)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc))
+    spec = NumericalActionSpec(config.matrix, config.curves)
+    report = classify_ampleness(spec, DivisorClass(tuple(config.divisor)))
     results = {
         "left": report.left.value,
         "right": report.right.value,

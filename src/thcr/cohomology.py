@@ -20,18 +20,11 @@ is a polynomial of degree m in r**n, so ``_top_column`` sums m + 1
 geometric columns, one big-by-small product each per grade, instead of
 ``math.comb``'s big-by-big product tree, and divides each sum, a multiple
 of m! (r - 1)**m, by that constant as a shift by its power of two and a
-floor division by its odd part, skipped when the odd part is 1.  The
-top-degree closed form in ``_top`` serves only ``h``; the scans check
-their arguments once per scan by ``_check_scan_args``.
-
-A ``ScanRow`` is a tuple underneath.  ``_scan`` builds the rows one
-cohomology index q at a time, all in C: for each q, ``map`` applies
-``tuple.__new__`` with the class to a ``zip`` of the grades, the degrees,
-q and the values (zeros for q < m, the top column for q = m), and one
-extended-slice assignment puts those rows at every m-th index of one list,
-from index q - 1, so the rows come out grade by grade and, within a grade,
-by q.  Each map yields exactly one row per grade, so every slot is filled.
-No Python frame runs per row.
+floor division by its odd part, skipped when the odd part is 1.  ``h``
+evaluates the same closed form one degree at a time; the scans check
+their arguments once per scan by ``_check_scan_args``.  A ``ScanRow`` is
+a tuple underneath, and ``_scan`` builds the rows in C, one cohomology
+index at a time.
 """
 
 from __future__ import annotations
@@ -47,11 +40,6 @@ from .ring import PowerRingSpec, _exact_int, _Record
 _new_tuple = tuple.__new__
 
 
-def _top(space_dim: int, degree: int) -> int:
-    """dim H^m of O(``degree``) on P^m, m = ``space_dim``, by Serre duality."""
-    return math.comb(-degree - 1, space_dim) if degree <= -space_dim - 1 else 0
-
-
 def h(space_dim: int, degree: int, q: int) -> int:
     """dim H^q of the degree-``degree`` line bundle on projective ``space_dim``-space."""
     space_dim = _exact_int("space_dim", space_dim)
@@ -63,8 +51,8 @@ def h(space_dim: int, degree: int, q: int) -> int:
         raise ValueError(f"cohomology index {q} out of range 0..{space_dim}")
     if q == 0:
         return math.comb(degree + space_dim, space_dim) if degree >= 0 else 0
-    if q == space_dim:
-        return _top(space_dim, degree)
+    if q == space_dim:  # Serre duality
+        return math.comb(-degree - 1, space_dim) if degree <= -space_dim - 1 else 0
     return 0
 
 
@@ -94,9 +82,10 @@ class RightScanResult(_Record):
 
     ``stabilized_at`` is the smallest n from which all higher cohomology
     vanishes through the end of the window, or None if it never does.
+    t and max_n are the scan's arguments.
     """
 
-    __slots__ = ("twist", "max_n", "stabilized_at", "rows")
+    __slots__ = ("stabilized_at", "rows")
 
     @property
     def citations(self) -> tuple[str, ...]:
@@ -114,7 +103,7 @@ class LeftScanResult(_Record):
     when set, the scan witnesses failure of vanishing on the left.
     """
 
-    __slots__ = ("twist", "max_n", "nonvanishing_from", "rows")
+    __slots__ = ("nonvanishing_from", "rows")
 
     @property
     def nonvanishing(self) -> bool:
@@ -157,9 +146,11 @@ def _scan(spec: PowerRingSpec, max_n: int, degree: int, step: int,
     """Rows for d_0 = ``degree``, d_{n+1} = r * d_n + ``step``, and the split.
 
     The rows of grade n are (n, d_n, q, 0) for 0 < q < m, then
-    (n, d_n, m, h^m(d_n)); each q's rows come from one ``map`` over all
-    grades, assigned to the list slice [q - 1::m], which puts them in that
-    order.
+    (n, d_n, m, h^m(d_n)).  Each q's rows come from one ``map`` of
+    ``tuple.__new__`` with the class over a ``zip`` of the grades, the
+    degrees, q and the values (zeros for q < m, the tops for q = m), one
+    row per grade; assigned to the list slice [q - 1::m], they fill every
+    m-th slot in that order, and no Python frame runs per row.
     H^m(O(d)) is nonzero exactly when d <= -m - 1, where it is
     C(-d - 1, m) = C(~d, m), so the scan finds the grades that satisfy this
     and evaluates binomials only there; for m = 1 no binomial at all, since
@@ -227,11 +218,11 @@ def right_vanishing_scan(spec: PowerRingSpec, twist: int, max_n: int) -> RightSc
     """Smallest n0 with H^q(O(twist + e_n)) = 0 for all q > 0, n0 <= n <= max_n."""
     twist, max_n = _check_scan_args(spec, twist, max_n)
     rows, n0 = _scan(spec, max_n, twist, 1 - (spec.power - 1) * twist, True)
-    return RightScanResult(twist, max_n, n0, rows)
+    return RightScanResult(n0, rows)
 
 
 def left_vanishing_scan(spec: PowerRingSpec, twist: int, max_n: int) -> LeftScanResult:
     """Scan the left-twisted degrees e_n + r**n * twist for persistent cohomology."""
     twist, max_n = _check_scan_args(spec, twist, max_n)
     rows, start = _scan(spec, max_n, twist, 1, False)
-    return LeftScanResult(twist, max_n, start, rows)
+    return LeftScanResult(start, rows)

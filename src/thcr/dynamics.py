@@ -131,7 +131,8 @@ class Verdict(enum.Enum):
 
 
 class AmplenessReport(_Record):
-    """The left and right verdicts, the radius enclosure and their reasons."""
+    """The left and right verdicts, the radius enclosure, and the reasons in
+    the order the classifier reached them."""
 
     __slots__ = ("left", "right", "spectral_radius", "quasi_unipotent",
                  "ample_eigenvector", "reasons")
@@ -307,7 +308,7 @@ def classify_ampleness(
     quasi_unipotent = is_quasi_unipotent(matrix)
     reasons: list[str] = []
     if quasi_unipotent:
-        interval: RationalInterval | None = RationalInterval.point(1)
+        interval: RationalInterval | None = RationalInterval(1, 1)
     else:
         try:
             interval = spectral_radius_interval(matrix)

@@ -204,14 +204,6 @@ class RationalInterval(_Record):
         _setattr(self, "lo", lo)
         _setattr(self, "hi", hi)
 
-    @classmethod
-    def point(cls, value) -> "RationalInterval":
-        return cls(value, value)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
 
 def _is_rational(x) -> bool:
     """True for ints and Fractions, the exact rationals; bools are not."""
@@ -338,16 +330,6 @@ def _primitive(poly: IntPolynomial) -> IntPolynomial:
     return IntPolynomial._of([c // content for c in poly.coeffs])
 
 
-def squarefree_part(poly: IntPolynomial) -> IntPolynomial:
-    """The radical of an integer polynomial: same roots, all simple.
-
-    Returned primitive with positive leading coefficient.  The zero
-    polynomial, of which every real number is a root, raises ``ValueError``.
-    It is the first member of ``poly._sturm``, computed once per polynomial.
-    """
-    return poly._sturm[0]
-
-
 def _squarefree_sturm(poly: IntPolynomial) -> tuple[IntPolynomial, tuple[IntPolynomial, ...]]:
     """``poly``'s squarefree part and a Sturm chain for its distinct roots.
 
@@ -356,6 +338,9 @@ def _squarefree_sturm(poly: IntPolynomial) -> tuple[IntPolynomial, tuple[IntPoly
     above a point, also at a root (Basu, Pollack and Roy, *Algorithms in
     Real Algebraic Geometry*, ch. 2), and the first is the squarefree part.
     g is made primitive, so by Gauss's lemma each division is exact over Z.
+    The squarefree part (same roots, all simple) is primitive with positive
+    leading coefficient, a nonzero constant is returned as it is, and the
+    zero polynomial, of which every real number is a root, raises ValueError.
     """
     if poly.is_zero():
         raise ValueError("the zero polynomial has every real number as a root")
@@ -455,7 +440,9 @@ def _largest_root_interval(chi: IntPolynomial) -> RationalInterval | None:
     0 <= i < scale.  A cell is narrower than 1/2, so it holds at most one
     integer, ``hi // scale``.  A rational root of a monic integer polynomial
     is an integer, so the answer is that integer when it is the largest root
-    and otherwise the cell with the largest root inside.
+    and otherwise the cell with the largest root inside.  The grid is chi's
+    own: a repeated factor, which raises chi's Cauchy bound above its
+    squarefree part's, moves the cell of an irrational largest root.
 
     The certificate, ``_certified_largest_root``, builds no Sturm chain: it
     tests ``round`` of a float guess as an integer root, or chi's signs at

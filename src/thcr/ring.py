@@ -8,19 +8,18 @@ n-th graded piece is the space of degree-e_n forms, where
 and the product of a grade-a piece with a grade-b piece raises the second
 factor's exponents by r**a before multiplying.  Since the twist fixes the
 base field, products of monomials are monomials, so generation questions
-reduce to exponent-vector combinatorics; this module provides the graded
-pieces, the twisted product, a decomposability test (which the tests check
-against brute-force enumeration), generator counting, and a growth
-classifier; ``generation_report`` and ``growth_report`` carry verdicts
-that hold in every grade, from (m, r) alone, and the citation ids those
-rest on.
+reduce to exponent-vector combinatorics; this module provides the degree
+and dimension of each graded piece, the twisted product, a decomposability
+test (which the tests check against brute-force enumeration), generator
+counting, and a growth classifier; ``generation_report`` and
+``growth_report`` carry verdicts that hold in every grade, from (m, r)
+alone, and the citation ids those rest on.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 import operator
 
@@ -213,10 +212,6 @@ class Monomial(_Record):
         _setattr(self, "exps", exps)
         return self
 
-    @classmethod
-    def unit(cls, nvars: int) -> Monomial:
-        return cls((0,) * nvars)
-
     @property
     def degree(self) -> int:
         return sum(self.exps)
@@ -267,22 +262,12 @@ def grade_dimension(spec: PowerRingSpec, n: int) -> int:
     return math.comb(twist_degree(spec, n) + spec.dim, spec.dim)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Every ``parts``-tuple of nonnegative ints summing to ``total``, lexicographically.
-
-    Stars and bars: the ``parts - 1`` bars are a non-decreasing choice of
-    cuts in 0..total, and each part is the gap between two cuts.
-    """
-    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
-        yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
-
-
 def _sorted_parts(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
     """Every non-increasing ``parts``-tuple of ints in 0..cap summing to ``total``.
 
-    The tuples come lexicographically, as from ``_compositions``; the head
-    runs from ceil(total / parts), the least a largest part can be, to the
-    cap, and the tail is walked under the head as its cap.
+    The tuples come in lexicographic order; the head runs from
+    ceil(total / parts), the least a largest part can be, to the cap, and
+    the tail is walked under the head as its cap.
     """
     if parts == 1:
         if total <= cap:
@@ -307,12 +292,6 @@ def _orbit_size(z: tuple[int, ...]) -> int:
         else:
             run = 1
     return size
-
-
-def monomials(spec: PowerRingSpec, n: int) -> Iterator[Monomial]:
-    """All monomials of the grade-n piece, in lexicographic exponent order."""
-    for exps in _compositions(twist_degree(spec, n), spec.nvars):
-        yield Monomial(exps)
 
 
 def _require_grade(spec: PowerRingSpec, mono: Monomial, n: int) -> int:

@@ -1,4 +1,5 @@
-"""Reference implementations for ``thcr.ring``: the exhaustive
+"""Reference implementations for ``thcr.ring``: the enumeration of every
+monomial of a grade that the exhaustive tests walk, the exhaustive
 decomposability search that ``decompose_fast`` is checked against, the
 residue form of ``decompose_fast`` whose witnesses it must reproduce
 exactly, the base-r carry automaton that counts new generators without a
@@ -6,16 +7,33 @@ walk, the uniform monomial draw the randomized tests sample from, and the
 sampled associativity check of the twisted product.  Nothing in the
 library uses them."""
 
+import itertools
+import operator
 import random
 
 from thcr.ring import (
     DecompositionWitness,
     Monomial,
-    _compositions,
     _require_grade,
     twist_degree,
     twisted_product,
 )
+
+
+def _compositions(total, parts):
+    """Every ``parts``-tuple of nonnegative ints summing to ``total``, lexicographically.
+
+    Stars and bars: the ``parts - 1`` bars are a non-decreasing choice of
+    cuts in 0..total, and each part is the gap between two cuts.
+    """
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
+
+
+def monomials(spec, n):
+    """All monomials of the grade-n piece, in lexicographic exponent order."""
+    for exps in _compositions(twist_degree(spec, n), spec.nvars):
+        yield Monomial(exps)
 
 
 def decompose_brute(spec, z, n):

@@ -5,6 +5,8 @@ from cli_helper import invoke
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from thcr.dynamics import DivisorClass, NumericalActionSpec, classify_ampleness
+
 
 def test_gens_binary_line():
     result = invoke("gens", "--p", "2", "--m", "1", "--max-n", "6")
@@ -84,10 +86,23 @@ def test_inputs_echo_parsed_options():
     assert set(doc["inputs"]) == {"power", "m", "maxN", "budget", "format"}
 
 
-def test_ampleness_rejects_singular():
-    result = invoke("ampleness", "--matrix", "[[1, 1], [1, 1]]", "--divisor", "[1, 0]",
-                    "--curves", "[[1, 0]]")
-    assert result.exit_code == 2
+@pytest.mark.parametrize("matrix, curves, divisor", [
+    ([[1, 2]], [[1, 0]], [1, 0]),
+    ([], [[1]], [1]),
+    ([[2]], [], [1]),
+    ([[2, 1], [1, 1]], [[1, 0, 0]], [1, 0]),
+    ([[2, 1], [1, 1]], [[1, 0]], [1]),
+    ([[1, 1], [1, 1]], [[1, 0]], [1, 0]),
+], ids=["non-square", "empty-matrix", "no-curves", "curve-length", "divisor-length",
+        "singular"])
+def test_ampleness_rejects_invalid_input(matrix, curves, divisor):
+    # well-formed JSON the library rejects: the CLI exits 2 with its message
+    with pytest.raises(ValueError) as raised:
+        classify_ampleness(NumericalActionSpec(matrix, curves), DivisorClass(divisor))
+    result = invoke("ampleness", "--matrix", json.dumps(matrix), "--divisor",
+                    json.dumps(divisor), "--curves", json.dumps(curves))
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.splitlines()[-1] == f"thcr ampleness: error: {raised.value}"
 
 
 def test_cohomology_scans():

@@ -37,7 +37,6 @@ from thcr.intlinalg import (
     det,
     is_quasi_unipotent,
     spectral_radius_interval,
-    squarefree_part,
 )
 
 
@@ -98,7 +97,7 @@ def reference_radius_interval(matrix):
     """
     chi = char_poly(matrix)
     # a copy, so that the library's chi caches no Sturm chain from here
-    sf = squarefree_part(IntPolynomial(*chi.coeffs))
+    sf = IntPolynomial(*chi.coeffs)._sturm[0]
     bound = 1 + max(abs(Fraction(c, chi.leading())) for c in chi.coeffs[:-1])
     if count_real_roots_above(sf, -bound) == 0:
         raise NoRealEigenvalueError("no real eigenvalue")
@@ -282,16 +281,15 @@ def test_squarefree_chi_runs_no_gcd(monkeypatch):
     assert builds == [chi]
     assert sf == IntPolynomial(1, -3, 1) * IntPolynomial(-5, 1)
     assert chain[0] == sf and chain[-1].degree() == 0
-    # squarefree_part reads the cached pair, building it once per polynomial
-    assert squarefree_part(chi) is sf
+    # the pair is cached, built once per polynomial
+    assert chi._sturm[0] is sf
     assert builds == [chi]
     other = IntPolynomial(*chi.coeffs)
-    assert squarefree_part(other) is other._sturm[0]
-    assert squarefree_part(other) == sf
+    assert other._sturm[0] == sf
     assert builds == [chi, other]
     zero = IntPolynomial()
     with pytest.raises(ValueError, match="zero polynomial"):
-        squarefree_part(zero)
+        zero._sturm
     assert "_sturm" not in vars(zero)
 
 
@@ -371,7 +369,7 @@ def test_sturm_matches_two_sequence_construction(factors, content):
         with pytest.raises(ValueError, match="zero polynomial"):
             count_real_roots_above(poly, 0)
         with pytest.raises(ValueError, match="zero polynomial"):
-            squarefree_part(poly)
+            poly._sturm
         return
     reference = two_sequence_sturm_chain(poly)
     at_infinity = sign_changes([f[-1] for f in reference])
@@ -402,7 +400,7 @@ def test_spectral_radius_golden_ratio():
     fib = IntMatrix([[1, 1], [1, 0]])
     chi = char_poly(fib)  # x**2 - x - 1, increasing through its largest root
     interval = spectral_radius_interval(fib)
-    assert interval.width <= DEFAULT_RADIUS_WIDTH
+    assert interval.hi - interval.lo <= DEFAULT_RADIUS_WIDTH
     assert chi.evaluate(interval.lo) <= 0 <= chi.evaluate(interval.hi)
     assert count_real_roots_above(chi, interval.hi) == 0
 
@@ -557,7 +555,7 @@ def test_certificate_gallops_one_cell_to_the_root():
     chi = char_poly(matrix)
     guess = Fraction(intlinalg._float_largest_root(chi))
     interval = spectral_radius_interval(matrix)
-    assert interval.lo - interval.width < guess < interval.lo
+    assert 2 * interval.lo - interval.hi < guess < interval.lo
     assert (interval.lo, interval.hi) == reference_radius_interval(matrix)
     assert "_sturm" not in vars(chi)
 
@@ -567,7 +565,7 @@ def test_certificate_steps_one_cell_down_to_the_root():
     chi = char_poly(matrix)
     guess = Fraction(intlinalg._float_largest_root(chi))
     interval = spectral_radius_interval(matrix)
-    assert interval.hi < guess < interval.hi + interval.width
+    assert interval.hi < guess < 2 * interval.hi - interval.lo
     assert (interval.lo, interval.hi) == reference_radius_interval(matrix)
     assert "_sturm" not in vars(chi)
 
@@ -915,7 +913,7 @@ def test_quasi_unipotent_with_fixed_vector_has_radius_one():
     for rows in ([[1]], [[1, 1], [0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]):
         matrix = IntMatrix(rows)
         assert is_quasi_unipotent(matrix)
-        assert spectral_radius_interval(matrix) == RationalInterval.point(1)
+        assert spectral_radius_interval(matrix) == RationalInterval(1, 1)
 
 
 def test_cyclotomic_indices_match_brute_force():
@@ -1001,7 +999,7 @@ def sympy_poly(poly):
 def test_squarefree_part_matches_sympy(factors):
     poly = expand(factors)
     expected = tuple(int(c) for c in reversed(sympy_poly(poly).sqf_part().all_coeffs()))
-    assert squarefree_part(poly).coeffs in (expected, tuple(-c for c in expected))
+    assert poly._sturm[0].coeffs in (expected, tuple(-c for c in expected))
 
 
 @settings(deadline=None)
@@ -1032,7 +1030,7 @@ def test_spectral_radius_encloses_sympy_largest_root(factors):
     matrix = companion(poly)
     assert char_poly(matrix) == poly
     interval = spectral_radius_interval(matrix)
-    assert interval.width <= DEFAULT_RADIUS_WIDTH
+    assert interval.hi - interval.lo <= DEFAULT_RADIUS_WIDTH
     lo = sympy.Rational(interval.lo.numerator, interval.lo.denominator)
     hi = sympy.Rational(interval.hi.numerator, interval.hi.denominator)
     assert lo <= max(roots) <= hi
@@ -1070,7 +1068,6 @@ def test_interval_takes_ints_and_fractions():
                      RationalInterval(Fraction(2, 2), hi=Fraction(6, 4))):
         assert (interval.lo, interval.hi) == (1, Fraction(3, 2))
         assert type(interval.lo) is Fraction and type(interval.hi) is Fraction
-    assert RationalInterval.point(-3) == RationalInterval(-3, -3)
     with pytest.raises(ValueError):
         RationalInterval(2, 1)
 

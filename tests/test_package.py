@@ -10,6 +10,7 @@ import importlib
 import json
 import pkgutil
 import re
+import shlex
 import sys
 
 import pytest
@@ -27,7 +28,7 @@ PUBLIC_NAMES = [
     "det", "dynamics",
     "generator_degrees", "grade_dimension", "grade_of_degree",
     "growth_class", "h", "intlinalg", "is_quasi_unipotent",
-    "left_vanishing_scan", "monomials", "non_left_ample_witness", "orbit_pairings",
+    "left_vanishing_scan", "non_left_ample_witness", "orbit_pairings",
     "pairing", "right_vanishing_scan", "ring", "spectral_radius_interval",
     "twist_degree", "twisted_product",
 ]
@@ -182,6 +183,8 @@ def test_option_prefixes_are_not_abbreviations():
 def test_public_names_are_unchanged():
     assert sorted(thcr.__all__) == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(thcr))
+    # the enumerator is a test oracle (tests/ring_oracles.py), not library API
+    assert len(PUBLIC_NAMES) == 43 and not hasattr(thcr, "monomials")
 
 
 def test_star_import_binds_every_public_name():
@@ -227,3 +230,33 @@ def test_readme_library_example():
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["{1: 3, 2: 1, 3: 3, 4: 9}", "No Yes"]
+
+
+def readme_commands():
+    """Each ``thcr ...`` line of the README's command-line block, as argv past ``thcr``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("thcr ")]
+
+
+def test_readme_command_line_examples():
+    docs = {}
+    for argv in readme_commands():
+        result = invoke(*argv)
+        assert result.exit_code == 0, (argv, result.stderr)
+        if "csv" not in argv:
+            docs[" ".join(argv)] = json.loads(result.stdout)["results"]
+    assert len(docs) == 7
+    # the comments: none past grade 1, 3 * 4**(n - 2) and 2**(n - 2) new generators
+    for command, new in [("gens --p 2 --m 1 --max-n 6", lambda n: 0),
+                         ("gens --p 5 --m 1 --max-n 8", lambda n: 3 * 4**(n - 2)),
+                         ("gens --p 3 --m 1 --max-n 40", lambda n: 2**(n - 2))]:
+        counts = docs[command]["counts"]
+        max_n = int(command.split()[-1])
+        assert counts == {"1": 2, **{str(n): new(n) for n in range(2, max_n + 1)}}
+    identity = docs["ampleness --matrix [[1,0],[0,1]] --divisor [1,1] --curves [[1,0],[0,1]]"]
+    assert (identity["right"], identity["left"]) == ("Yes", "Undetermined")
+    growth = docs["growth --p 2 --m 1 --max-n 10"]
+    assert (growth["growthClass"], growth["noetherian"]) == ("Exponential", False)

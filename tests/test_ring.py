@@ -10,10 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from ring_oracles import (
+    _compositions,
     associativity_check,
     automaton_counts,
     decompose_brute,
     decompose_residue,
+    monomials,
     random_monomial,
 )
 
@@ -39,7 +41,6 @@ from thcr.ring import (
     Monomial,
     PowerRingSpec,
     _carry_jumps,
-    _compositions,
     _orbit_size,
     _sorted_parts,
     decompose_fast,
@@ -49,7 +50,6 @@ from thcr.ring import (
     grade_of_degree,
     growth_class,
     growth_report,
-    monomials,
     twist_degree,
     twisted_product,
 )
@@ -187,7 +187,7 @@ def test_product_binary_line():
 
 def test_product_unit_laws():
     for spec in SPEC_GRID:
-        one = Monomial.unit(spec.nvars)
+        one = Monomial((0,) * spec.nvars)
         rng = random.Random(5)
         for n in range(4):
             v = random_monomial(spec, n, rng)
@@ -884,14 +884,12 @@ RECORDS = [
      "noetherian=False, citations=())"),
     (ScanRow(n=0, degree=-3, q=1, value=1), ScanRow(0, -3, 1, 1), ScanRow(0, -3, 1, 2),
      "ScanRow(n=0, degree=-3, q=1, value=1)"),
-    (RightScanResult(twist=-3, max_n=0, stabilized_at=None, rows=(_ROW,)),
-     RightScanResult(-3, 0, None, (_ROW,)), RightScanResult(-3, 0, 0, (_ROW,)),
-     "RightScanResult(twist=-3, max_n=0, stabilized_at=None, "
-     "rows=(ScanRow(n=0, degree=-3, q=1, value=1),))"),
-    (LeftScanResult(twist=-3, max_n=0, nonvanishing_from=0, rows=(_ROW,)),
-     LeftScanResult(-3, 0, 0, (_ROW,)), LeftScanResult(-3, 0, 0, ()),
-     "LeftScanResult(twist=-3, max_n=0, nonvanishing_from=0, "
-     "rows=(ScanRow(n=0, degree=-3, q=1, value=1),))"),
+    (RightScanResult(stabilized_at=None, rows=(_ROW,)),
+     RightScanResult(None, (_ROW,)), RightScanResult(0, (_ROW,)),
+     "RightScanResult(stabilized_at=None, rows=(ScanRow(n=0, degree=-3, q=1, value=1),))"),
+    (LeftScanResult(nonvanishing_from=0, rows=(_ROW,)),
+     LeftScanResult(0, (_ROW,)), LeftScanResult(0, ()),
+     "LeftScanResult(nonvanishing_from=0, rows=(ScanRow(n=0, degree=-3, q=1, value=1),))"),
     (IntPolynomial(-2, 1), IntPolynomial(-2, 1, 0), IntPolynomial(2, 1), "IntPolynomial(-2, 1)"),
     (IntMatrix(rows=[[2, 1], [1, 1]]), IntMatrix(((2, 1), (1, 1))), IntMatrix([[1, 1], [1, 2]]),
      "IntMatrix(rows=((2, 1), (1, 1)))"),
@@ -960,9 +958,9 @@ BAD_CALLS = [
     (DecompositionWitness, (), {"a": 1, "b": 1, "u": _MONO}),
     (DecompositionWitness, (1, 1, _MONO, _MONO), {"w": 0}),
     (DecompositionWitness, (1, 1, _MONO), {"v": _MONO, "a": 1}),
-    (RightScanResult, (-3, 0, None), {}),
-    (LeftScanResult, (), {"twist": -3, "max_n": 0, "nonvanishing_from": 0, "rows": (),
-                          "extra": 1}),
+    # twist and max_n are the scans' arguments, not fields of their records
+    (RightScanResult, (-3, None, ()), {}),
+    (LeftScanResult, (), {"twist": -3, "max_n": 0, "nonvanishing_from": 0, "rows": ()}),
     (NonLeftAmpleWitness, (DivisorClass((2,)), _CURVE, 8), {}),
     (AmplenessReport, (), {"left": Verdict.NO}),
     (ScanRow, (0, -3, 1), {}),
