@@ -14,5 +14,7 @@ POLYNOMIAL_RING = "identity-power-ring-is-the-noetherian-polynomial-ring"
 GENERATED_IN_DEGREE_ONE = "binary-power-ring-on-the-line-generated-in-degree-one"
 NEW_GENERATORS_EVERY_DEGREE = "power-ring-needs-new-generators-in-every-degree"
 EXPONENTIAL_GROWTH_NOT_NOETHERIAN = "exponential-section-growth-rules-out-noetherian"
+RIGHT_IDEAL_CHAIN = "power-ring-monomial-right-ideal-chain-ascends-strictly"
+LEFT_IDEAL_CHAIN = "power-ring-monomial-left-ideal-chain-ascends-strictly"
 PERSISTENT_TOP_COHOMOLOGY = "persistent-positive-cohomology-blocks-left-ampleness"
 EVENTUAL_VANISHING = "eventual-positive-cohomology-vanishing-supports-right-ampleness"

@@ -60,6 +60,11 @@ def _interval_json(interval: RationalInterval | None) -> dict | None:
     }
 
 
+def _by_grade(rows, first: int) -> dict:
+    """``rows`` as a JSON object keyed by grade, the first row in grade ``first``."""
+    return {str(n): row for n, row in enumerate(rows, first)}
+
+
 def _run_dims(config: argparse.Namespace) -> tuple:
     spec = PowerRingSpec(dim=config.m, power=config.power)
     max_n = config.max_n
@@ -77,20 +82,22 @@ def _run_gens(config: argparse.Namespace) -> tuple:
     spec = PowerRingSpec(dim=config.m, power=config.power)
     budget = DEFAULT_BUDGET if config.budget is None else config.budget
     report = generation_report(spec, config.max_n, budget=budget)
-    counts = list(enumerate(report.counts, 1))
     results = {
-        "counts": {str(n): count for n, count in counts},
+        "counts": _by_grade(report.counts, 1),
         "generatedInDegreeOne": report.generated_in_degree_one,
-        "witnesses": {str(n): z for n, z in enumerate(report.witnesses, 2)},
+        "witnesses": _by_grade(report.witnesses, 2),
         "budget": budget,
     }
-    return results, report.citations, (("n", "new_generators"), counts)
+    csv_rows = list(enumerate(report.counts, 1))
+    return results, report.citations, (("n", "new_generators"), csv_rows)
 
 
 def _run_growth(config: argparse.Namespace) -> tuple:
     report = growth_report(PowerRingSpec(dim=config.m, power=config.power), config.max_n)
     results = {"dims": report.dims, "growthClass": report.growth_class.value,
-               "noetherian": report.noetherian}
+               "noetherian": report.noetherian,
+               "rightChain": _by_grade(report.right_chain, 1),
+               "leftChain": _by_grade(report.left_chain, 1)}
     return results, report.citations, (("n", "dim"), list(enumerate(report.dims)))
 
 

@@ -13,7 +13,8 @@ and dimension of each graded piece, the twisted product, a decomposability
 test (which the tests check against brute-force enumeration), generator
 counting, and a growth classifier; ``generation_report`` and
 ``growth_report`` carry verdicts that hold in every grade, from (m, r)
-alone, and the citation ids those rest on.
+alone, with the citation ids those rest on; the growth report's
+``right_chain`` and ``left_chain`` show why ACC fails on each side.
 """
 
 from __future__ import annotations
@@ -607,10 +608,13 @@ def growth_class(dims) -> GrowthClass:
 
 class GrowthReport(_Record):
     """The dimensions of grades 0..max_n, the ring's ``growth_class`` and
-    whether it is ``noetherian``, both in every grade, and the citation id
-    of that verdict."""
+    whether it is ``noetherian``, both in every grade, the citation ids of
+    that verdict, and, for r >= 2, the exponents of g_1..g_max_n of a
+    strictly ascending right and left ideal chain (``right_chain``,
+    ``left_chain``; both empty for r = 1)."""
 
-    __slots__ = ("dims", "growth_class", "noetherian", "citations")
+    __slots__ = ("dims", "growth_class", "noetherian", "citations", "right_chain",
+                 "left_chain")
 
 
 def growth_report(spec: PowerRingSpec, max_n: int) -> GrowthReport:
@@ -624,14 +628,41 @@ def growth_report(spec: PowerRingSpec, max_n: int) -> GrowthReport:
     and no factor falls as e_n grows, since (r - 1) i >= 1; at e_0 = 0 the
     factors are (1 + i) / i.  So the ratio is at least m + 1 in every grade: the growth is
     exponential, and a graded noetherian algebra grows subexponentially
-    (Stephenson-Zhang 1997).  ``max_n`` must be an integer >= 0.
+    (Stephenson-Zhang 1997).
+
+    For r >= 2 the report also carries g_1..g_max_n of two chains, g_k in
+    grade k.  A product of monomials is the monomial u * v = u + r**a v,
+    a the grade of u, so a one-sided ideal that monomials generate is
+    spanned by monomials, and a monomial lies in a sum of such ideals only
+    if it lies in one of them.  So g_k outside g_j B (or B g_j) for every
+    j < k makes the ideals that g_1, ..., g_k generate ascend strictly on
+    that side, and ACC fails on both sides.
+
+    * Right: g_k = x_0**e_{k-1} x_1**(r**(k-1)).  g_k in g_j B needs r**j
+      to divide g_k - g_j, whose x_1 entry r**(j-1) (r**(k-j) - 1) has
+      r-adic valuation j - 1.
+    * Left: g_k = x_0 x_1**(e_k - 1).  g_k in B g_j needs
+      g_k >= r**(k-j) g_j in every coordinate, which fails at x_0, as
+      1 < r**(k-j).
+
+    ``max_n`` must be an integer >= 0.
     """
     max_n = _exact_int("max_n", max_n)
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     dims = tuple([grade_dimension(spec, n) for n in range(max_n + 1)])
-    if spec.power == 1:
+    r = spec.power
+    if r == 1:
         return GrowthReport(dims, GrowthClass.POLYNOMIAL_BOUNDED, True,
-                            (citations.POLYNOMIAL_RING,))
+                            (citations.POLYNOMIAL_RING,), (), ())
+    pad = (0,) * (spec.dim - 1)
+    right, left = [], []
+    q, e = 1, 0  # r**(k-1), e_{k-1}
+    for _ in range(max_n):
+        right.append((e, q, *pad))
+        q, e = q * r, r * e + 1
+        left.append((1, e - 1, *pad))
     return GrowthReport(dims, GrowthClass.EXPONENTIAL, False,
-                        (citations.EXPONENTIAL_GROWTH_NOT_NOETHERIAN,))
+                        (citations.EXPONENTIAL_GROWTH_NOT_NOETHERIAN,
+                         citations.RIGHT_IDEAL_CHAIN, citations.LEFT_IDEAL_CHAIN),
+                        tuple(right), tuple(left))

@@ -3,9 +3,10 @@ monomial of a grade that the exhaustive tests walk, the exhaustive
 decomposability search that ``decompose_fast`` is checked against, the
 residue form of ``decompose_fast`` whose witnesses it must reproduce
 exactly, the base-r carry automaton that counts new generators without a
-walk, the uniform monomial draw the randomized tests sample from, and the
-sampled associativity check of the twisted product.  Nothing in the
-library uses them."""
+walk, one-sided ideal membership by trying every cofactor, the uniform
+monomial draw the randomized tests sample from, and the sampled
+associativity check of the twisted product.  Nothing in the library uses
+them."""
 
 import itertools
 import operator
@@ -15,6 +16,7 @@ from thcr.ring import (
     DecompositionWitness,
     Monomial,
     _require_grade,
+    grade_of_degree,
     twist_degree,
     twisted_product,
 )
@@ -123,6 +125,20 @@ def automaton_counts(m, r, max_n):
         counts[a + 1] = step.pop(0, 0)
         states = step
     return counts
+
+
+def in_one_sided_ideal(spec, z, g, side):
+    """Whether the monomial z lies in the right ideal g B (``side`` "right") or
+    the left ideal B g ("left"), by trying every monomial w of the grade
+    between: g * w, or w * g, must be z.  The ideal is spanned by those
+    products, each a monomial."""
+    b = grade_of_degree(spec, z.degree) - grade_of_degree(spec, g.degree)
+    if b < 0:
+        return False
+    for w in monomials(spec, b):
+        if (twisted_product(spec, g, w) if side == "right" else twisted_product(spec, w, g)) == z:
+            return True
+    return False
 
 
 def random_monomial(spec, n, rng):

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from ring_oracles import decompose_brute, monomials, random_monomial
+from ring_oracles import decompose_brute, in_one_sided_ideal, monomials, random_monomial
 
 from thcr.dynamics import (
     CurveFunctional,
@@ -21,13 +21,12 @@ from thcr.dynamics import (
 from thcr.cohomology import h, right_vanishing_scan
 from thcr.intlinalg import IntMatrix, det, is_quasi_unipotent
 from thcr.ring import (
-    GrowthClass,
     Monomial,
     PowerRingSpec,
     decompose_fast,
     generator_degrees,
     grade_dimension,
-    growth_class,
+    growth_report,
     twist_degree,
     twisted_product,
 )
@@ -168,8 +167,18 @@ def test_criterion_09_non_noetherian_flag():
     with criterion("09 non-noetherian-flag", 5.0):
         for p, m in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2)):
             spec = PowerRingSpec(dim=m, power=p)
-            dims = [grade_dimension(spec, n) for n in range(11)]
-            assert growth_class(dims) is GrowthClass.EXPONENTIAL
+            report = growth_report(spec, 4)
+            assert report.noetherian is False
+            # each chain ascends strictly: g_k is in no g_j B, or B g_j, for j < k
+            for side, chain in (("right", report.right_chain), ("left", report.left_chain)):
+                gens = [Monomial(g) for g in chain]
+                assert [g.degree for g in gens] == [twist_degree(spec, k) for k in range(1, 5)]
+                for k in range(2, 5):
+                    for j in range(1, k):
+                        assert not in_one_sided_ideal(spec, gens[k - 1], gens[j - 1], side)
+        for m in (1, 2):
+            report = growth_report(PowerRingSpec(dim=m, power=1), 4)
+            assert (report.noetherian, report.right_chain, report.left_chain) == (True, (), ())
 
 
 def test_criterion_10_algebra_laws():

@@ -142,6 +142,10 @@ def test_growth_flags_non_noetherian():
     assert doc["results"]["growthClass"] == "Exponential"
     assert doc["results"]["noetherian"] is False
     assert "exponential-section-growth-rules-out-noetherian" in doc["citations"]
+    # g_k of each chain for grades 1..8: x_0**e_{k-1} x_1**(2**(k-1)) and x_0 x_1**(e_k - 1)
+    assert doc["results"]["rightChain"] == {str(k): [2**(k - 1) - 1, 2**(k - 1)]
+                                            for k in range(1, 9)}
+    assert doc["results"]["leftChain"] == {str(k): [1, 2**k - 2] for k in range(1, 9)}
 
 
 def test_reports_are_byte_identical():
@@ -260,7 +264,8 @@ def test_growth_states_its_verdict_on_a_short_window():
     result = invoke("growth", "--p", "2", "--m", "2", "--max-n", "0")
     assert result.exit_code == 0, result.stderr
     doc = json.loads(result.stdout)["results"]
-    assert doc == {"dims": [1], "growthClass": "Exponential", "noetherian": False}
+    assert doc == {"dims": [1], "growthClass": "Exponential", "noetherian": False,
+                   "rightChain": {}, "leftChain": {}}
 
 
 def test_non_integer_json_exits_two():

@@ -173,7 +173,7 @@ def test_cli_binds_no_verdict_logic():
 
 def test_version():
     result = invoke("--version")
-    assert (result.exit_code, result.stdout) == (0, "thcr, version 0.5.0\n")
+    assert (result.exit_code, result.stdout) == (0, "thcr, version 0.6.0\n")
 
 
 def test_option_prefixes_are_not_abbreviations():
@@ -260,3 +260,11 @@ def test_readme_command_line_examples():
     assert (identity["right"], identity["left"]) == ("Yes", "Undetermined")
     growth = docs["growth --p 2 --m 1 --max-n 10"]
     assert (growth["growthClass"], growth["noetherian"]) == ("Exponential", False)
+    # and g_k of each chain in grades 1..10, none in g_j B or B g_j for j < k:
+    # r**j does not divide the x_1 difference, and x_0 = 1 is below r**(k-j)
+    right, left = growth["rightChain"], growth["leftChain"]
+    assert set(right) == set(left) == {str(k) for k in range(1, 11)}
+    for k in range(2, 11):
+        for j in range(1, k):
+            assert (right[str(k)][1] - right[str(j)][1]) % 2**j != 0
+            assert left[str(k)][0] < 2**(k - j) * left[str(j)][0]

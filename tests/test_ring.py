@@ -15,6 +15,7 @@ from ring_oracles import (
     automaton_counts,
     decompose_brute,
     decompose_residue,
+    in_one_sided_ideal,
     monomials,
     random_monomial,
 )
@@ -818,24 +819,30 @@ def test_growth_class_validation():
         growth_class([1, 2, 0, 4])
 
 
+_CHAIN_IDS = (citations.EXPONENTIAL_GROWTH_NOT_NOETHERIAN, citations.RIGHT_IDEAL_CHAIN,
+              citations.LEFT_IDEAL_CHAIN)
+
+
 def test_growth_report_of_the_polynomial_ring_is_noetherian():
     report = growth_report(PowerRingSpec(dim=1, power=1), 10)
     assert report == GrowthReport(tuple(range(1, 12)), GrowthClass.POLYNOMIAL_BOUNDED, True,
-                                  (citations.POLYNOMIAL_RING,))
+                                  (citations.POLYNOMIAL_RING,), (), ())
 
 
 def test_growth_report_of_the_binary_line_is_not_noetherian():
     report = growth_report(PowerRingSpec(dim=1, power=2), 10)
+    right = tuple((2**(k - 1) - 1, 2**(k - 1)) for k in range(1, 11))
+    left = tuple((1, 2**k - 2) for k in range(1, 11))
     assert report == GrowthReport(tuple(2**n for n in range(11)), GrowthClass.EXPONENTIAL,
-                                  False, (citations.EXPONENTIAL_GROWTH_NOT_NOETHERIAN,))
+                                  False, _CHAIN_IDS, right, left)
 
 
 def test_growth_report_takes_short_windows():
     spec = PowerRingSpec(dim=1, power=2)
     for max_n in range(3):
         assert growth_report(spec, max_n) == GrowthReport(
-            (1, 2, 4)[:max_n + 1], GrowthClass.EXPONENTIAL, False,
-            (citations.EXPONENTIAL_GROWTH_NOT_NOETHERIAN,))
+            (1, 2, 4)[:max_n + 1], GrowthClass.EXPONENTIAL, False, _CHAIN_IDS,
+            ((0, 1), (1, 2))[:max_n], ((1, 0), (1, 2))[:max_n])
     with pytest.raises(ValueError, match="max_n must be >= 0"):
         growth_report(spec, -1)
     for bad in (True, 2.0, "2"):
@@ -852,6 +859,44 @@ def test_growth_class_agrees_with_the_growth_report():
             report = growth_report(spec, 59)
             for max_n in range(3, 60):
                 assert growth_class(report.dims[:max_n + 1]) is report.growth_class, (m, r, max_n)
+
+
+def test_ideal_chains_ascend_strictly_by_brute_force():
+    # g_k, of grade k, lies in neither g_j B nor B g_j for any j < k: every
+    # product g_j * w, or w * g_j, over the monomials w of grade k - j misses it
+    for m in (1, 2, 3):
+        for r in (2, 3, 4, 5):
+            spec = PowerRingSpec(dim=m, power=r)
+            report = growth_report(spec, 7)
+            for side, chain in (("right", report.right_chain), ("left", report.left_chain)):
+                gens = [Monomial(g) for g in chain]
+                for k, g_k in enumerate(gens, 1):
+                    assert g_k.degree == twist_degree(spec, k), (m, r, side, k)
+                    for j, g_j in enumerate(gens[:k - 1], 1):
+                        if grade_dimension(spec, k - j) <= 3000:
+                            assert not in_one_sided_ideal(spec, g_k, g_j, side), (m, r, side, j, k)
+                # the oracle does find members: g_1 * g_1 lies in both g_1 B and B g_1
+                square = twisted_product(spec, gens[0], gens[0])
+                assert in_one_sided_ideal(spec, square, gens[0], side), (m, r, side)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 2**20), st.integers(2, 200), st.data())
+def test_ideal_chain_obstructions_in_closed_form(m, r, k, data):
+    # right: g_k - g_j has x_1 entry r**(j-1) (r**(k-j) - 1), of r-adic
+    # valuation j - 1, so r**j does not divide it; left: x_0 of g_k is 1,
+    # below r**(k-j) times x_0 of g_j
+    j = data.draw(st.integers(1, k - 1))
+    spec = PowerRingSpec(dim=m, power=r)
+    report = growth_report(spec, k)
+    for chain in (report.right_chain, report.left_chain):
+        assert len(chain) == k
+        assert sum(chain[k - 1]) == twist_degree(spec, k)
+    g_k, g_j = report.right_chain[k - 1], report.right_chain[j - 1]
+    diff = g_k[1] - g_j[1]
+    assert diff % r**(j - 1) == 0 and diff % r**j != 0
+    g_k, g_j = report.left_chain[k - 1], report.left_chain[j - 1]
+    assert g_k[0] == g_j[0] == 1 < r**(k - j)
 
 
 # --- records ----------------------------------------------------------------------
@@ -877,11 +922,11 @@ RECORDS = [
      "GenerationReport(counts=(3, 1), generated_in_degree_one=False, citations=('a',), "
      "witnesses=((1, 1, 1),))"),
     (GrowthReport(dims=(1, 2), growth_class=GrowthClass.EXPONENTIAL, noetherian=False,
-                  citations=()),
-     GrowthReport((1, 2), GrowthClass.EXPONENTIAL, False, ()),
-     GrowthReport((1, 2), GrowthClass.POLYNOMIAL_BOUNDED, True, ()),
+                  citations=(), right_chain=((0, 1),), left_chain=((1, 0),)),
+     GrowthReport((1, 2), GrowthClass.EXPONENTIAL, False, (), ((0, 1),), ((1, 0),)),
+     GrowthReport((1, 2), GrowthClass.POLYNOMIAL_BOUNDED, True, (), (), ()),
      "GrowthReport(dims=(1, 2), growth_class=<GrowthClass.EXPONENTIAL: 'Exponential'>, "
-     "noetherian=False, citations=())"),
+     "noetherian=False, citations=(), right_chain=((0, 1),), left_chain=((1, 0),))"),
     (ScanRow(n=0, degree=-3, q=1, value=1), ScanRow(0, -3, 1, 1), ScanRow(0, -3, 1, 2),
      "ScanRow(n=0, degree=-3, q=1, value=1)"),
     (RightScanResult(stabilized_at=None, rows=(_ROW,)),
