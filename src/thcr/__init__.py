@@ -6,7 +6,7 @@ Submodules load on first use: ``import thcr`` imports none of them, and
 ``thcr.X`` (or ``from thcr import X``) imports only the module that owns X.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 _EXPORTS = {
     "cohomology": (
@@ -32,7 +32,6 @@ _EXPORTS = {
     "intlinalg": (
         "IntMatrix",
         "IntPolynomial",
-        "NoRealEigenvalueError",
         "RationalInterval",
         "SingularMatrixError",
         "char_poly",

@@ -33,6 +33,7 @@ from .ring import (
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .intlinalg import RationalInterval
+    from .ring import GenerationReport
 
 # Each subcommand imports the modules it runs inside its runner, so a cold
 # `thcr dims` never loads intlinalg, dynamics or cohomology.  ring stays
@@ -49,9 +50,7 @@ def _key(dest: str) -> str:
     return head + "".join(word.title() for word in rest)
 
 
-def _interval_json(interval: RationalInterval | None) -> dict | None:
-    if interval is None:
-        return None
+def _interval_json(interval: RationalInterval) -> dict:
     return {
         "lo": str(interval.lo),
         "hi": str(interval.hi),
@@ -81,7 +80,12 @@ def _run_dims(config: argparse.Namespace) -> tuple:
 def _run_gens(config: argparse.Namespace) -> tuple:
     spec = PowerRingSpec(dim=config.m, power=config.power)
     budget = DEFAULT_BUDGET if config.budget is None else config.budget
-    report = generation_report(spec, config.max_n, budget=budget)
+    return _gens_output(generation_report(spec, config.max_n, budget=budget), budget)
+
+
+def _gens_output(report: GenerationReport, budget: int) -> tuple:
+    """``gens``' (results, citations, csv_table) for a ``GenerationReport``;
+    after a budget stop its counts stop before the grade that exceeded it."""
     results = {
         "counts": _by_grade(report.counts, 1),
         "generatedInDegreeOne": report.generated_in_degree_one,
@@ -202,13 +206,15 @@ def _emit(text: str, config: argparse.Namespace) -> None:
 
 
 def _execute(config: argparse.Namespace) -> int:
+    code = 0
     try:
         results, cites, csv_table = _RUNNERS[config.command](config)
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         partial = {str(n): exc.partial[n] for n in sorted(exc.partial)}
         print(f"partial counts: {json.dumps(partial)}", file=sys.stderr)
-        return 3
+        results, cites, csv_table = _gens_output(exc.report, exc.budget)
+        code = 3
     except ValueError as exc:
         raise UsageError(str(exc))
     if config.format == "json":
@@ -226,7 +232,7 @@ def _execute(config: argparse.Namespace) -> int:
         header, data = csv_table
         text = "".join(",".join(map(str, row)) + "\n" for row in (header, *data))
     _emit(text, config)
-    return 0
+    return code
 
 
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

@@ -19,6 +19,11 @@ left/right ampleness classifier.  Its exact certificates:
 * an invertible integer action whose eigenvalues do not all lie on the
   unit circle has spectral radius strictly above one (unit-circle algebraic
   integers are roots of unity), which rules out left ampleness;
+* such an action is checked to preserve the proper cone {D : C D >= 0} cut
+  out by its curves (``_require_curve_cone``), so its spectral radius is an
+  eigenvalue (Birkhoff 1967; Vandergraft 1968) and the reported enclosure
+  of the largest real eigenvalue encloses the spectral radius; an action
+  that fails the check is rejected with ``ValueError``;
 * an eigenvector that is positive against every curve, with integer
   eigenvalue >= 1, certifies right ampleness;
 * when all eigenvalues are roots of unity the action behaves like an
@@ -31,13 +36,13 @@ from __future__ import annotations
 
 import enum
 import operator
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, combinations
 
 from . import citations
 from .intlinalg import (
     IntMatrix,
     IntPolynomial,
-    NoRealEigenvalueError,
     RationalInterval,
     _packed_powers,
     char_poly,
@@ -53,8 +58,6 @@ if TYPE_CHECKING:
 
 # The largest multiple k of the ample class the witness search tries
 MAX_WITNESS_MULTIPLIER = 2**16
-# The one reason a report gives that is not a citation id
-NO_REAL_EIGENVALUE = "no-real-eigenvalue-action-cannot-preserve-a-cone"
 
 
 class WitnessSearchExhausted(RuntimeError):
@@ -139,8 +142,8 @@ class AmplenessReport(_Record):
 
     @property
     def citations(self) -> tuple[str, ...]:
-        """The reasons that are citation ids, sorted."""
-        return tuple(sorted(set(self.reasons) - {NO_REAL_EIGENVALUE}))
+        """The reasons, each a citation id, sorted."""
+        return tuple(sorted(self.reasons))
 
 
 def _check_lengths(spec: NumericalActionSpec, divisor: DivisorClass) -> None:
@@ -289,6 +292,101 @@ def _integer_eigenvalue(matrix: IntMatrix, coords: tuple[int, ...]) -> int | Non
     return None
 
 
+def _scaled_inverse(basis: tuple[tuple[int, ...], ...]) -> list[list[int]] | None:
+    """|det B| * B**-1 for the square integer rows B, None when B is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [B | I]: step k
+    replaces each row but the pivot row by (p_k * row - row[k] * pivot row)
+    / p_{k-1}, p_k the k-th pivot and p_{-1} = 1, and every division is
+    exact.  A row with a zero in the pivot column is only rescaled by
+    p_k / p_{k-1}, and left alone while the pivots agree, as for unit
+    curves.  The left block ends as d I with d = +-det B, so the right
+    block, T with T B = d I, is d B**-1.
+    """
+    n = len(basis)
+    rows = [[*row, *[int(i == j) for j in range(n)]] for i, row in enumerate(basis)]
+    last = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        p = top[k]
+        for i, row in enumerate(rows):
+            m = row[k]
+            if i != k and (m or p != last):
+                rows[i] = [(p * x - m * y) // last for x, y in zip(row, top)]
+        last = p
+    if last < 0:
+        return [[-x for x in row[n:]] for row in rows]
+    return [row[n:] for row in rows]
+
+
+def _in_cone(b, cone: tuple[tuple[int, ...], ...] | None) -> bool:
+    """Whether b lies in cone(B), given the columns of M = |det B| B**-1
+    (``_curve_cones``), or None where M is a positive monomial matrix and
+    b M >= 0 reads b >= 0."""
+    if cone is None:
+        return min(b) >= 0
+    return all([sum(map(operator.mul, b, column)) >= 0 for column in cone])
+
+
+@lru_cache(maxsize=128)
+def _curve_cones(curves: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
+    """``(units, cones)`` for curves whose cone K = {D : C D >= 0} is proper,
+    ``ValueError`` otherwise; the curves are factored once and kept.
+
+    ``cones`` has one entry per basis B among the curves, the columns of
+    M = |det B| B**-1 (``_scaled_inverse``), or None when M is a positive
+    monomial matrix, as for unit curves, where b M >= 0 iff b >= 0.  By
+    Caratheodory b lies in cone(C), the cone the curves span, iff
+    b M >= 0 for some basis, that is sign(det B) b adj(B) >= 0.
+    ``units`` holds r for each curve that is a positive multiple of the
+    unit vector e_r, and None for the others.
+
+    K is pointed iff some basis exists, and full-dimensional iff cone(C) is
+    pointed, that is iff no -c of a nonzero curve lies in cone(C); with
+    exactly n curves both hold once C is a basis.
+    """
+    n = len(curves[0])
+    cones = []
+    for basis in combinations(curves, n):
+        m = _scaled_inverse(basis)
+        if m is not None:
+            monomial = all([sum(map(bool, row)) == 1 and max(row) > 0 for row in m])
+            cones.append(None if monomial else tuple(zip(*m)))
+    negatives = [[-x for x in c] for c in curves if any(c)] if len(curves) > n else []
+    if not cones or any([_in_cone(b, cone) for b in negatives for cone in cones]):
+        raise ValueError("the cone {D : C D >= 0} of the curves is not proper")
+    units = tuple([c.index(max(c)) if sum(map(bool, c)) == 1 and max(c) > 0 else None
+                   for c in curves])
+    return units, tuple(cones)
+
+
+def _require_curve_cone(spec: NumericalActionSpec) -> None:
+    """Raise ``ValueError`` unless the action preserves the proper cone
+    K = {D : C D >= 0} that its curves cut out (``_curve_cones``).
+
+    By Farkas' lemma P K lies in K iff the row c P of C P lies in cone(C)
+    for every curve c: for n curves that reads sign(det C) C P adj(C) >= 0,
+    and for unit curves P >= 0.  Membership in a cone is unchanged by a
+    positive factor, so a curve x e_r with x > 0 tests P's row r itself.
+    """
+    rows = spec.matrix.rows
+    columns = None
+    curves = tuple([c.coords for c in spec.curves])
+    units, cones = _curve_cones(curves)
+    for c, r in zip(curves, units):
+        if r is None:
+            columns = columns or list(zip(*rows))
+            image = [sum(map(operator.mul, c, column)) for column in columns]
+        else:
+            image = rows[r]
+        if not any([_in_cone(image, cone) for cone in cones]):
+            raise ValueError("the action does not preserve the cone {D : C D >= 0} of its curves")
+
+
 def classify_ampleness(
     spec: NumericalActionSpec,
     divisor: DivisorClass,
@@ -302,19 +400,23 @@ def classify_ampleness(
     the root-of-unity case left and right agree but hinge on eventual
     ampleness of the twists, which none of these certificates reads, so
     left stays Undetermined.  Undetermined is an honest value, not an error.
+
+    The reported radius is the spectral radius: 1 for a root-of-unity
+    action, and otherwise the enclosure of the largest real eigenvalue,
+    which is the spectral radius because the action is first checked to
+    preserve the proper cone {D : C D >= 0} of its curves (Birkhoff 1967;
+    Vandergraft 1968).  An action that fails that check raises
+    ``ValueError`` (``_require_curve_cone``).
     """
     _check_lengths(spec, divisor)
     matrix = spec.matrix
     quasi_unipotent = is_quasi_unipotent(matrix)
     reasons: list[str] = []
     if quasi_unipotent:
-        interval: RationalInterval | None = RationalInterval(1, 1)
+        interval = RationalInterval(1, 1)
     else:
-        try:
-            interval = spectral_radius_interval(matrix)
-        except NoRealEigenvalueError:
-            interval = None
-            reasons.append(NO_REAL_EIGENVALUE)
+        _require_curve_cone(spec)
+        interval = spectral_radius_interval(matrix)
 
     left = right = Verdict.UNDETERMINED
     eigenvector: DivisorClass | None = None

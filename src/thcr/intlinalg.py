@@ -38,10 +38,6 @@ class SingularMatrixError(ValueError):
     """Raised where an invertible matrix is required."""
 
 
-class NoRealEigenvalueError(ValueError):
-    """The characteristic polynomial has no real root to isolate."""
-
-
 def _trimmed(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """``coeffs`` without its trailing zeros."""
     end = len(coeffs)
@@ -411,21 +407,22 @@ def count_real_roots_above(poly: IntPolynomial, bound) -> int:
 def spectral_radius_interval(matrix: IntMatrix) -> RationalInterval:
     """Certified rational enclosure of the largest real eigenvalue.
 
-    For an action preserving a full-dimensional cone (every numerical
-    pullback action does) the largest real eigenvalue is the spectral
-    radius, which is the intended use.  ``_largest_root_interval`` gives the
-    enclosure, a point or a cell of width at most ``DEFAULT_RADIUS_WIDTH``.
+    For an action that preserves a proper cone the spectral radius is an
+    eigenvalue (Birkhoff 1967; Vandergraft 1968), so this enclosure is the
+    spectral radius's; ``dynamics.classify_ampleness`` checks that cone
+    before it reports one.  ``_largest_root_interval`` gives the enclosure,
+    a point or a cell of width at most ``DEFAULT_RADIUS_WIDTH``.
 
-    Raises ``SingularMatrixError`` for singular input and
-    ``NoRealEigenvalueError`` when no real eigenvalue exists, which cannot
-    happen for cone-preserving actions.
+    Raises ``SingularMatrixError`` for singular input and ``ValueError``
+    when no real eigenvalue exists, which cannot happen for an invertible
+    action that preserves a proper cone.
     """
     chi = char_poly(matrix)
     if chi.evaluate(0) == 0:
         raise SingularMatrixError("matrix is singular")
     interval = chi._largest_root
     if interval is None:
-        raise NoRealEigenvalueError("no real eigenvalue; matrix cannot preserve a cone")
+        raise ValueError("no real eigenvalue; matrix cannot preserve a proper cone")
     return interval
 
 

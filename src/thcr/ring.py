@@ -63,7 +63,12 @@ class GradeError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Grade enumeration would exceed the configured monomial budget."""
+    """Grade enumeration would exceed the configured monomial budget.
+
+    ``partial`` maps each grade finished before the stop to its count.
+    Raised by ``generation_report``, ``report`` is that report over those
+    grades; otherwise it is None.
+    """
 
     def __init__(self, grade: int, size: int, budget: int, partial: dict[int, int]):
         super().__init__(
@@ -73,6 +78,7 @@ class BudgetExceededError(RuntimeError):
         self.size = size
         self.budget = budget
         self.partial = dict(partial)
+        self.report = None
 
 
 class _Record:
@@ -567,15 +573,27 @@ def generation_report(spec: PowerRingSpec, max_n: int,
     The ring is generated in degree one iff r = 1, where it is k[x_0..x_m],
     or (m, r) = (1, 2), where the line's closed form has the factor r - 2 = 0.
     Otherwise every grade n >= 2 needs a new generator, and the report
-    carries one for each grade 2..max_n (``_new_generators``).
+    carries one for each grade 2..max_n (``_new_generators``).  A budget
+    stop raises ``BudgetExceededError`` whose ``report`` is this report
+    with the counts of the grades finished before the stop.
     """
-    counts = tuple(generator_degrees(spec, max_n, budget).values())
+    stop = None
+    try:
+        counts = generator_degrees(spec, max_n, budget)
+    except BudgetExceededError as exc:
+        counts, stop = exc.partial, exc
+    counts = tuple(counts.values())
     if spec.power == 1:
-        return GenerationReport(counts, True, (citations.POLYNOMIAL_RING,), ())
-    if (spec.dim, spec.power) == (1, 2):
-        return GenerationReport(counts, True, (citations.GENERATED_IN_DEGREE_ONE,), ())
-    return GenerationReport(counts, False, (citations.NEW_GENERATORS_EVERY_DEGREE,),
-                            _new_generators(spec, max_n))
+        report = GenerationReport(counts, True, (citations.POLYNOMIAL_RING,), ())
+    elif (spec.dim, spec.power) == (1, 2):
+        report = GenerationReport(counts, True, (citations.GENERATED_IN_DEGREE_ONE,), ())
+    else:
+        report = GenerationReport(counts, False, (citations.NEW_GENERATORS_EVERY_DEGREE,),
+                                  _new_generators(spec, max_n))
+    if stop is not None:
+        stop.report = report
+        raise stop
+    return report
 
 
 class GrowthClass(enum.Enum):

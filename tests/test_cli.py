@@ -86,6 +86,34 @@ def test_inputs_echo_parsed_options():
     assert set(doc["inputs"]) == {"power", "m", "maxN", "budget", "format"}
 
 
+RANK_6_SIGNED = [
+    [-87, 120, 5, -110, -128, -54],
+    [112, 63, 35, -117, 11, 122],
+    [-27, 83, -80, -30, 7, -83],
+    [89, 43, -81, 57, 81, 0],
+    [99, -80, -28, 21, -79, -105],
+    [-26, 56, 121, -29, -114, 57],
+]
+NOT_PRESERVED = "the action does not preserve the cone {D : C D >= 0} of its curves"
+
+
+# the largest real eigenvalue of the first three is -2, 2 (the radius is 3)
+# and none (the radius is 2): none of them preserves the orthant
+@pytest.mark.parametrize("matrix, curves, message", [
+    ([[-2]], [[1]], NOT_PRESERVED),
+    ([[-3, 0], [0, 2]], [[1, 0], [0, 1]], NOT_PRESERVED),
+    ([[0, -2], [2, 0]], [[1, 0], [0, 1]], NOT_PRESERVED),
+    (RANK_6_SIGNED, [[int(i == j) for j in range(6)] for i in range(6)], NOT_PRESERVED),
+    ([[2, 0], [0, 2]], [[1, 0]], "the cone {D : C D >= 0} of the curves is not proper"),
+], ids=["scalar-minus-2", "negative-eigenvalue-is-the-radius", "no-real-eigenvalue",
+        "signed-rank-6", "one-curve-in-rank-2"])
+def test_ampleness_off_the_curve_cone_exits_two(matrix, curves, message):
+    result = invoke("ampleness", "--matrix", json.dumps(matrix), "--curves", json.dumps(curves),
+                    "--divisor", json.dumps([1] * len(matrix)))
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.splitlines()[-1] == f"thcr ampleness: error: {message}"
+
+
 @pytest.mark.parametrize("matrix, curves, divisor", [
     ([[1, 2]], [[1, 0]], [1, 0]),
     ([], [[1]], [1]),
@@ -196,17 +224,34 @@ def test_budget_exhaustion_exits_three():
     assert "budget" in result.output
 
 
+BUDGET_STOP = ("gens", "--p", "2", "--m", "2", "--max-n", "12", "--budget", "1000")
+
+
 def test_budget_stop_reports_partial_counts():
-    result = invoke("gens", "--p", "2", "--m", "2", "--max-n", "12", "--budget", "1000")
+    result = invoke(*BUDGET_STOP)
     assert result.exit_code == 3
-    assert result.stdout == ""
+    budget, partial_line = result.stderr.splitlines()
+    assert budget == "budget exhausted: grade 6 holds 2080 monomials, above the budget of 1000"
     prefix = "partial counts: "
-    lines = [line for line in result.stderr.splitlines() if line.startswith(prefix)]
-    assert len(lines) == 1
-    partial = json.loads(lines[0][len(prefix):])
-    # grade 6 is the first over the budget; grades 1..5 match a full run
-    full = invoke("gens", "--p", "2", "--m", "2", "--max-n", "5")
-    assert partial == json.loads(full.stdout)["results"]["counts"]
+    assert partial_line.startswith(prefix)
+    partial = json.loads(partial_line[len(prefix):])
+    # grade 6 is the first over the budget; grades 1..5 match a full run,
+    # beside the all-grades verdict and the witnesses to grade 12
+    doc = json.loads(result.stdout)
+    full = json.loads(invoke("gens", "--p", "2", "--m", "2", "--max-n", "5").stdout)
+    assert partial == doc["results"]["counts"] == full["results"]["counts"]
+    assert doc["results"]["generatedInDegreeOne"] is False
+    assert doc["citations"] == full["citations"]
+    assert doc["results"]["witnesses"] == json.loads(invoke(
+        "gens", "--p", "2", "--m", "2", "--max-n", "12").stdout)["results"]["witnesses"]
+
+
+def test_budget_stop_prints_the_partial_csv():
+    result = invoke(*BUDGET_STOP, "--format", "csv")
+    assert result.exit_code == 3
+    assert len(result.stderr.splitlines()) == 2
+    full = invoke("gens", "--p", "2", "--m", "2", "--max-n", "5", "--format", "csv")
+    assert result.stdout == full.stdout
 
 
 def test_line_answers_past_the_budget():

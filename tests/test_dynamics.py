@@ -1,16 +1,16 @@
 
+import random
 from itertools import accumulate
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from intlinalg_oracles import cyclotomic, euler_phi
+from intlinalg_oracles import cyclotomic, euler_phi, matmul, random_unimodular
 
 from thcr import citations
 from thcr.dynamics import (
     MAX_WITNESS_MULTIPLIER,
-    NO_REAL_EIGENVALUE,
     CurveFunctional,
     DivisorClass,
     NumericalActionSpec,
@@ -446,28 +446,133 @@ def test_classifier_scale_invariance():
         assert (a.left, a.right) == (b.left, b.right)
 
 
-def test_classifier_negative_eigenvalue_is_undetermined_on_right():
-    # multiplication by -2 cannot arise from a cone-preserving action
-    spec = NumericalActionSpec([[-2]], [[1]])
-    report = classify_ampleness(spec, D1)
-    assert report.left is Verdict.NO
-    assert report.right is Verdict.UNDETERMINED
+IDENTITY_CURVES = {n: [[int(i == j) for j in range(n)] for i in range(n)] for n in (1, 2)}
 
 
-def test_classifier_no_real_eigenvalue_is_a_reason_but_not_a_citation():
-    spec = NumericalActionSpec([[0, -2], [1, 0]], [[1, 0], [0, 1]])
+# Actions that preserve no proper cone cut out by their curves.  The largest
+# real eigenvalue of the first three is -2, 2 (the radius is 3) and none (the
+# radius is 2), so no enclosure of it could be reported as the radius.
+@pytest.mark.parametrize("matrix, curves, message", [
+    ([[-2]], IDENTITY_CURVES[1], "does not preserve"),
+    ([[-3, 0], [0, 2]], IDENTITY_CURVES[2], "does not preserve"),
+    ([[0, -2], [2, 0]], IDENTITY_CURVES[2], "does not preserve"),
+    ([[2, 1], [1, 1]], [[1, 0], [0, 1], [-1, -1]], "is not proper"),
+    ([[2, 0], [0, 2]], [[1, 0]], "is not proper"),
+], ids=["scalar-minus-2", "negative-eigenvalue-is-the-radius", "no-real-eigenvalue",
+        "curves-span-a-line", "too-few-curves"])
+def test_classifier_rejects_an_action_off_its_curve_cone(matrix, curves, message):
+    spec = NumericalActionSpec(matrix, curves)
+    with pytest.raises(ValueError, match=message):
+        classify_ampleness(spec, DivisorClass((1,) * spec.rank))
+
+
+def test_quasi_unipotent_actions_skip_the_cone_check():
+    # the radius of a root-of-unity action is 1 on any cone
+    spec = NumericalActionSpec([[0, -1], [1, 0]], IDENTITY_CURVES[2])
     report = classify_ampleness(spec, DivisorClass((1, 1)))
-    assert report.spectral_radius is None
-    assert report.reasons == (
-        NO_REAL_EIGENVALUE,
-        citations.RADIUS_EXCEEDS_ONE_WHEN_NOT_UNIT_CIRCLE,
-        citations.LEFT_FAILS_ABOVE_ONE,
-    )
-    assert report.citations == (
-        citations.RADIUS_EXCEEDS_ONE_WHEN_NOT_UNIT_CIRCLE,
-        citations.LEFT_FAILS_ABOVE_ONE,
-    )
-    assert NO_REAL_EIGENVALUE not in vars(citations).values()
+    assert report.spectral_radius == RationalInterval(1, 1)
+
+
+@st.composite
+def cone_preserving_actions(draw):
+    """``(P, curves)`` with P = U**-1 N U for U unimodular and N >= 0
+    invertible, and the rows of U as curves, sometimes with a redundant
+    one, the sum of two rows: C P = N U, whose rows lie in cone(U)."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(det(IntMatrix(rows)) != 0)
+    if n == 1:
+        u = u_inv = [[draw(st.sampled_from([1, -1]))]]
+    else:
+        u, u_inv = random_unimodular(random.Random(draw(st.integers(0, 2**32))), n)
+    curves = [list(row) for row in u]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        curves.append([a + b for a, b in zip(u[i], u[j])])
+    return matmul(matmul(u_inv, rows), u), curves
+
+
+@settings(deadline=None, max_examples=150)
+@given(cone_preserving_actions())
+def test_radius_of_a_cone_preserving_action_encloses_the_largest_modulus(action):
+    np = pytest.importorskip("numpy")
+    matrix, curves = action
+    spec = NumericalActionSpec(matrix, curves)
+    radius = classify_ampleness(spec, DivisorClass((1,) * spec.rank)).spectral_radius
+    modulus = max(abs(np.linalg.eigvals(np.array(matrix, dtype=float))))
+    # numpy's eigenvalues of a defective matrix are off by about sqrt(eps)
+    slack = 1e-6 * max(1.0, modulus)
+    assert float(radius.lo) - slack <= modulus <= float(radius.hi) + slack
+
+
+def _in_cone_lp(b, rows) -> bool:
+    """Whether b is a nonnegative combination of ``rows``, by sympy's exact
+    simplex on Farkas' dual: b lies in the cone iff b . y >= 0 for every y
+    with C y >= 0, so iff the least b . y over those y in the box |y_i| <= 1
+    is 0.  With y = y+ - y- and y+, y- >= 0 the origin is a vertex, so no
+    first phase runs (in sympy 1.14 it returns infeasible points as optima
+    of some primal forms, and cycles on others); the point it returns is
+    checked."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.solvers.simplex import linprog
+
+    n, c = len(b), sympy.Matrix(rows)
+    constraints = sympy.Matrix.hstack(-c, c).col_join(sympy.eye(2 * n))
+    bounds = sympy.zeros(len(rows), 1).col_join(sympy.ones(2 * n, 1))
+    least, point = linprog([*b, *[-x for x in b]], constraints, bounds)
+    y = sympy.Matrix(point[:n]) - sympy.Matrix(point[n:])
+    assert min(c * y) >= 0 and sympy.Matrix([b]).dot(y) == least
+    return least == 0
+
+
+@st.composite
+def actions_and_curves(draw):
+    """Signed actions with signed curve sets of n - 1 to n + 2 curves, and
+    cone-preserving actions whose curves gain signed extras."""
+    if draw(st.booleans()):
+        matrix, curves = draw(cone_preserving_actions())
+        n = len(matrix)
+    else:
+        n = draw(st.integers(1, 3))
+        matrix = draw(small_matrices(n))
+        assume(det(IntMatrix(matrix)) != 0)
+        curves = []
+    count = draw(st.integers(max(1, n - 1), n + 2))
+    while len(curves) < count:
+        curves.append(list(draw(st.tuples(*[st.integers(-2, 2)] * n))))
+    return matrix, curves[:count]
+
+
+@settings(deadline=None, max_examples=120)
+@given(actions_and_curves())
+def test_cone_check_matches_exact_linear_programming(action):
+    sympy = pytest.importorskip("sympy")
+    matrix, curves = action
+    n = len(matrix)
+    proper = sympy.Matrix(curves).rank() == n and not any(
+        _in_cone_lp([-x for x in c], curves) for c in curves if any(c))
+    preserved = proper and all(_in_cone_lp(row, curves) for row in matmul(curves, matrix))
+    spec = NumericalActionSpec(matrix, curves)
+    if preserved:
+        dynamics._require_curve_cone(spec)
+    else:
+        message = "does not preserve" if proper else "is not proper"
+        with pytest.raises(ValueError, match=message):
+            dynamics._require_curve_cone(spec)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 5).flatmap(small_matrices))
+def test_scaled_inverse_is_the_signed_adjugate(rows):
+    sympy = pytest.importorskip("sympy")
+    matrix = sympy.Matrix(rows)
+    d = matrix.det()
+    scaled = dynamics._scaled_inverse(tuple(map(tuple, rows)))
+    if d == 0:
+        assert scaled is None
+    else:
+        assert scaled == (matrix.adjugate() * sympy.sign(d)).tolist()
 
 
 def test_classifier_citations_are_the_sorted_reasons():
@@ -493,9 +598,10 @@ def test_classifier_left_never_yes_above_one(data):
     rows, dvec = data
     matrix = IntMatrix(rows)
     assume(det(matrix) != 0)
-    spec = NumericalActionSpec(matrix, [tuple(1 for _ in range(matrix.dim))])
-    report = classify_ampleness(spec, DivisorClass(dvec))
-    if report.spectral_radius is not None and report.spectral_radius.lo > 1:
+    # a nonnegative action preserves the orthant that the unit curves cut out
+    units = [[int(i == j) for j in range(matrix.dim)] for i in range(matrix.dim)]
+    report = classify_ampleness(NumericalActionSpec(matrix, units), DivisorClass(dvec))
+    if report.spectral_radius.lo > 1:
         assert report.left is not Verdict.YES
 
 

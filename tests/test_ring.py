@@ -614,6 +614,16 @@ def test_generation_report_on_the_binary_plane_needs_new_generators():
         generation_report(spec, 4, budget=100)
 
 
+def test_generation_report_budget_stop_carries_the_finished_grades():
+    spec = PowerRingSpec(dim=2, power=2)
+    with pytest.raises(BudgetExceededError) as info:
+        generation_report(spec, 9, budget=100)
+    assert info.value.partial == {1: 3, 2: 1, 3: 3}
+    full = generation_report(spec, 9)
+    assert info.value.report == GenerationReport((3, 1, 3), False, full.citations, full.witnesses)
+    assert BudgetExceededError(4, 120, 100, {}).report is None
+
+
 @settings(max_examples=300, deadline=None)
 @given(m=st.integers(1, 6), r=st.integers(2, 8), n=st.integers(2, 200))
 def test_new_generators_split_at_no_grade(m, r, n):
