@@ -20,10 +20,12 @@ left/right ampleness classifier.  Its exact certificates:
   unit circle has spectral radius strictly above one (unit-circle algebraic
   integers are roots of unity), which rules out left ampleness;
 * such an action is checked to preserve the proper cone {D : C D >= 0} cut
-  out by its curves (``_require_curve_cone``), so its spectral radius is an
-  eigenvalue (Birkhoff 1967; Vandergraft 1968) and the reported enclosure
-  of the largest real eigenvalue encloses the spectral radius; an action
-  that fails the check is rejected with ``ValueError``;
+  out by its curves (``_require_curve_cone``: P >= 0 for the unit curves,
+  otherwise one exact phase-one linear program per row, ``_in_cone``), so
+  its spectral radius is an eigenvalue (Birkhoff 1967; Vandergraft 1968)
+  and the reported enclosure of the largest real eigenvalue encloses the
+  spectral radius; an action that fails the check is rejected with
+  ``ValueError``;
 * an eigenvector that is positive against every curve, with integer
   eigenvalue >= 1, certifies right ampleness;
 * when all eigenvalues are roots of unity the action behaves like an
@@ -36,8 +38,8 @@ from __future__ import annotations
 
 import enum
 import operator
-from functools import lru_cache
-from itertools import accumulate, combinations
+from fractions import Fraction
+from itertools import accumulate
 
 from . import citations
 from .intlinalg import (
@@ -292,99 +294,67 @@ def _integer_eigenvalue(matrix: IntMatrix, coords: tuple[int, ...]) -> int | Non
     return None
 
 
-def _scaled_inverse(basis: tuple[tuple[int, ...], ...]) -> list[list[int]] | None:
-    """|det B| * B**-1 for the square integer rows B, None when B is singular.
+def _in_cone(b, curves: list[tuple[int, ...]]) -> bool:
+    """Whether b is a nonnegative combination of the curves.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) on [B | I]: step k
-    replaces each row but the pivot row by (p_k * row - row[k] * pivot row)
-    / p_{k-1}, p_k the k-th pivot and p_{-1} = 1, and every division is
-    exact.  A row with a zero in the pivot column is only rescaled by
-    p_k / p_{k-1}, and left alone while the pivots agree, as for unit
-    curves.  The left block ends as d I with d = +-det B, so the right
-    block, T with T B = d I, is d B**-1.
+    Phase one of the simplex method on C^T y + a = b with y, a >= 0, each
+    row where b_i < 0 negated, from the basis of the artificials a: b lies
+    in cone(C) iff the least sum of the a is 0.  The integer tableau is d
+    times the true one, d the last pivot, so each update
+    (p * x - f * y) // d divides exactly (Edmonds' integer pivoting).  Its
+    cost row, updated alike, sums the rows whose basic variable is an
+    artificial: d times the sum of the a last, and before it a positive
+    entry for each y_j whose entry lowers that sum.  Bland's least-index
+    rule picks the entering y_j and breaks ties in the ratio test, so no
+    basis repeats (Bland 1977).  An artificial that leaves never returns,
+    so no column is kept for the a.
     """
-    n = len(basis)
-    rows = [[*row, *[int(i == j) for j in range(n)]] for i, row in enumerate(basis)]
-    last = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if rows[i][k]), None)
-        if pivot is None:
-            return None
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        top = rows[k]
-        p = top[k]
-        for i, row in enumerate(rows):
-            m = row[k]
-            if i != k and (m or p != last):
-                rows[i] = [(p * x - m * y) // last for x, y in zip(row, top)]
-        last = p
-    if last < 0:
-        return [[-x for x in row[n:]] for row in rows]
-    return [row[n:] for row in rows]
-
-
-def _in_cone(b, cone: tuple[tuple[int, ...], ...] | None) -> bool:
-    """Whether b lies in cone(B), given the columns of M = |det B| B**-1
-    (``_curve_cones``), or None where M is a positive monomial matrix and
-    b M >= 0 reads b >= 0."""
-    if cone is None:
-        return min(b) >= 0
-    return all([sum(map(operator.mul, b, column)) >= 0 for column in cone])
-
-
-@lru_cache(maxsize=128)
-def _curve_cones(curves: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
-    """``(units, cones)`` for curves whose cone K = {D : C D >= 0} is proper,
-    ``ValueError`` otherwise; the curves are factored once and kept.
-
-    ``cones`` has one entry per basis B among the curves, the columns of
-    M = |det B| B**-1 (``_scaled_inverse``), or None when M is a positive
-    monomial matrix, as for unit curves, where b M >= 0 iff b >= 0.  By
-    Caratheodory b lies in cone(C), the cone the curves span, iff
-    b M >= 0 for some basis, that is sign(det B) b adj(B) >= 0.
-    ``units`` holds r for each curve that is a positive multiple of the
-    unit vector e_r, and None for the others.
-
-    K is pointed iff some basis exists, and full-dimensional iff cone(C) is
-    pointed, that is iff no -c of a nonzero curve lies in cone(C); with
-    exactly n curves both hold once C is a basis.
-    """
-    n = len(curves[0])
-    cones = []
-    for basis in combinations(curves, n):
-        m = _scaled_inverse(basis)
-        if m is not None:
-            monomial = all([sum(map(bool, row)) == 1 and max(row) > 0 for row in m])
-            cones.append(None if monomial else tuple(zip(*m)))
-    negatives = [[-x for x in c] for c in curves if any(c)] if len(curves) > n else []
-    if not cones or any([_in_cone(b, cone) for b in negatives for cone in cones]):
-        raise ValueError("the cone {D : C D >= 0} of the curves is not proper")
-    units = tuple([c.index(max(c)) if sum(map(bool, c)) == 1 and max(c) > 0 else None
-                   for c in curves])
-    return units, tuple(cones)
+    k = len(curves)
+    rows = [[-x for x in row] if row[-1] < 0 else list(row) for row in zip(*curves, b)]
+    cost = [sum(column) for column in zip(*rows)]
+    basis = list(range(k, k + len(rows)))
+    d = 1
+    while cost[-1]:
+        j = next((j for j in range(k) if cost[j] > 0), None)
+        if j is None:
+            return False
+        r = min([i for i, row in enumerate(rows) if row[j] > 0],
+                key=lambda i: (Fraction(rows[i][-1], rows[i][j]), basis[i]))
+        top = rows[r]
+        p = top[j]
+        for row in (*rows, cost):
+            if row is not top:
+                f = row[j]
+                row[:] = [(p * x - f * y) // d for x, y in zip(row, top)]
+        basis[r], d = j, p
+    return True
 
 
 def _require_curve_cone(spec: NumericalActionSpec) -> None:
     """Raise ``ValueError`` unless the action preserves the proper cone
-    K = {D : C D >= 0} that its curves cut out (``_curve_cones``).
+    K = {D : C D >= 0} that its curves cut out.
 
     By Farkas' lemma P K lies in K iff the row c P of C P lies in cone(C)
-    for every curve c: for n curves that reads sign(det C) C P adj(C) >= 0,
-    and for unit curves P >= 0.  Membership in a cone is unchanged by a
-    positive factor, so a curve x e_r with x > 0 tests P's row r itself.
+    for every curve c (``_in_cone``); for the n unit curves that reads
+    P >= 0.  K is pointed iff C has rank n, that is iff chi(0) of the Gram
+    matrix C^T C is nonzero, and full-dimensional iff cone(C) is pointed,
+    that is iff no -c of a nonzero curve lies in cone(C).
     """
+    n = spec.rank
     rows = spec.matrix.rows
-    columns = None
-    curves = tuple([c.coords for c in spec.curves])
-    units, cones = _curve_cones(curves)
-    for c, r in zip(curves, units):
-        if r is None:
-            columns = columns or list(zip(*rows))
-            image = [sum(map(operator.mul, c, column)) for column in columns]
-        else:
-            image = rows[r]
-        if not any([_in_cone(image, cone) for cone in cones]):
-            raise ValueError("the action does not preserve the cone {D : C D >= 0} of its curves")
+    curves = [c.coords for c in spec.curves]
+    if len({c.index(1) for c in curves if 1 in c and c.count(0) == n - 1}) == n == len(curves):
+        preserved = min(map(min, rows)) >= 0
+    else:
+        gram = IntMatrix([[sum([c[i] * c[j] for c in curves]) for j in range(n)] for i in range(n)])
+        if char_poly(gram).evaluate(0) == 0 or any(
+                _in_cone([-x for x in c], curves) for c in curves if any(c)):
+            raise ValueError("the cone {D : C D >= 0} of the curves is not proper")
+        columns = list(zip(*rows))
+        preserved = all(_in_cone([sum(map(operator.mul, c, column)) for column in columns], curves)
+                        for c in curves)
+    if not preserved:
+        raise ValueError("the action does not preserve the cone {D : C D >= 0} of its curves")
 
 
 def classify_ampleness(

@@ -52,6 +52,13 @@ AMPLENESS = {
     ),
     # the identity, with an ample eigenvector: right Yes, left Undetermined
     "identity-eigenvector": ([[1, 0], [0, 1]], [1, 1], [[1, 0], [0, 1]]),
+    # curves cutting out the square pyramid |D1|, |D2| <= D3, a cone with 4
+    # facets in rank 3, which the action (D2, D1, 2 D3) maps into itself
+    "pyramid-cone": (
+        [[0, 1, 0], [1, 0, 0], [0, 0, 2]],
+        [0, 0, 1],
+        [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
+    ),
 }
 
 
